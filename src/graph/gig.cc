@@ -1,5 +1,7 @@
 #include "graph/gig.h"
 
+#include <utility>
+
 #include "common/rng.h"
 
 namespace after {
@@ -12,11 +14,11 @@ bool DisksIntersect(const Disk& a, const Disk& b) {
 OcclusionGraph BuildGeometricIntersectionGraph(
     const std::vector<Disk>& disks) {
   const int n = static_cast<int>(disks.size());
-  OcclusionGraph graph(n);
+  std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < n; ++i)
     for (int j = i + 1; j < n; ++j)
-      if (DisksIntersect(disks[i], disks[j])) graph.AddEdge(i, j);
-  return graph;
+      if (DisksIntersect(disks[i], disks[j])) edges.emplace_back(i, j);
+  return OcclusionGraph(n, edges);
 }
 
 std::vector<Disk> RandomDisks(int count, double extent, double min_radius,

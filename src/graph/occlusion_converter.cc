@@ -2,17 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
 namespace after {
 namespace {
 
-/// Smallest absolute angular difference between two angles, in [0, pi].
+/// Smallest absolute angular difference between two arc centers, in
+/// [0, pi]. Centers come from atan2 (or are 0 for a full-circle arc), so
+/// they lie in [-pi, pi] and |a - b| <= 2*pi even after rounding: no
+/// fmod is needed, and exactly 2*pi (centers +pi and -pi) folds to 0 as
+/// fmod would have made it. The fold is a min rather than a branch on
+/// diff > pi, which would mispredict on every other pair; the two agree
+/// bit for bit (for diff > pi, 2*pi - diff is exact and below pi; for
+/// diff <= pi it rounds to no less than diff).
 double AngularDistance(double a, double b) {
-  double diff = std::fmod(std::abs(a - b), 2.0 * M_PI);
-  if (diff > M_PI) diff = 2.0 * M_PI - diff;
-  return diff;
+  const double diff = std::abs(a - b);
+  return std::min(diff, 2.0 * M_PI - diff);
+}
+
+/// ArcsOverlap for two valid arcs. Symmetric bit for bit: |a - b| and
+/// a + b do not depend on operand order.
+bool ValidArcsOverlap(const ViewArc& a, const ViewArc& b) {
+  return AngularDistance(a.center, b.center) <= a.half_width + b.half_width;
 }
 
 }  // namespace
@@ -36,8 +49,7 @@ ViewArc ComputeViewArc(const Vec2& target, const Vec2& other,
 }
 
 bool ArcsOverlap(const ViewArc& a, const ViewArc& b) {
-  if (!a.valid || !b.valid) return false;
-  return AngularDistance(a.center, b.center) <= a.half_width + b.half_width;
+  return a.valid && b.valid && ValidArcsOverlap(a, b);
 }
 
 std::vector<ViewArc> ComputeViewArcs(const std::vector<Vec2>& positions,
@@ -55,31 +67,19 @@ std::vector<ViewArc> ComputeViewArcs(const std::vector<Vec2>& positions,
 
 OcclusionGraph BuildOcclusionGraph(const std::vector<Vec2>& positions,
                                    int target, double body_radius) {
-  const int n = static_cast<int>(positions.size());
-  const std::vector<ViewArc> arcs =
-      ComputeViewArcs(positions, target, body_radius);
-  OcclusionGraph graph(n);
-  for (int i = 0; i < n; ++i) {
-    if (!arcs[i].valid) continue;
-    for (int j = i + 1; j < n; ++j) {
-      if (!arcs[j].valid) continue;
-      if (ArcsOverlap(arcs[i], arcs[j])) graph.AddEdgeUnchecked(i, j);
-    }
-  }
-  return graph;
+  return BuildOcclusionGraphFromArcs(
+      ComputeViewArcs(positions, target, body_radius));
 }
 
 OcclusionGraph BuildOcclusionGraphFromArcs(const std::vector<ViewArc>& arcs) {
   const int n = static_cast<int>(arcs.size());
-  OcclusionGraph graph(n);
+  std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < n; ++i) {
     if (!arcs[i].valid) continue;
-    for (int j = i + 1; j < n; ++j) {
-      if (!arcs[j].valid) continue;
-      if (ArcsOverlap(arcs[i], arcs[j])) graph.AddEdgeUnchecked(i, j);
-    }
+    for (int j = i + 1; j < n; ++j)
+      if (ArcsOverlap(arcs[i], arcs[j])) edges.emplace_back(i, j);
   }
-  return graph;
+  return OcclusionGraph(n, edges);
 }
 
 void UpdateViewArcs(const std::vector<Vec2>& positions, int target,
@@ -103,73 +103,103 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
   const int n = static_cast<int>(arcs.size());
   AFTER_CHECK_EQ(previous.num_nodes(), n);
   AFTER_CHECK_EQ(static_cast<int>(is_moved.size()), n);
+  const int num_moved = static_cast<int>(moved.size());
+  // Read once per arc test and once per old adjacency entry below; a
+  // byte is cheaper to read than a vector<bool> bit.
+  const std::vector<unsigned char> moved_flag(is_moved.begin(),
+                                              is_moved.end());
 
-  // Both streams below are produced in lexicographic (i, j) order and
-  // cover disjoint pair sets, so a single sorted merge reproduces the
-  // exact AddEdge sequence of a from-scratch build (which iterates
-  // i < j lexicographically). That makes the result structurally
-  // identical, not just edge-set equal.
-  // Stream 1 is the surviving edges — both endpoints unmoved, overlap
-  // unchanged — consumed straight off previous.edges() with an inline
-  // filter (skipping moved endpoints) so the old lexicographic order is
-  // preserved without materializing an intermediate vector.
-  const std::vector<std::pair<int, int>>& old_edges = previous.edges();
-
-  // Stream 2: every pair with at least one moved endpoint, re-tested.
-  // For a moved i we test all j > i; for an unmoved i only the moved
-  // j > i (`moved` is sorted, so j ascends). Pairs where both ends
-  // moved appear exactly once, via the moved-i branch.
-  std::vector<std::pair<int, int>> fresh;
-  for (int i = 0; i < n; ++i) {
-    if (!arcs[i].valid) continue;
-    if (is_moved[i]) {
-      for (int j = i + 1; j < n; ++j) {
-        if (!arcs[j].valid) continue;
-        if (ArcsOverlap(arcs[i], arcs[j])) fresh.emplace_back(i, j);
+  // Fresh rows of the moved agents: each moved arc is tested once
+  // against every arc, and j ascends, so each row comes out sorted.
+  // The tests are symmetric, so they also decide every unmoved row's
+  // moved part: an unmoved u gains the moved agents it now overlaps
+  // (`gained`) and loses the ones it overlapped before (`lost`, read off
+  // the moved agents' old rows).
+  std::vector<int> moved_offsets(num_moved + 1, 0);
+  std::vector<int> moved_rows;
+  std::vector<int> gained(n, 0);
+  std::vector<int> lost(n, 0);
+  std::vector<int> row(n);
+  for (int k = 0; k < num_moved; ++k) {
+    const int m = moved[k];
+    // The row layout below relies on `moved` being strictly ascending
+    // and flagged in `is_moved`; a violation would write out of bounds.
+    AFTER_CHECK(k == 0 || moved[k - 1] < m);
+    AFTER_CHECK(moved_flag[m]);
+    for (int v : previous.Neighbors(m)) ++lost[v];
+    const ViewArc& arc = arcs[m];
+    int count = 0;
+    if (arc.valid) {
+      // Branch-free compaction: the outcome is unpredictable, so store
+      // every j and advance past it only on a hit.
+      for (int j = 0; j < n; ++j) {
+        row[count] = j;
+        count += arcs[j].valid & ValidArcsOverlap(arc, arcs[j]) & (j != m);
       }
+    }
+    for (int r = 0; r < count; ++r) gained[row[r]] += !moved_flag[row[r]];
+    moved_rows.insert(moved_rows.end(), row.begin(), row.begin() + count);
+    moved_offsets[k + 1] = static_cast<int>(moved_rows.size());
+  }
+
+  // Row starts of the result. A moved row is its fresh row; an unmoved
+  // row keeps its old row minus the moved agents and gains its hits.
+  std::vector<int> offsets(n + 1, 0);
+  int flagged = 0;
+  for (int u = 0; u < n; ++u) {
+    int degree;
+    if (moved_flag[u]) {
+      AFTER_CHECK_LT(flagged, num_moved);  // no flag without a `moved` entry
+      degree = moved_offsets[flagged + 1] - moved_offsets[flagged];
+      ++flagged;
     } else {
-      for (int m : moved) {
-        if (m <= i) continue;
-        if (!arcs[m].valid) continue;
-        if (ArcsOverlap(arcs[i], arcs[m])) fresh.emplace_back(i, m);
-      }
+      degree = previous.Degree(u) - lost[u] + gained[u];
+    }
+    offsets[u + 1] = offsets[u] + degree;
+  }
+
+  // Bucket the hits per unmoved node (counting sort on the node). The
+  // moved agents are visited in ascending order, so every bucket is
+  // ascending too.
+  std::vector<int> hit_offsets(n + 1, 0);
+  for (int u = 0; u < n; ++u) hit_offsets[u + 1] = hit_offsets[u] + gained[u];
+  std::vector<int> hits(hit_offsets[n]);
+  std::vector<int> fill(hit_offsets.begin(), hit_offsets.end() - 1);
+  for (int k = 0; k < num_moved; ++k) {
+    for (int r = moved_offsets[k]; r < moved_offsets[k + 1]; ++r) {
+      const int j = moved_rows[r];
+      if (!moved_flag[j]) hits[fill[j]++] = moved[k];
     }
   }
 
-  OcclusionGraph graph(n);
-  graph.ReserveEdges(previous.num_edges() + static_cast<int>(fresh.size()));
-  {
-    // Capacity hints: an unmoved node keeps at most its previous degree
-    // and gains its fresh incident edges; a moved node's edges are all
-    // re-derived, so only the fresh count bounds it.
-    std::vector<int> fresh_degree(n, 0);
-    for (const auto& e : fresh) {
-      ++fresh_degree[e.first];
-      ++fresh_degree[e.second];
-    }
-    for (int u = 0; u < n; ++u) {
-      const int cap =
-          (is_moved[u] ? 0 : previous.Degree(u)) + fresh_degree[u];
-      if (cap > 0) graph.ReserveNeighbors(u, cap);
-    }
-  }
-  size_t k = 0;
-  size_t f = 0;
-  while (true) {
-    while (k < old_edges.size() &&
-           (is_moved[old_edges[k].first] || is_moved[old_edges[k].second]))
+  // Write every row into one fresh array: the old snapshot may still be
+  // serving requests, so nothing is patched in place. Both inputs of an
+  // unmoved row are ascending and disjoint (hits are moved agents, the
+  // kept old entries are not), so a plain merge keeps the row sorted.
+  // The old entries are filtered branch-free: each is stored, and the
+  // cursor only advances past the unmoved ones. A dropped entry's store
+  // lands where this row or a later one writes next, or, at the very
+  // end, in one slack slot that is popped afterwards.
+  std::vector<int> neighbors(offsets[n] + 1);
+  for (int u = 0, k = 0; u < n; ++u) {
+    int* out = neighbors.data() + offsets[u];
+    if (moved_flag[u]) {
+      std::copy(moved_rows.begin() + moved_offsets[k],
+                moved_rows.begin() + moved_offsets[k + 1], out);
       ++k;
-    if (k == old_edges.size() && f == fresh.size()) break;
-    if (f == fresh.size() ||
-        (k < old_edges.size() && old_edges[k] < fresh[f])) {
-      graph.AddEdgeUnchecked(old_edges[k].first, old_edges[k].second);
-      ++k;
-    } else {
-      graph.AddEdgeUnchecked(fresh[f].first, fresh[f].second);
-      ++f;
+      continue;
     }
+    const int* hit = hits.data() + hit_offsets[u];
+    const int* const hit_end = hits.data() + hit_offsets[u + 1];
+    for (int v : previous.Neighbors(u)) {
+      while (hit != hit_end && *hit < v) *out++ = *hit++;
+      *out = v;
+      out += !moved_flag[v];
+    }
+    std::copy(hit, hit_end, out);
   }
-  return graph;
+  neighbors.pop_back();
+  return OcclusionGraph::FromRows(std::move(offsets), std::move(neighbors));
 }
 
 DynamicOcclusionGraph BuildDynamicOcclusionGraph(

@@ -62,14 +62,17 @@ void UpdateViewArcs(const std::vector<Vec2>& positions, int target,
                     double body_radius, const std::vector<int>& moved,
                     std::vector<ViewArc>* arcs);
 
-/// Delta-rebuilds the target's static occlusion graph: edges between
-/// two unmoved agents are carried over from `previous`; every pair with
-/// at least one endpoint in `moved` is re-tested against the (already
-/// patched, see UpdateViewArcs) `arcs`. Requirements: `target` is not
-/// in `moved`, `moved` is sorted ascending, and `is_moved` is its
-/// indicator vector. Cost O(E + |moved| * n) instead of O(n^2), and the
-/// result — including edge insertion order and adjacency order — is
-/// bitwise-identical to BuildOcclusionGraphFromArcs(arcs).
+/// Delta-rebuilds the target's static occlusion graph (the per-tick
+/// "carry"): edges between two unmoved agents are carried over from
+/// `previous`; every pair with at least one endpoint in `moved` is
+/// re-tested against the (already patched, see UpdateViewArcs) `arcs`.
+/// Each moved arc is tested once against every arc; each unmoved row is
+/// then written as its old row minus the moved agents, merged with its
+/// ascending hits, into one fresh CSR array (`previous` is never
+/// touched). Requirements: `target` is not in `moved`, `moved` is sorted
+/// ascending, and `is_moved` is its indicator vector. Cost O(n + E +
+/// |moved| * n) instead of O(n^2), and the result is bitwise-identical
+/// (operator==) to BuildOcclusionGraphFromArcs(arcs).
 OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
                                     const std::vector<ViewArc>& arcs,
                                     const std::vector<int>& moved,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -52,15 +53,13 @@ OcclusionGraph BuildOcclusionGraph3d(const std::vector<Vec3>& positions,
   const int n = static_cast<int>(positions.size());
   const std::vector<ViewCap> caps =
       ComputeViewCaps(positions, target, body_radius);
-  OcclusionGraph graph(n);
+  std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < n; ++i) {
     if (!caps[i].valid) continue;
-    for (int j = i + 1; j < n; ++j) {
-      if (!caps[j].valid) continue;
-      if (CapsOverlap(caps[i], caps[j])) graph.AddEdge(i, j);
-    }
+    for (int j = i + 1; j < n; ++j)
+      if (CapsOverlap(caps[i], caps[j])) edges.emplace_back(i, j);
   }
-  return graph;
+  return OcclusionGraph(n, edges);
 }
 
 std::vector<bool> ComputeVisibility3d(const std::vector<Vec3>& positions,

@@ -6,41 +6,86 @@
 
 namespace after {
 
-OcclusionGraph::OcclusionGraph(int num_nodes) : adjacency_(num_nodes) {
+OcclusionGraph::OcclusionGraph(int num_nodes) {
   AFTER_CHECK_GE(num_nodes, 0);
+  if (num_nodes > 0) offsets_.assign(num_nodes + 1, 0);
 }
 
-void OcclusionGraph::AddEdge(int u, int v) {
-  AFTER_CHECK_GE(u, 0);
-  AFTER_CHECK_LT(u, num_nodes());
-  AFTER_CHECK_GE(v, 0);
-  AFTER_CHECK_LT(v, num_nodes());
-  AFTER_CHECK_NE(u, v);
-  if (HasEdge(u, v)) return;
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  edges_.emplace_back(std::min(u, v), std::max(u, v));
+OcclusionGraph::OcclusionGraph(int num_nodes,
+                               const std::vector<std::pair<int, int>>& edges)
+    : OcclusionGraph(num_nodes) {
+  // Counting pass: row sizes, then row starts.
+  for (const auto& [u, v] : edges) {
+    AFTER_CHECK_GE(u, 0);
+    AFTER_CHECK_LT(u, num_nodes);
+    AFTER_CHECK_GE(v, 0);
+    AFTER_CHECK_LT(v, num_nodes);
+    AFTER_CHECK_NE(u, v);
+    ++offsets_[u + 1];
+    ++offsets_[v + 1];
+  }
+  if (edges.empty()) return;  // covers the 0-node graph, which has no offsets
+  for (int u = 0; u < num_nodes; ++u) offsets_[u + 1] += offsets_[u];
+  neighbors_.resize(offsets_[num_nodes]);
+  std::vector<int> fill(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& [u, v] : edges) {
+    neighbors_[fill[u]++] = v;
+    neighbors_[fill[v]++] = u;
+  }
+  // Canonical rows: sort the rows an unordered list left unsorted, then
+  // compact duplicates away, shifting later rows down in place.
+  int out = 0;
+  for (int u = 0; u < num_nodes; ++u) {
+    const auto begin = neighbors_.begin() + offsets_[u];
+    const auto end = neighbors_.begin() + offsets_[u + 1];
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
+    offsets_[u] = out;
+    int last = -1;
+    for (auto it = begin; it != end; ++it) {
+      if (*it == last) continue;
+      last = *it;
+      neighbors_[out++] = last;
+    }
+  }
+  offsets_[num_nodes] = out;
+  neighbors_.resize(out);
+}
+
+OcclusionGraph OcclusionGraph::FromRows(std::vector<int> offsets,
+                                        std::vector<int> neighbors) {
+  AFTER_CHECK(!offsets.empty());
+  AFTER_CHECK_EQ(offsets.front(), 0);
+  AFTER_CHECK_EQ(static_cast<size_t>(offsets.back()), neighbors.size());
+  AFTER_CHECK(std::is_sorted(offsets.begin(), offsets.end()));
+  OcclusionGraph graph;
+  if (offsets.size() > 1) graph.offsets_ = std::move(offsets);
+  graph.neighbors_ = std::move(neighbors);
+  return graph;
 }
 
 bool OcclusionGraph::HasEdge(int u, int v) const {
-  const auto& nbrs = adjacency_[u];
-  return std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end();
+  const std::span<const int> row = Neighbors(u);
+  return std::binary_search(row.begin(), row.end(), v);
 }
 
 Matrix OcclusionGraph::ToAdjacencyMatrix() const {
-  Matrix adjacency(num_nodes(), num_nodes());
-  for (const auto& [u, v] : edges_) {
-    adjacency.At(u, v) = 1.0;
-    adjacency.At(v, u) = 1.0;
-  }
+  const int n = num_nodes();
+  Matrix adjacency(n, n);
+  for (int u = 0; u < n; ++u)
+    for (int v : Neighbors(u)) adjacency.At(u, v) = 1.0;
   return adjacency;
 }
 
 int OcclusionGraph::CountConflicts(const std::vector<bool>& selected) const {
-  AFTER_CHECK_EQ(static_cast<int>(selected.size()), num_nodes());
+  const int n = num_nodes();
+  AFTER_CHECK_EQ(static_cast<int>(selected.size()), n);
   int conflicts = 0;
-  for (const auto& [u, v] : edges_)
-    if (selected[u] && selected[v]) ++conflicts;
+  for (int u = 0; u < n; ++u) {
+    if (!selected[u]) continue;
+    // Each edge once, from its lower endpoint.
+    for (int v : Neighbors(u))
+      if (v > u && selected[v]) ++conflicts;
+  }
   return conflicts;
 }
 

@@ -1,6 +1,7 @@
 #ifndef AFTER_GRAPH_OCCLUSION_GRAPH_H_
 #define AFTER_GRAPH_OCCLUSION_GRAPH_H_
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,41 +14,48 @@ namespace after {
 /// from the target user's perspective at a single time step. Also serves
 /// as the general simple-graph type consumed by the MWIS solvers and
 /// produced by the geometric-intersection-graph builder (Lemma 1).
+///
+/// Immutable once built, and stored as CSR (compressed sparse row): row
+/// u is neighbors_[offsets_[u], offsets_[u + 1]), strictly ascending, so
+/// a graph takes 4·(n + 1 + 2E) bytes in two allocations and the layout
+/// is a function of the edge set alone.
 class OcclusionGraph {
  public:
   OcclusionGraph() = default;
+  /// `num_nodes` isolated nodes.
   explicit OcclusionGraph(int num_nodes);
+  /// Builds the graph from an undirected edge list. Pairs may come in
+  /// any order and orientation; duplicates collapse into one edge.
+  /// Endpoints must be in range and distinct. A list in lexicographic
+  /// (u < v) order — what every graph builder's i < j loop emits —
+  /// already fills each row in ascending order, so no row needs a sort.
+  OcclusionGraph(int num_nodes, const std::vector<std::pair<int, int>>& edges);
 
-  int num_nodes() const { return static_cast<int>(adjacency_.size()); }
-  int num_edges() const { return static_cast<int>(edges_.size()); }
+  /// Adopts CSR arrays built row by row (the delta carry, see
+  /// UpdateOcclusionGraph). `offsets` has num_nodes + 1 non-decreasing
+  /// entries from 0 to neighbors.size() (checked); each row must be
+  /// strictly ascending, free of self-loops and symmetric with the
+  /// others (v in row u iff u in row v). Those O(E) row invariants are
+  /// the caller's to keep: checking them would cost as much as the
+  /// merge that produced them.
+  static OcclusionGraph FromRows(std::vector<int> offsets,
+                                 std::vector<int> neighbors);
 
-  /// Adds an undirected edge (deduplicated).
-  void AddEdge(int u, int v);
-
-  /// Bulk-insertion fast path for builders that generate each edge
-  /// exactly once with u < v (the occlusion converters' lexicographic
-  /// i < j loops do): skips AddEdge's dedup scan — which is O(degree)
-  /// per call and quadratic on high-degree hubs — while producing the
-  /// exact same adjacency/edge layout. Feeding it a duplicate or an
-  /// unordered pair corrupts the graph; callers own that invariant.
-  void AddEdgeUnchecked(int u, int v) {
-    adjacency_[u].push_back(v);
-    adjacency_[v].push_back(u);
-    edges_.emplace_back(u, v);
+  int num_nodes() const {
+    return offsets_.empty() ? 0 : static_cast<int>(offsets_.size()) - 1;
   }
+  int num_edges() const { return static_cast<int>(neighbors_.size()) / 2; }
 
-  /// Capacity hints for bulk builders; contents and layout unchanged.
-  void ReserveEdges(int num_edges) { edges_.reserve(num_edges); }
-  void ReserveNeighbors(int u, int capacity) {
-    adjacency_[u].reserve(capacity);
-  }
-
+  /// O(log degree): rows are sorted.
   bool HasEdge(int u, int v) const;
 
-  const std::vector<int>& Neighbors(int u) const { return adjacency_[u]; }
-  const std::vector<std::pair<int, int>>& edges() const { return edges_; }
+  /// u's neighbours in ascending order; valid while the graph lives.
+  std::span<const int> Neighbors(int u) const {
+    return {neighbors_.data() + offsets_[u],
+            neighbors_.data() + offsets_[u + 1]};
+  }
 
-  int Degree(int u) const { return static_cast<int>(adjacency_[u].size()); }
+  int Degree(int u) const { return offsets_[u + 1] - offsets_[u]; }
 
   /// Dense symmetric 0/1 adjacency matrix A_t (used by MIA and the
   /// POSHGNN loss quadratic form).
@@ -57,21 +65,23 @@ class OcclusionGraph {
   /// is an independent set.
   int CountConflicts(const std::vector<bool>& selected) const;
 
-  /// Structural identity, including internal layout: equal graphs have
-  /// the same edge insertion order and the same per-node adjacency
-  /// order. This is the bit-exactness contract the delta-tick fuzz
-  /// leans on — a delta-updated graph must be indistinguishable from a
-  /// from-scratch rebuild even to order-sensitive consumers.
+  /// Structural identity. Rows are canonical (ascending, duplicate-
+  /// free), so equal edge sets give equal arrays: a delta-updated graph
+  /// is indistinguishable from a from-scratch build even to consumers
+  /// that depend on neighbour order (greedy MWIS tie-breaks, POSHGNN
+  /// aggregation sums).
   friend bool operator==(const OcclusionGraph& a, const OcclusionGraph& b) {
-    return a.adjacency_ == b.adjacency_ && a.edges_ == b.edges_;
+    return a.offsets_ == b.offsets_ && a.neighbors_ == b.neighbors_;
   }
   friend bool operator!=(const OcclusionGraph& a, const OcclusionGraph& b) {
     return !(a == b);
   }
 
  private:
-  std::vector<std::vector<int>> adjacency_;
-  std::vector<std::pair<int, int>> edges_;
+  /// num_nodes + 1 row starts; empty for the 0-node graph.
+  std::vector<int> offsets_;
+  /// Both directions of every edge, row after row.
+  std::vector<int> neighbors_;
 };
 
 /// Dynamic occlusion graph O^v = (V, E^v, T) from Definition 4: one static

@@ -155,7 +155,7 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
   // --- Sparse aggregation: (A*x)_i = sum of neighbor rows, O(E*cols).
   const auto aggregate = [&](const float* src, int cols, float* dst) {
     for (int i = 0; i < n; ++i) {
-      const std::vector<int>& nb = graph.Neighbors(i);
+      const std::span<const int> nb = graph.Neighbors(i);
       ops_->sum_rows(src, cols, nb.data(), static_cast<int>(nb.size()),
                      dst + static_cast<std::size_t>(i) * cols);
     }

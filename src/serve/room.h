@@ -34,9 +34,9 @@ namespace serve {
 /// Snapshots are persistent structures updated by deltas
 /// (docs/ticking.md): the delta constructor carries the predecessor's
 /// built occlusion state forward, re-testing only arc pairs that touch
-/// a moved agent, and the result is bit-identical to a from-scratch
-/// build — including edge order — so order-sensitive consumers (MIA
-/// tie-breaks, POSHGNN aggregation) cannot tell the difference.
+/// a moved agent, into fresh CSR graphs whose ascending rows are
+/// bit-identical to a from-scratch build — so order-sensitive consumers
+/// (MIA tie-breaks, POSHGNN aggregation) cannot tell the difference.
 class RoomSnapshot {
  public:
   RoomSnapshot(int tick, std::vector<Vec2> positions,
@@ -49,9 +49,10 @@ class RoomSnapshot {
   /// whose position/goal/active state changed since `previous` was
   /// published. Targets the predecessor had built and that did not
   /// themselves move get their occlusion graph delta-updated eagerly
-  /// (cost O(E + |moved| * n) each); moved or never-built targets stay
-  /// lazy. The predecessor is only read during construction — no
-  /// reference is retained, so snapshots never chain.
+  /// (UpdateOcclusionGraph's per-row merge, O(n + E + |moved| * n)
+  /// each); moved or never-built targets stay lazy. The predecessor is
+  /// only read during construction — no reference is retained, so
+  /// snapshots never chain.
   RoomSnapshot(int tick, std::vector<Vec2> positions,
                const RoomSnapshot& previous, std::vector<int> moved,
                std::shared_ptr<const TemporalView> temporal);

@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -50,19 +55,62 @@ TEST(SocialGraphTest, NeighborsAndDegree) {
   EXPECT_EQ(g.Neighbors(0).size(), 3u);
 }
 
-TEST(OcclusionGraphTest, AddEdgeDeduplicates) {
-  OcclusionGraph g(4);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 1);
+TEST(OcclusionGraphTest, EdgeListDeduplicates) {
+  const OcclusionGraph g(4, {{1, 2}, {2, 1}, {1, 2}});
   EXPECT_EQ(g.num_edges(), 1);
   EXPECT_TRUE(g.HasEdge(1, 2));
   EXPECT_TRUE(g.HasEdge(2, 1));
+  EXPECT_EQ(g.Degree(1), 1);
+  EXPECT_EQ(g.Degree(2), 1);
+  EXPECT_TRUE(g == OcclusionGraph(4, {{1, 2}}));
+}
+
+TEST(OcclusionGraphTest, OutOfOrderEdgeListYieldsAscendingRows) {
+  // Every pair of a random graph, shuffled and half of them flipped:
+  // the CSR rows must still come out ascending and equal to the graph
+  // built from the lexicographic list the graph builders emit.
+  Rng rng(77);
+  const int n = 40;
+  std::vector<std::pair<int, int>> sorted;
+  for (int u = 0; u < n; ++u)
+    for (int v = u + 1; v < n; ++v)
+      if (rng.UniformInt(3) == 0) sorted.emplace_back(u, v);
+  std::vector<std::pair<int, int>> shuffled = sorted;
+  rng.Shuffle(shuffled);
+  for (auto& e : shuffled)
+    if (rng.UniformInt(2) == 0) std::swap(e.first, e.second);
+  ASSERT_NE(shuffled, sorted);
+
+  const OcclusionGraph reference(n, sorted);
+  const OcclusionGraph g(n, shuffled);
+  EXPECT_EQ(g.num_edges(), static_cast<int>(sorted.size()));
+  for (int u = 0; u < n; ++u) {
+    const std::span<const int> row = g.Neighbors(u);
+    EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << "row " << u;
+    EXPECT_EQ(g.Degree(u), reference.Degree(u)) << "row " << u;
+    for (int v = 0; v < n; ++v)
+      EXPECT_EQ(g.HasEdge(u, v), reference.HasEdge(u, v))
+          << "pair (" << u << "," << v << ")";
+  }
+  const Matrix a = g.ToAdjacencyMatrix();
+  const Matrix b = reference.ToAdjacencyMatrix();
+  for (int r = 0; r < n; ++r)
+    for (int c = 0; c < n; ++c) EXPECT_EQ(a.At(r, c), b.At(r, c));
+  EXPECT_TRUE(g == reference);
+}
+
+TEST(OcclusionGraphTest, FromRowsAdoptsCsrArrays) {
+  // Path 0-1-2 plus an isolated node 3.
+  const OcclusionGraph g =
+      OcclusionGraph::FromRows({0, 1, 3, 4, 4}, {1, 0, 2, 1});
+  EXPECT_EQ(g.num_nodes(), 4);
+  EXPECT_EQ(g.num_edges(), 2);
+  EXPECT_TRUE(g == OcclusionGraph(4, {{0, 1}, {1, 2}}));
+  EXPECT_TRUE(OcclusionGraph::FromRows({0}, {}) == OcclusionGraph(0));
 }
 
 TEST(OcclusionGraphTest, AdjacencyMatrixSymmetricBinary) {
-  OcclusionGraph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(2, 3);
+  const OcclusionGraph g(4, {{0, 1}, {2, 3}});
   const Matrix a = g.ToAdjacencyMatrix();
   for (int r = 0; r < 4; ++r) {
     EXPECT_DOUBLE_EQ(a.At(r, r), 0.0);
@@ -77,9 +125,7 @@ TEST(OcclusionGraphTest, AdjacencyMatrixSymmetricBinary) {
 }
 
 TEST(OcclusionGraphTest, CountConflicts) {
-  OcclusionGraph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
+  const OcclusionGraph g(4, {{0, 1}, {1, 2}});
   std::vector<bool> none = {false, false, false, false};
   std::vector<bool> independent = {true, false, true, true};
   std::vector<bool> conflicting = {true, true, true, false};
@@ -92,7 +138,7 @@ TEST(DynamicOcclusionGraphTest, FixedConstruction) {
   DynamicOcclusionGraph dog(5, 3);
   EXPECT_EQ(dog.num_nodes(), 5);
   EXPECT_EQ(dog.num_steps(), 3);
-  dog.At(1).AddEdge(0, 1);
+  dog.At(1) = OcclusionGraph(5, {{0, 1}});
   EXPECT_TRUE(dog.At(1).HasEdge(0, 1));
   EXPECT_FALSE(dog.At(0).HasEdge(0, 1));
 }

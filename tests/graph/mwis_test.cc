@@ -1,5 +1,8 @@
 #include "graph/mwis.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -32,11 +35,11 @@ MwisResult BruteForceMwis(const OcclusionGraph& graph,
 }
 
 OcclusionGraph RandomGraph(int n, double edge_prob, Rng& rng) {
-  OcclusionGraph g(n);
+  std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < n; ++i)
     for (int j = i + 1; j < n; ++j)
-      if (rng.Bernoulli(edge_prob)) g.AddEdge(i, j);
-  return g;
+      if (rng.Bernoulli(edge_prob)) edges.emplace_back(i, j);
+  return OcclusionGraph(n, edges);
 }
 
 TEST(MwisTest, EmptyGraphSelectsAllPositive) {
@@ -56,10 +59,7 @@ TEST(MwisTest, NegativeWeightsNeverSelected) {
 }
 
 TEST(MwisTest, TriangleChoosesHeaviest) {
-  OcclusionGraph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(0, 2);
+  const OcclusionGraph g(3, {{0, 1}, {1, 2}, {0, 2}});
   const std::vector<double> weights = {1.0, 5.0, 3.0};
   const MwisResult result = ExactMwis(g, weights);
   EXPECT_DOUBLE_EQ(result.weight, 5.0);
@@ -68,8 +68,9 @@ TEST(MwisTest, TriangleChoosesHeaviest) {
 
 TEST(MwisTest, PathGraphAlternation) {
   // Path 0-1-2-3-4 with uniform weights: optimum picks {0, 2, 4}.
-  OcclusionGraph g(5);
-  for (int i = 0; i + 1 < 5; ++i) g.AddEdge(i, i + 1);
+  std::vector<std::pair<int, int>> path;
+  for (int i = 0; i + 1 < 5; ++i) path.emplace_back(i, i + 1);
+  const OcclusionGraph g(5, path);
   const std::vector<double> weights(5, 1.0);
   const MwisResult result = ExactMwis(g, weights);
   EXPECT_DOUBLE_EQ(result.weight, 3.0);
@@ -145,8 +146,7 @@ TEST(MwisTest, LocalSearchApproachesExactOnSmallGraphs) {
 }
 
 TEST(MwisTest, SelectionWeightComputesAndChecks) {
-  OcclusionGraph g(3);
-  g.AddEdge(0, 1);
+  const OcclusionGraph g(3, {{0, 1}});
   const std::vector<double> weights = {1.0, 2.0, 3.0};
   std::vector<bool> selected = {true, false, true};
   EXPECT_DOUBLE_EQ(SelectionWeight(g, weights, selected, true), 4.0);

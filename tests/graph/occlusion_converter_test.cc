@@ -1,6 +1,9 @@
 #include "graph/occlusion_converter.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +60,46 @@ TEST(ArcsOverlapTest, WrapAroundPi) {
   EXPECT_GT(a.center, 0.0);
   EXPECT_LT(b.center, 0.0);
   EXPECT_TRUE(ArcsOverlap(a, b));
+}
+
+TEST(ArcsOverlapTest, CentersAtPlusAndMinusPiCoincide) {
+  // Users straight behind the target, one at y = +0.0 and one at
+  // y = -0.0: atan2 puts their centers at exactly +pi and -pi, so the
+  // centers differ by exactly 2*pi and must fold to distance 0.
+  const ViewArc plus = ComputeViewArc(Vec2(0.0, 0.0), Vec2(-2.0, 0.0), kBody);
+  const ViewArc minus =
+      ComputeViewArc(Vec2(0.0, 0.0), Vec2(-3.0, -0.0), kBody);
+  ASSERT_EQ(plus.center, M_PI);
+  ASSERT_EQ(minus.center, -M_PI);
+  EXPECT_TRUE(ArcsOverlap(plus, minus));
+  EXPECT_TRUE(ArcsOverlap(minus, plus));
+
+  // Zero-width arcs overlap only at distance exactly 0.
+  const ViewArc point_plus{M_PI, 0.0, 1.0, true};
+  const ViewArc point_minus{-M_PI, 0.0, 1.0, true};
+  EXPECT_TRUE(ArcsOverlap(point_plus, point_minus));
+
+  // Across the seam the distance is the short way round (0.1 here).
+  const ViewArc at_pi{M_PI, 0.05, 2.0, true};
+  ViewArc across{-M_PI + 0.1, 0.04, 2.0, true};
+  EXPECT_FALSE(ArcsOverlap(at_pi, across));
+  across.half_width = 0.06;
+  EXPECT_TRUE(ArcsOverlap(at_pi, across));
+}
+
+TEST(ArcsOverlapTest, FullCircleOverlapsEveryArc) {
+  // A body enclosing the target covers the whole view: it overlaps a
+  // narrow arc in any direction, the far side of the seam included.
+  const ViewArc full = ComputeViewArc(Vec2(0, 0), Vec2(0.1, -0.05), kBody);
+  ASSERT_EQ(full.center, 0.0);
+  ASSERT_EQ(full.half_width, M_PI);
+  for (const Vec2& where : {Vec2(5, 0), Vec2(0, 5), Vec2(-5, 0.0),
+                            Vec2(-5, -0.0), Vec2(-5, -0.01), Vec2(0.3, -4)}) {
+    const ViewArc narrow = ComputeViewArc(Vec2(0, 0), where, kBody);
+    EXPECT_TRUE(ArcsOverlap(full, narrow)) << where.x << "," << where.y;
+    EXPECT_TRUE(ArcsOverlap(narrow, full)) << where.x << "," << where.y;
+  }
+  EXPECT_TRUE(ArcsOverlap(full, full));
 }
 
 TEST(ArcsOverlapTest, InvalidArcNeverOverlaps) {
@@ -185,14 +228,6 @@ bool SameArc(const ViewArc& a, const ViewArc& b) {
          a.half_width == b.half_width && a.distance == b.distance;
 }
 
-bool SameGraph(const OcclusionGraph& a, const OcclusionGraph& b) {
-  if (!(a == b)) return false;
-  // operator== already compares adjacency and the edge list including
-  // order; double-check the edge stream explicitly since bit-exact
-  // insertion order is the delta path's whole contract.
-  return a.edges() == b.edges();
-}
-
 TEST(DeltaConverterTest, UpdateViewArcsMatchesFullRecompute) {
   Rng rng(31337);
   for (int trial = 0; trial < 50; ++trial) {
@@ -219,9 +254,9 @@ TEST(DeltaConverterTest, UpdateViewArcsMatchesFullRecompute) {
   }
 }
 
-/// The core delta-tick invariant: patching the previous graph with the
-/// moved set yields the same AddEdge stream — and therefore a bitwise-
-/// identical graph — as rebuilding from scratch.
+/// The core delta-tick invariant: carrying the previous graph across
+/// the moved set yields a bitwise-identical graph (the same CSR arrays)
+/// as rebuilding from scratch.
 TEST(DeltaConverterTest, UpdateOcclusionGraphIsBitExact) {
   Rng rng(2024);
   for (int trial = 0; trial < 60; ++trial) {
@@ -232,7 +267,7 @@ TEST(DeltaConverterTest, UpdateOcclusionGraphIsBitExact) {
       positions.emplace_back(rng.Uniform(-3, 3), rng.Uniform(-3, 3));
     auto arcs = ComputeViewArcs(positions, target, kBody);
     OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
-    ASSERT_TRUE(SameGraph(graph, BuildOcclusionGraph(positions, target, kBody)))
+    ASSERT_TRUE(graph == BuildOcclusionGraph(positions, target, kBody))
         << "trial " << trial;
 
     // Walk several ticks so errors would compound if carried edges ever
@@ -248,8 +283,7 @@ TEST(DeltaConverterTest, UpdateOcclusionGraphIsBitExact) {
       }
       UpdateViewArcs(positions, target, kBody, moved, &arcs);
       graph = UpdateOcclusionGraph(graph, arcs, moved, is_moved);
-      ASSERT_TRUE(
-          SameGraph(graph, BuildOcclusionGraph(positions, target, kBody)))
+      ASSERT_TRUE(graph == BuildOcclusionGraph(positions, target, kBody))
           << "trial " << trial << " step " << step;
     }
   }
@@ -265,27 +299,91 @@ TEST(DeltaConverterTest, EmptyMovedSetIsIdentity) {
   const OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
   const OcclusionGraph updated =
       UpdateOcclusionGraph(graph, arcs, {}, std::vector<bool>(n, false));
-  EXPECT_TRUE(SameGraph(graph, updated));
+  EXPECT_TRUE(graph == updated);
 }
 
-TEST(DeltaConverterTest, AddEdgeUncheckedMatchesAddEdgeLayout) {
-  // The bulk path skips the dedup scan but must leave the same
-  // adjacency and edge layout for a lexicographic duplicate-free
-  // stream — the only stream the builders produce.
-  Rng rng(77);
-  const int n = 16;
-  std::vector<std::pair<int, int>> stream;
-  for (int u = 0; u < n; ++u)
-    for (int v = u + 1; v < n; ++v)
-      if (rng.UniformInt(2) == 0) stream.emplace_back(u, v);
-  OcclusionGraph checked(n);
-  OcclusionGraph unchecked(n);
-  unchecked.ReserveEdges(static_cast<int>(stream.size()));
-  for (const auto& e : stream) {
-    checked.AddEdge(e.first, e.second);
-    unchecked.AddEdgeUnchecked(e.first, e.second);
+/// Edge (i, j) straight from the pair definition, written apart from
+/// the converter: the circular distance between the arc centers, folded
+/// with fmod, against the summed half-widths.
+bool PairOverlaps(const ViewArc& a, const ViewArc& b) {
+  if (!a.valid || !b.valid) return false;
+  double diff = std::fmod(std::abs(a.center - b.center), 2.0 * M_PI);
+  if (diff > M_PI) diff = 2.0 * M_PI - diff;
+  return diff <= a.half_width + b.half_width;
+}
+
+/// Reference graph over every pair, handed to the edge-list constructor
+/// in the reverse of the graph builders' lexicographic order.
+OcclusionGraph GraphFromPairDefinition(const std::vector<Vec2>& positions,
+                                       int target) {
+  const std::vector<ViewArc> arcs = ComputeViewArcs(positions, target, kBody);
+  const int n = static_cast<int>(arcs.size());
+  std::vector<std::pair<int, int>> edges;
+  for (int i = n - 1; i >= 0; --i)
+    for (int j = i - 1; j >= 0; --j)
+      if (PairOverlaps(arcs[i], arcs[j])) edges.emplace_back(i, j);
+  return OcclusionGraph(n, edges);
+}
+
+/// A mega-room-sized walk: 512 users in a 10 m room, ~5% movers per
+/// tick. Unlike the small fuzz above it reaches full-circle arcs (bodies
+/// overlapping the target), rows of hundreds of neighbours, and arc
+/// centers at exactly +pi and -pi (users on the -x ray through the
+/// target at y = +0.0 and y = -0.0).
+TEST(DeltaConverterTest, DenseRoomWalkMatchesPairDefinition) {
+  Rng rng(512);
+  const int n = 512;
+  const int target = 0;
+  std::vector<Vec2> positions(n);
+  positions[target] = Vec2(0.0, 0.0);
+  for (int i = 1; i < n; ++i)
+    positions[i] = Vec2(rng.Uniform(-5, 5), rng.Uniform(-5, 5));
+  for (int i = 1; i <= 6; ++i)  // centers +pi and -pi, alternating
+    positions[i] = Vec2(-0.6 * i, i % 2 == 0 ? 0.0 : -0.0);
+  positions[7] = Vec2(0.1, 0.05);  // encloses the target
+
+  auto arcs = ComputeViewArcs(positions, target, kBody);
+  OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
+  ASSERT_TRUE(graph == GraphFromPairDefinition(positions, target));
+
+  int full_circle_rows = 0, plus_pi = 0, minus_pi = 0, max_degree = 0;
+  for (int tick = 0; tick < 10; ++tick) {
+    std::vector<int> moved;
+    std::vector<bool> is_moved(n, false);
+    for (int i = 1; i < n; ++i) {
+      if (rng.UniformInt(20) != 0) continue;
+      moved.push_back(i);
+      is_moved[i] = true;
+      switch (rng.UniformInt(8)) {
+        case 0:  // onto the -x ray: center exactly +pi or -pi
+          positions[i] =
+              Vec2(rng.Uniform(-5, -0.5), rng.UniformInt(2) ? 0.0 : -0.0);
+          break;
+        case 1:  // into the target's body: a full-circle arc
+          positions[i] = Vec2(rng.Uniform(-0.2, 0.2), rng.Uniform(-0.1, 0.1));
+          break;
+        default:  // a walking step
+          positions[i] += Vec2(rng.Uniform(-0.3, 0.3), rng.Uniform(-0.3, 0.3));
+      }
+    }
+    UpdateViewArcs(positions, target, kBody, moved, &arcs);
+    graph = UpdateOcclusionGraph(graph, arcs, moved, is_moved);
+    ASSERT_TRUE(graph == GraphFromPairDefinition(positions, target))
+        << "tick " << tick;
+
+    for (int i = 0; i < n; ++i) {
+      if (!arcs[i].valid) continue;
+      full_circle_rows += arcs[i].half_width == M_PI;
+      plus_pi += arcs[i].center == M_PI;
+      minus_pi += arcs[i].center == -M_PI;
+      max_degree = std::max(max_degree, graph.Degree(i));
+    }
   }
-  EXPECT_TRUE(SameGraph(checked, unchecked));
+  // The walk really covered the cases the small fuzz cannot reach.
+  EXPECT_GT(full_circle_rows, 0);
+  EXPECT_GT(plus_pi, 0);
+  EXPECT_GT(minus_pi, 0);
+  EXPECT_GE(max_degree, n - 2);
 }
 
 }  // namespace
