@@ -134,11 +134,18 @@ void BM_PoshgnnInferenceStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PoshgnnInferenceStep)->Arg(30)->Arg(200)->Arg(500);
 
+/// Users a served mega-room request keeps as candidates: the server's
+/// recency prune blocklists everyone else (serve/room.h).
+constexpr int kPrunedCandidates = 32;
+
 /// One frozen (serving-path) inference step per engine. The pair is the
 /// f64-vs-f32 comparison the inference engine is gated on: same inputs,
-/// same selections, the fused f32 path must be at least ~2x faster
-/// (scripts/check.sh bench lane; docs/inference.md).
-void FrozenStepBench(benchmark::State& state, InferEngine engine) {
+/// same selections. `candidates` > 0 adds a blocklist keeping that many
+/// users, the mega-room request shape. The bench-regression lane
+/// (scripts/check.sh) fails when the f64/f32 time ratio of the pruned
+/// N = 500 pair falls below its floor (docs/inference.md).
+void FrozenStepBench(benchmark::State& state, InferEngine engine,
+                     int candidates = 0) {
   const int n = static_cast<int>(state.range(0));
   PoshgnnBench bench(n);
   const XrWorld& world = bench.dataset.sessions[0];
@@ -152,6 +159,12 @@ void FrozenStepBench(benchmark::State& state, InferEngine engine) {
   context.preference = &bench.dataset.preference;
   context.social_presence = &bench.dataset.social_presence;
   context.body_radius = world.body_radius();
+  std::vector<bool> blocklist(n, true);
+  if (candidates > 0) {
+    for (int i = 0; i < candidates; ++i)
+      blocklist[1 + i * ((n - 1) / candidates)] = false;
+    context.blocklist = &blocklist;
+  }
 
   FrozenPoshgnn frozen(bench.model, engine);
   for (auto _ : state) {
@@ -171,6 +184,16 @@ void BM_FrozenPoshgnnStepF32(benchmark::State& state) {
   FrozenStepBench(state, InferEngine::kFusedF32);
 }
 BENCHMARK(BM_FrozenPoshgnnStepF32)->Arg(30)->Arg(200)->Arg(500);
+
+void BM_FrozenPoshgnnStepF64Pruned(benchmark::State& state) {
+  FrozenStepBench(state, InferEngine::kReferenceF64, kPrunedCandidates);
+}
+BENCHMARK(BM_FrozenPoshgnnStepF64Pruned)->Arg(500);
+
+void BM_FrozenPoshgnnStepF32Pruned(benchmark::State& state) {
+  FrozenStepBench(state, InferEngine::kFusedF32, kPrunedCandidates);
+}
+BENCHMARK(BM_FrozenPoshgnnStepF32Pruned)->Arg(500);
 
 void BM_MiaAggregation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

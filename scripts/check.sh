@@ -48,7 +48,13 @@
 #            build/BENCH_*.json and failing on malformed output. Not
 #            in the default set: CI runs it as a non-blocking job.
 #   bench-regression
-#            runs the serve/net benches in the baseline config — once
+#            first gates the fused f32 forward on micro_kernels: the
+#            same-run f64/f32 ratio of the frozen step's median CPU
+#            times over 5 interleaved repetitions, at the pruned N=500
+#            request shape (32 candidates, as in the mega-room
+#            workload), must stay above a floor set below 10 observed
+#            runs and above 6 runs of a forward slowed 2x. Then it runs the serve/net benches in the
+#            baseline config — once
 #            on the default primary and once with --engine=f32 (the
 #            fused inference engine) — plus the C10k config (10k idle
 #            connections + pipelined bursts; the run itself fails on
@@ -326,7 +332,38 @@ PY
 run_bench_regression_lane() {
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" \
-    --target serve_throughput net_throughput tick_throughput world_sim
+    --target serve_throughput net_throughput tick_throughput world_sim \
+    micro_kernels
+  echo "---- micro_kernels (frozen step, f64/f32 ratio gate on the ----"
+  echo "---- pruned N=500 request shape) ----"
+  ./build/bench/micro_kernels --benchmark_filter=FrozenPoshgnnStep \
+    --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
+    --benchmark_format=json > build/BENCH_micro.json
+  # The gate is a same-run ratio of CPU times, each the median of 5
+  # interleaved repetitions, so neither the runner's speed nor time
+  # stolen from its vCPU moves it much. Its yardstick is the f64
+  # reference: a change that speeds up or slows down the reference moves
+  # the ratio as much as one to the fused forward, and must re-measure
+  # the floor. On a 4-vCPU Intel Xeon VM, 10 runs read 30.9-49.8x and a
+  # fused forward slowed 2x read 14.8-24.3x in 6 runs; the floor sits
+  # between the two (docs/inference.md). No runner of another
+  # microarchitecture has been measured.
+  python3 - build/BENCH_micro.json <<'PY'
+import json, sys
+FLOOR = 25.0
+with open(sys.argv[1]) as handle:
+    medians = {b["run_name"]: b for b in json.load(handle)["benchmarks"]
+               if b.get("aggregate_name") == "median"}
+f64, f32 = (medians[f"BM_FrozenPoshgnnStep{e}Pruned/500"] for e in ("F64", "F32"))
+if f64["time_unit"] != f32["time_unit"]:
+    raise SystemExit("micro gate: F64 and F32 report different time units")
+ratio = f64["cpu_time"] / f32["cpu_time"]
+print(f"frozen step, pruned N=500 (median of 5): f64 {f64['cpu_time']:.0f} / "
+      f"f32 {f32['cpu_time']:.0f} {f32['time_unit']} = {ratio:.1f}x "
+      f"(floor {FLOOR:.0f}x)")
+if ratio < FLOOR:
+    raise SystemExit(f"micro gate: f64/f32 ratio {ratio:.1f}x < {FLOOR:.0f}x")
+PY
   echo "---- serve_throughput (baseline config) ----"
   ./build/bench/serve_throughput --rooms=2 --threads=2 --clients=4 \
     --requests=4000 --users=24 --json=build/BENCH_serve.json

@@ -28,6 +28,43 @@ bool ValidArcsOverlap(const ViewArc& a, const ViewArc& b) {
   return AngularDistance(a.center, b.center) <= a.half_width + b.half_width;
 }
 
+/// blocked[w] is true when a flagged user strictly nearer than w has an
+/// arc overlapping w's; invalid arcs (the target) neither block nor are
+/// blocked. The flagged arcs are sorted nearest first and, for each w,
+/// scanned only while strictly nearer than w, stopping at the first
+/// overlap. That is an existence test, so the scan order cannot change
+/// the answer: O(B log B + N·B) for B flagged users, and in a crowd the
+/// nearest (widest) arcs usually end the scan early.
+std::vector<bool> BlockedByNearer(const std::vector<ViewArc>& arcs,
+                                  const std::vector<bool>& is_blocker) {
+  const int n = static_cast<int>(arcs.size());
+  std::vector<ViewArc> blockers;
+  for (int u = 0; u < n; ++u) {
+    // A NaN distance (a corrupted position) is never strictly nearer
+    // than anything; leaving it out also keeps the sort well-defined.
+    if (is_blocker[u] && arcs[u].valid && !std::isnan(arcs[u].distance))
+      blockers.push_back(arcs[u]);
+  }
+  std::sort(blockers.begin(), blockers.end(),
+            [](const ViewArc& a, const ViewArc& b) {
+              return a.distance < b.distance;
+            });
+  std::vector<bool> blocked(n, false);
+  for (int w = 0; w < n; ++w) {
+    if (!arcs[w].valid) continue;
+    for (const ViewArc& u : blockers) {
+      // Equal distance ends the scan too: w never blocks itself, and
+      // users at the same depth do not block each other.
+      if (!(u.distance < arcs[w].distance)) break;
+      if (ValidArcsOverlap(u, arcs[w])) {
+        blocked[w] = true;
+        break;
+      }
+    }
+  }
+  return blocked;
+}
+
 }  // namespace
 
 ViewArc ComputeViewArc(const Vec2& target, const Vec2& other,
@@ -216,24 +253,9 @@ std::vector<bool> PhysicallyBlockedUsers(const std::vector<Vec2>& positions,
                                          const std::vector<bool>& is_physical) {
   const int n = static_cast<int>(positions.size());
   AFTER_CHECK_EQ(static_cast<int>(is_physical.size()), n);
-  std::vector<bool> blocked(n, false);
-  if (!is_physical[target]) return blocked;
-
-  const std::vector<ViewArc> arcs =
-      ComputeViewArcs(positions, target, body_radius);
-  for (int w = 0; w < n; ++w) {
-    if (w == target) continue;
-    for (int u = 0; u < n; ++u) {
-      if (u == w || u == target) continue;
-      if (!is_physical[u]) continue;  // only physical bodies block
-      if (arcs[u].distance < arcs[w].distance &&
-          ArcsOverlap(arcs[u], arcs[w])) {
-        blocked[w] = true;
-        break;
-      }
-    }
-  }
-  return blocked;
+  if (!is_physical[target]) return std::vector<bool>(n, false);
+  return BlockedByNearer(ComputeViewArcs(positions, target, body_radius),
+                         is_physical);
 }
 
 std::vector<bool> ComputeVisibility(const std::vector<Vec2>& positions,
@@ -241,22 +263,11 @@ std::vector<bool> ComputeVisibility(const std::vector<Vec2>& positions,
                                     const std::vector<bool>& rendered) {
   const int n = static_cast<int>(positions.size());
   AFTER_CHECK_EQ(static_cast<int>(rendered.size()), n);
-  const std::vector<ViewArc> arcs =
-      ComputeViewArcs(positions, target, body_radius);
+  const std::vector<bool> blocked = BlockedByNearer(
+      ComputeViewArcs(positions, target, body_radius), rendered);
   std::vector<bool> visible(n, false);
-  for (int w = 0; w < n; ++w) {
-    if (w == target || !rendered[w]) continue;
-    bool blocked = false;
-    for (int u = 0; u < n; ++u) {
-      if (u == w || u == target || !rendered[u]) continue;
-      if (arcs[u].distance < arcs[w].distance &&
-          ArcsOverlap(arcs[u], arcs[w])) {
-        blocked = true;
-        break;
-      }
-    }
-    visible[w] = !blocked;
-  }
+  for (int w = 0; w < n; ++w)
+    visible[w] = w != target && rendered[w] && !blocked[w];
   return visible;
 }
 

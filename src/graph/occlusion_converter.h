@@ -85,13 +85,15 @@ DynamicOcclusionGraph BuildDynamicOcclusionGraph(
     double body_radius);
 
 /// Hybrid-participation blocking (MIA's HP mask, Sec. IV-A): blocked[w]
-/// is true when a strictly nearer *physical* participant's arc covers
-/// w's arc center from the target's viewpoint. `is_physical[u]` marks
-/// users with a physical body in the target's space (MR interface).
+/// is true when a strictly nearer *physical* participant's arc overlaps
+/// w's arc from the target's viewpoint. `is_physical[u]` marks users
+/// with a physical body in the target's space (MR interface).
 /// All-false when the target itself is not physical (a VR viewer sees
 /// rendered avatars, not bodies). Shared by core/mia.cc and the fused
 /// inference engine (infer/engine.cc) so both paths make identical mask
-/// decisions.
+/// decisions. The physical users are scanned nearest first, each w only
+/// against those strictly nearer than it, up to the first overlap:
+/// O(N·B) with B the physical users nearer than w, not O(N²).
 std::vector<bool> PhysicallyBlockedUsers(const std::vector<Vec2>& positions,
                                          int target, double body_radius,
                                          const std::vector<bool>& is_physical);
@@ -99,7 +101,8 @@ std::vector<bool> PhysicallyBlockedUsers(const std::vector<Vec2>& positions,
 /// Visibility indicator 1[v => w at t] for a set of rendered users: w is
 /// visible iff w is rendered and no strictly-nearer rendered user's arc
 /// overlaps w's arc (the nearer user's image blocks w). The target index
-/// is never visible (it is the viewer).
+/// is never visible (it is the viewer). Same nearest-first scan as
+/// PhysicallyBlockedUsers, with the rendered users as the blockers.
 std::vector<bool> ComputeVisibility(const std::vector<Vec2>& positions,
                                     int target, double body_radius,
                                     const std::vector<bool>& rendered);

@@ -90,7 +90,7 @@ PoshgnnInferEngine::PoshgnnInferEngine(const EngineConfig& config,
 }
 
 PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
-    const StepContext& context, Workspace& workspace) const {
+    const StepContext& context, OutputRows rows, Workspace& workspace) const {
   AFTER_CHECK(context.positions != nullptr);
   AFTER_CHECK(context.occlusion != nullptr);
   AFTER_CHECK(context.interfaces != nullptr);
@@ -161,6 +161,24 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
     }
   };
 
+  // --- Width-1 output layers (r̃, σ), one row at a time, at the output
+  // rows only. A row reads just its own input row and its neighbor sum,
+  // so its bits are those of a full-width layer; skipped rows keep the
+  // arena's zero.
+  float* row_sum = arena.Allocate(k);
+  const auto output_layer = [&](const float* src, const TensorF32& w_self,
+                                const TensorF32& w_neigh,
+                                const TensorF32& bias, float* y) {
+    for (int w = 0; w < n; ++w) {
+      if (rows == OutputRows::kLive && b.mask[w] == 0.0f) continue;
+      const std::span<const int> nb = graph.Neighbors(w);
+      ops_->sum_rows(src, k, nb.data(), static_cast<int>(nb.size()), row_sum);
+      ops_->gcn_layer(1, k, 1, src + static_cast<std::size_t>(w) * k, row_sum,
+                      w_self.data(), w_neigh.data(), bias.data(), nullptr,
+                      nullptr, Act::kSigmoid, y + w);
+    }
+  };
+
   float* ax = arena.Allocate(static_cast<std::size_t>(n) * kFeatureDim);
   aggregate(b.x, kFeatureDim, ax);
 
@@ -169,12 +187,8 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
   ops_->gcn_layer(n, kFeatureDim, k, b.x, ax, pdr1_self_.data(),
                   pdr1_neigh_.data(), pdr1_bias_.data(), nullptr, nullptr,
                   Act::kRelu, b.hidden);
-  float* ah = arena.Allocate(static_cast<std::size_t>(n) * k);
-  aggregate(b.hidden, k, ah);
   b.proto = arena.Allocate(n);
-  ops_->gcn_layer(n, k, 1, b.hidden, ah, pdr2_self_.data(),
-                  pdr2_neigh_.data(), pdr2_bias_.data(), nullptr, nullptr,
-                  Act::kSigmoid, b.proto);
+  output_layer(b.hidden, pdr2_self_, pdr2_neigh_, pdr2_bias_, b.proto);
 
   b.rec = arena.Allocate(n);
   if (!config_.use_lwp) {
@@ -197,11 +211,8 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
   float* l2 = arena.Allocate(static_cast<std::size_t>(n) * k);
   ops_->gcn_layer(n, k, k, l1, al1, lwp2_self_.data(), lwp2_neigh_.data(),
                   lwp2_bias_.data(), nullptr, nullptr, Act::kRelu, l2);
-  float* al2 = arena.Allocate(static_cast<std::size_t>(n) * k);
-  aggregate(l2, k, al2);
   b.sigma = arena.Allocate(n);
-  ops_->gcn_layer(n, k, 1, l2, al2, lwp3_self_.data(), lwp3_neigh_.data(),
-                  lwp3_bias_.data(), nullptr, nullptr, Act::kSigmoid, b.sigma);
+  output_layer(l2, lwp3_self_, lwp3_neigh_, lwp3_bias_, b.sigma);
 
   // Preservation gate with r_{t-1} = 0: r = m ⊗ (1-σ) ⊗ r̃.
   for (int w = 0; w < n; ++w)
@@ -248,7 +259,7 @@ std::vector<bool> PoshgnnInferEngine::Decode(const StepContext& context,
 std::vector<bool> PoshgnnInferEngine::Recommend(
     const StepContext& context) const {
   WorkspacePool::Handle handle = pool_.Acquire();
-  const Buffers b = Forward(context, *handle.get());
+  const Buffers b = Forward(context, OutputRows::kLive, *handle.get());
   return Decode(context, b, *handle.get());
 }
 
@@ -270,16 +281,17 @@ std::vector<std::vector<bool>> PoshgnnInferEngine::RecommendBatch(
       continue;
     }
     handle->arena.Reset();
-    const Buffers b = Forward(contexts[i], *handle.get());
+    const Buffers b = Forward(contexts[i], OutputRows::kLive, *handle.get());
     out[i] = Decode(contexts[i], b, *handle.get());
     distinct.push_back(static_cast<int>(i));
   }
   return out;
 }
 
-ForwardTrace PoshgnnInferEngine::Trace(const StepContext& context) const {
+ForwardTrace PoshgnnInferEngine::Trace(const StepContext& context,
+                                       OutputRows rows) const {
   WorkspacePool::Handle handle = pool_.Acquire();
-  const Buffers b = Forward(context, *handle.get());
+  const Buffers b = Forward(context, rows, *handle.get());
   const int n = static_cast<int>(context.positions->size());
   const int k = config_.hidden_dim;
   ForwardTrace trace;

@@ -25,6 +25,17 @@ struct EngineConfig {
   bool use_lwp = true;
 };
 
+/// The rows a forward computes in its width-1 output layers (PDR layer
+/// 2, giving r̃, and LWP layer 3, giving σ). Every other layer always
+/// computes all n rows.
+enum class OutputRows {
+  /// Rows whose mask is nonzero: all the decoded answer reads. r̃ and σ
+  /// stay 0 at masked rows, whose recommendation is +0 either way.
+  kLive,
+  /// Every row (the parity harness).
+  kAll,
+};
+
 /// Every intermediate of one fused forward, copied out for the parity
 /// harness (tests/infer/engine_test.cc compares each against the double
 /// reference path layer by layer). All row-major, n rows.
@@ -34,8 +45,9 @@ struct ForwardTrace {
   std::vector<float> p_hat;           // n x 1
   std::vector<float> s_hat;           // n x 1
   std::vector<float> pdr_hidden;      // n x hidden_dim
-  std::vector<float> prototype;       // n x 1
-  std::vector<float> sigma;           // n x 1 (empty when !use_lwp)
+  std::vector<float> prototype;       // n x 1 (0 off the output rows)
+  std::vector<float> sigma;           // n x 1 (0 off the output rows;
+                                      //   empty when !use_lwp)
   std::vector<float> recommendation;  // n x 1 (post preservation gate)
 };
 
@@ -49,7 +61,8 @@ struct ForwardTrace {
 /// table for the host's SIMD tier is resolved. Per request it performs
 /// zero heap allocations in steady state (workspace pool + arena) and
 /// aggregates over the occlusion graph's neighbor lists in O(E·cols)
-/// instead of the dense O(n²·cols) adjacency matmul.
+/// instead of the dense O(n²·cols) adjacency matmul. Serving forwards
+/// run the width-1 output layers at the live rows only (OutputRows).
 ///
 /// Thread-safe: all members are const after construction except the
 /// workspace pool, which hands each concurrent caller its own scratch.
@@ -74,8 +87,10 @@ class PoshgnnInferEngine {
       const std::vector<StepContext>& contexts) const;
 
   /// Runs the fused forward and copies out every intermediate (parity
-  /// harness hook; not a serving path).
-  ForwardTrace Trace(const StepContext& context) const;
+  /// harness hook; not a serving path). Computes every row unless told
+  /// otherwise; `OutputRows::kLive` is the serving forward.
+  ForwardTrace Trace(const StepContext& context,
+                     OutputRows rows = OutputRows::kAll) const;
 
   SimdLevel simd_level() const { return level_; }
   const EngineConfig& config() const { return config_; }
@@ -95,8 +110,10 @@ class PoshgnnInferEngine {
     float* rec = nullptr;     // n x 1
   };
 
-  /// The fused forward: MIA (f32) -> PDR -> LWP -> preservation gate.
-  Buffers Forward(const StepContext& context, Workspace& workspace) const;
+  /// The fused forward: MIA (f32) -> PDR -> LWP -> preservation gate,
+  /// with the output layers computed at `rows`.
+  Buffers Forward(const StepContext& context, OutputRows rows,
+                  Workspace& workspace) const;
 
   /// Threshold + budgeted top-k decode on the forward's buffers.
   std::vector<bool> Decode(const StepContext& context, const Buffers& b,

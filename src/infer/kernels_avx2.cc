@@ -76,14 +76,33 @@ AFTER_AVX2 void GcnLayerAvx2(int n, int in, int out, const float* x,
 
 AFTER_AVX2 void SumRowsAvx2(const float* x, int cols, const int* idx,
                             int count, float* dst) {
-  std::memset(dst, 0, static_cast<std::size_t>(cols) * sizeof(float));
-  for (int r = 0; r < count; ++r) {
-    const float* row = x + static_cast<std::size_t>(idx[r]) * cols;
-    int j = 0;
-    for (; j + 8 <= cols; j += 8)
-      _mm256_storeu_ps(dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j),
-                                              _mm256_loadu_ps(row + j)));
-    for (; j < cols; ++j) dst[j] += row[j];
+  // Column chunks outermost: each chunk (8 wide, then 4, then single
+  // columns) keeps its running sum in a register, so no row waits for
+  // the previous row's store to reach its load. Every column still adds
+  // the rows in index order from +0, so each sum is bit-identical to
+  // the scalar tier's.
+  int j = 0;
+  for (; j + 8 <= cols; j += 8) {
+    __m256 acc = _mm256_setzero_ps();
+    for (int r = 0; r < count; ++r)
+      acc = _mm256_add_ps(
+          acc,
+          _mm256_loadu_ps(x + static_cast<std::size_t>(idx[r]) * cols + j));
+    _mm256_storeu_ps(dst + j, acc);
+  }
+  if (j + 4 <= cols) {
+    __m128 acc = _mm_setzero_ps();
+    for (int r = 0; r < count; ++r)
+      acc = _mm_add_ps(
+          acc, _mm_loadu_ps(x + static_cast<std::size_t>(idx[r]) * cols + j));
+    _mm_storeu_ps(dst + j, acc);
+    j += 4;
+  }
+  for (; j < cols; ++j) {
+    float acc = 0.0f;
+    for (int r = 0; r < count; ++r)
+      acc += x[static_cast<std::size_t>(idx[r]) * cols + j];
+    dst[j] = acc;
   }
 }
 

@@ -386,5 +386,125 @@ TEST(DeltaConverterTest, DenseRoomWalkMatchesPairDefinition) {
   EXPECT_GE(max_degree, n - 2);
 }
 
+/// Blocking straight from the pair definition, in plain index order
+/// over every pair: w is blocked when a flagged u (neither w nor the
+/// target) is strictly nearer than w and its arc overlaps w's.
+std::vector<bool> BlockedByPairDefinition(const std::vector<Vec2>& positions,
+                                          int target,
+                                          const std::vector<bool>& flagged) {
+  const std::vector<ViewArc> arcs = ComputeViewArcs(positions, target, kBody);
+  const int n = static_cast<int>(arcs.size());
+  std::vector<bool> blocked(n, false);
+  for (int w = 0; w < n; ++w) {
+    if (w == target) continue;
+    for (int u = 0; u < n; ++u) {
+      if (u == w || u == target || !flagged[u]) continue;
+      if (arcs[u].distance < arcs[w].distance &&
+          PairOverlaps(arcs[u], arcs[w])) {
+        blocked[w] = true;
+        break;
+      }
+    }
+  }
+  return blocked;
+}
+
+/// Checks both nearest-first scans against the pair definition, with
+/// `flagged` as the physical users and as the rendered users. Returns
+/// how many users the flagged set blocks.
+int ExpectBlockingMatchesPairDefinition(const std::vector<Vec2>& positions,
+                                        int target,
+                                        const std::vector<bool>& flagged) {
+  const int n = static_cast<int>(positions.size());
+  const std::vector<bool> want =
+      BlockedByPairDefinition(positions, target, flagged);
+  std::vector<bool> physical = flagged;
+  physical[target] = true;
+  EXPECT_EQ(PhysicallyBlockedUsers(positions, target, kBody, physical), want);
+  // A VR viewer sees avatars, not bodies: nobody is physically blocked.
+  physical[target] = false;
+  EXPECT_EQ(PhysicallyBlockedUsers(positions, target, kBody, physical),
+            std::vector<bool>(n, false));
+
+  const std::vector<bool> visible =
+      ComputeVisibility(positions, target, kBody, flagged);
+  int num_blocked = 0;
+  for (int w = 0; w < n; ++w) {
+    EXPECT_EQ(visible[w], w != target && flagged[w] && !want[w])
+        << "user " << w;
+    num_blocked += want[w];
+  }
+  return num_blocked;
+}
+
+TEST(BlockingTest, DenseRoomMatchesPairDefinition) {
+  // The mega-room frame: 512 users in a 10 m room, half of them
+  // physical, seen from a central, a corner and an edge target.
+  Rng rng(4096);
+  const int n = 512;
+  std::vector<Vec2> positions(n);
+  for (Vec2& p : positions) p = Vec2(rng.Uniform(-5, 5), rng.Uniform(-5, 5));
+  positions[0] = Vec2(0.0, 0.0);
+  positions[1] = Vec2(4.9, 4.9);
+  std::vector<bool> flagged(n);
+  for (int u = 0; u < n; ++u) flagged[u] = rng.UniformInt(2) == 0;
+  for (int target : {0, 1, 300}) {
+    SCOPED_TRACE(target);
+    const int num_blocked =
+        ExpectBlockingMatchesPairDefinition(positions, target, flagged);
+    // Crowded but not opaque: both answers occur many times.
+    EXPECT_GT(num_blocked, n / 4);
+    EXPECT_LT(num_blocked, n - 1);
+  }
+}
+
+TEST(BlockingTest, UsersAtEqualDistanceDoNotBlockEachOther) {
+  // Sign flips and swaps of (4, 0.1) lie at exactly the same distance
+  // from the origin, and each pair either side of an axis overlaps.
+  std::vector<Vec2> positions = {{0.0, 0.0}};
+  for (const Vec2& p : {Vec2(4.0, 0.1), Vec2(4.0, -0.1), Vec2(0.1, 4.0),
+                        Vec2(-0.1, 4.0), Vec2(-4.0, 0.1), Vec2(-4.0, -0.1),
+                        Vec2(0.1, -4.0), Vec2(-0.1, -4.0)})
+    positions.push_back(p);
+  positions.push_back(Vec2(6.0, 0.0));  // 9: behind the pair on +x
+  positions.push_back(Vec2(0.0, 2.0));  // 10: in front of the pair on +y
+  const std::vector<ViewArc> arcs = ComputeViewArcs(positions, 0, kBody);
+  for (int i = 2; i <= 8; ++i) ASSERT_EQ(arcs[i].distance, arcs[1].distance);
+  ASSERT_TRUE(ArcsOverlap(arcs[1], arcs[2]));
+  ASSERT_TRUE(ArcsOverlap(arcs[5], arcs[6]));  // across the seam
+
+  const std::vector<bool> all(positions.size(), true);
+  ExpectBlockingMatchesPairDefinition(positions, 0, all);
+  const std::vector<bool> blocked =
+      PhysicallyBlockedUsers(positions, 0, kBody, all);
+  for (int i : {1, 2, 5, 6, 7, 8, 10}) EXPECT_FALSE(blocked[i]) << i;
+  EXPECT_TRUE(blocked[3]);  // behind user 10
+  EXPECT_TRUE(blocked[4]);
+  EXPECT_TRUE(blocked[9]);  // behind users 1 and 2
+}
+
+TEST(BlockingTest, BodyEnclosingTheTargetBlocksEveryoneBehindIt) {
+  Rng rng(7);
+  std::vector<Vec2> positions = {{0.0, 0.0}, {0.1, -0.05}, {-0.15, 0.1}};
+  for (int i = 0; i < 40; ++i)
+    positions.emplace_back(rng.Uniform(-5, 5), rng.Uniform(-5, 5));
+  const int n = static_cast<int>(positions.size());
+  const std::vector<ViewArc> arcs = ComputeViewArcs(positions, 0, kBody);
+  ASSERT_EQ(arcs[1].half_width, M_PI);
+  ASSERT_EQ(arcs[2].half_width, M_PI);
+  ASSERT_LT(arcs[1].distance, arcs[2].distance);
+
+  // Only user 2 is flagged: its full-circle arc blocks everyone farther
+  // out, but not user 1, who stands nearer the target.
+  std::vector<bool> flagged(n, false);
+  flagged[2] = true;
+  EXPECT_EQ(ExpectBlockingMatchesPairDefinition(positions, 0, flagged),
+            n - 3);
+  // Everyone flagged: user 1 blocks every other user.
+  EXPECT_EQ(ExpectBlockingMatchesPairDefinition(
+                positions, 0, std::vector<bool>(n, true)),
+            n - 2);
+}
+
 }  // namespace
 }  // namespace after

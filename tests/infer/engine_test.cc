@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <vector>
@@ -191,6 +193,60 @@ TEST(InferEngineTest, LwpWeightFoldMatchesFullConcatInput) {
   const ReferenceForward ref = ComputeReference(model, bound.context);
   ExpectWithinTolerance(trace.sigma, ref.sigma, "sigma(folded LWP)");
   ExpectWithinTolerance(trace.recommendation, ref.rec, "recommendation");
+}
+
+TEST(InferEngineTest, LiveRowForwardIsBitIdenticalToAllRows) {
+  // The mega-room request shape: a dense 10 m room and a blocklist
+  // keeping 32 candidates, as the server's recency prune does. The
+  // serving forward runs the output layers at the live rows only; its
+  // recommendation must equal the all-rows forward's bit for bit at
+  // every row.
+  DatasetConfig dataset_config;
+  dataset_config.num_users = 256;
+  dataset_config.num_steps = 2;
+  dataset_config.num_sessions = 1;
+  dataset_config.room_side = 10.0;
+  dataset_config.seed = 15;
+  const Dataset dataset = GenerateTimikLike(dataset_config);
+  const int n = dataset.num_users();
+  std::vector<bool> blocklist(n, true);
+  for (int w = 3; w < n; w += n / 32) blocklist[w] = false;
+
+  const auto bits = [](float value) { return std::bit_cast<uint32_t>(value); };
+  for (const bool use_lwp : {true, false}) {
+    PoshgnnConfig config = ModelConfig();
+    config.use_lwp = use_lwp;
+    const Poshgnn model(config);
+    for (const infer::SimdLevel level :
+         {infer::SimdLevel::kScalar, infer::ActiveSimdLevel()}) {
+      const infer::PoshgnnInferEngine engine = MakeEngine(model, level);
+      for (int target : {0, 3, 128}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "use_lwp " << use_lwp << " tier "
+                     << infer::SimdLevelName(level) << " target " << target);
+        BoundContext bound(dataset, 0, 1, target);
+        bound.context.blocklist = &blocklist;
+        const infer::ForwardTrace all = engine.Trace(bound.context);
+        const infer::ForwardTrace live =
+            engine.Trace(bound.context, infer::OutputRows::kLive);
+        ASSERT_EQ(live.recommendation.size(), all.recommendation.size());
+        int live_rows = 0;
+        for (int w = 0; w < n; ++w) {
+          EXPECT_EQ(bits(live.recommendation[w]), bits(all.recommendation[w]))
+              << "row " << w;
+          if (all.mask[w] == 0.0f) continue;
+          ++live_rows;
+          EXPECT_EQ(bits(live.prototype[w]), bits(all.prototype[w]))
+              << "row " << w;
+          if (use_lwp) {
+            EXPECT_EQ(bits(live.sigma[w]), bits(all.sigma[w])) << "row " << w;
+          }
+        }
+        EXPECT_GT(live_rows, 0);
+        EXPECT_LE(live_rows, 32);
+      }
+    }
+  }
 }
 
 TEST(InferEngineTest, ScalarAndActiveTiersProduceSameSelections) {

@@ -143,16 +143,26 @@ TEST_F(TierEquivalence, MatMulMatchesScalar) {
 }
 
 TEST_F(TierEquivalence, SumRowsMatchesScalar) {
-  const int rows = 10, cols = 21;
-  const std::vector<float> x = RandomVec(rows * cols, 3);
-  const std::vector<int> idx = {0, 3, 3, 9, 7};
-  std::vector<float> scalar_out(cols), avx2_out(cols);
-  ScalarOps().sum_rows(x.data(), cols, idx.data(),
-                       static_cast<int>(idx.size()), scalar_out.data());
-  Avx2Ops().sum_rows(x.data(), cols, idx.data(),
-                     static_cast<int>(idx.size()), avx2_out.data());
-  // Same additions in the same order: bit-identical.
-  ExpectAllNear(scalar_out, avx2_out, 0.0f);
+  // 4 and 8 are the engine's widths (features, hidden); 21 = 8 + 8 + 4
+  // + 1 reaches every chunk kind of the AVX2 loop, the scalar tail too.
+  for (const int cols : {4, 8, 21}) {
+    SCOPED_TRACE(cols);
+    const int rows = 10;
+    const std::vector<float> x = RandomVec(rows * cols, 3);
+    for (const std::vector<int>& idx :
+         {std::vector<int>{0, 3, 3, 9, 7}, std::vector<int>{}}) {
+      // Stale values in dst must not leak into the sum.
+      std::vector<float> scalar_out(cols, 7.0f), avx2_out(cols, -7.0f);
+      ScalarOps().sum_rows(x.data(), cols, idx.data(),
+                           static_cast<int>(idx.size()), scalar_out.data());
+      Avx2Ops().sum_rows(x.data(), cols, idx.data(),
+                         static_cast<int>(idx.size()), avx2_out.data());
+      // Same additions in the same order: bit-identical.
+      ExpectAllNear(scalar_out, avx2_out, 0.0f);
+      // An isolated node (no neighbors) aggregates to an all-zero row.
+      if (idx.empty()) ExpectAllNear(avx2_out, std::vector<float>(cols), 0.0f);
+    }
+  }
 }
 
 TEST_F(TierEquivalence, GcnLayerMatchesScalarForEveryActivation) {
