@@ -3,6 +3,10 @@
 // heuristics, MIA aggregation and a full POSHGNN inference step. These
 // explain where the ~5-8 ms per-step budget of Tables II-IV goes.
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -50,17 +54,59 @@ void BM_MatMulF32(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulF32)->Arg(50)->Arg(200)->Arg(500);
 
-void BM_OcclusionGraphBuild(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+/// n users spread over a 10 m room, the mega-room frame.
+std::vector<Vec2> RoomFrame(int n) {
   Rng rng(2);
   std::vector<Vec2> positions;
   for (int i = 0; i < n; ++i)
     positions.emplace_back(rng.Uniform(0, 10), rng.Uniform(0, 10));
+  return positions;
+}
+
+void BM_OcclusionGraphBuild(benchmark::State& state) {
+  const std::vector<Vec2> positions =
+      RoomFrame(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(BuildOcclusionGraph(positions, 0, 0.25));
   }
 }
-BENCHMARK(BM_OcclusionGraphBuild)->Arg(50)->Arg(200)->Arg(500);
+BENCHMARK(BM_OcclusionGraphBuild)->Arg(50)->Arg(200)->Arg(512);
+
+/// One per-tick delta carry (UpdateOcclusionGraph) of target 0's graph
+/// in the 512-user frame of BM_OcclusionGraphBuild/512, after M agents
+/// each took one walking step: up to 0.6 m (a live room's 1.2 m/s over
+/// its 0.5 s simulator step) in a random direction. mega-room moves ~26
+/// agents a tick while its walkers still walk and 1-6 once they
+/// deadlock. The bench-regression lane (scripts/check.sh) gates the
+/// ratio of BM_OcclusionGraphBuild/512 to the M = 1 carry
+/// (docs/ticking.md).
+void BM_OcclusionCarry(benchmark::State& state) {
+  constexpr int kUsers = 512;
+  constexpr double kStep = 0.6;
+  const int num_moved = static_cast<int>(state.range(0));
+  std::vector<Vec2> positions = RoomFrame(kUsers);
+  std::vector<ViewArc> arcs = ComputeViewArcs(positions, 0, 0.25);
+  const OcclusionGraph previous = BuildOcclusionGraphFromArcs(arcs);
+  Rng rng(8);
+  std::vector<int> moved;
+  std::vector<bool> is_moved(kUsers, false);
+  while (static_cast<int>(moved.size()) < num_moved) {
+    const int m = 1 + rng.UniformInt(kUsers - 1);
+    if (is_moved[m]) continue;
+    is_moved[m] = true;
+    moved.push_back(m);
+    const double heading = rng.Uniform(-M_PI, M_PI);
+    positions[m] += Vec2(std::cos(heading), std::sin(heading)) *
+                    (kStep * rng.Uniform());
+  }
+  std::sort(moved.begin(), moved.end());
+  UpdateViewArcs(positions, 0, 0.25, moved, &arcs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        UpdateOcclusionGraph(previous, arcs, moved, is_moved));
+  }
+}
+BENCHMARK(BM_OcclusionCarry)->Arg(1)->Arg(26)->Arg(128);
 
 void BM_GreedyMwis(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -48,12 +48,15 @@
 #            build/BENCH_*.json and failing on malformed output. Not
 #            in the default set: CI runs it as a non-blocking job.
 #   bench-regression
-#            first gates the fused f32 forward on micro_kernels: the
-#            same-run f64/f32 ratio of the frozen step's median CPU
-#            times over 5 interleaved repetitions, at the pruned N=500
+#            first gates two same-run ratios of median CPU times over
+#            5 interleaved micro_kernels repetitions, each against a
+#            floor set between 10 observed runs and a slower variant:
+#            the frozen step's f64/f32 ratio at the pruned N=500
 #            request shape (32 candidates, as in the mega-room
-#            workload), must stay above a floor set below 10 observed
-#            runs and above 6 runs of a forward slowed 2x. Then it runs the serve/net benches in the
+#            workload; the slower variant is a forward slowed 2x), and
+#            a 512-user scratch graph build over a one-mover delta
+#            carry (the slower variant is the carry that rewrote every
+#            row). Then it runs the serve/net benches in the
 #            baseline config — once
 #            on the default primary and once with --engine=f32 (the
 #            fused inference engine) — plus the C10k config (10k idle
@@ -334,35 +337,53 @@ run_bench_regression_lane() {
   cmake --build --preset release -j "${JOBS}" \
     --target serve_throughput net_throughput tick_throughput world_sim \
     micro_kernels
-  echo "---- micro_kernels (frozen step, f64/f32 ratio gate on the ----"
-  echo "---- pruned N=500 request shape) ----"
-  ./build/bench/micro_kernels --benchmark_filter=FrozenPoshgnnStep \
+  echo "---- micro_kernels (frozen step f64/f32 ratio gate on the pruned ----"
+  echo "---- N=500 request shape; scratch/carry ratio gate at N=512) ----"
+  ./build/bench/micro_kernels \
+    --benchmark_filter='FrozenPoshgnnStep|OcclusionGraphBuild/512|OcclusionCarry' \
     --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
     --benchmark_format=json > build/BENCH_micro.json
-  # The gate is a same-run ratio of CPU times, each the median of 5
+  # Both gates are same-run ratios of CPU times, each the median of 5
   # interleaved repetitions, so neither the runner's speed nor time
-  # stolen from its vCPU moves it much. Its yardstick is the f64
-  # reference: a change that speeds up or slows down the reference moves
-  # the ratio as much as one to the fused forward, and must re-measure
-  # the floor. On a 4-vCPU Intel Xeon VM, 10 runs read 30.9-49.8x and a
-  # fused forward slowed 2x read 14.8-24.3x in 6 runs; the floor sits
-  # between the two (docs/inference.md). No runner of another
+  # stolen from its vCPU moves them much. No runner of another
   # microarchitecture has been measured.
+  # - Frozen step: the f64 reference over the fused f32 forward. Its
+  #   yardstick is the f64 reference: a change that speeds up or slows
+  #   down the reference moves the ratio as much as one to the fused
+  #   forward, and must re-measure the floor. On a 4-vCPU Intel Xeon VM,
+  #   10 runs read 30.9-49.8x and a fused forward slowed 2x read
+  #   14.8-24.3x in 6 runs; the floor sits between the two
+  #   (docs/inference.md).
+  # - Delta carry: a scratch build of a 512-user graph over one carry
+  #   after 1 agent moved, the deadlocked mega-room tick. The yardstick
+  #   is the scratch build; a change to it must re-measure the floor.
+  #   On the same VM, 10 runs read 62.6-78.0x, and 10 runs interleaved
+  #   with them of the earlier carry, which rewrote every row, read
+  #   9.8-13.0x. The floor sits at about half the lowest normal run, so
+  #   it catches a carry that rewrites every row again, not a small
+  #   slowdown (docs/ticking.md).
   python3 - build/BENCH_micro.json <<'PY'
 import json, sys
-FLOOR = 25.0
 with open(sys.argv[1]) as handle:
     medians = {b["run_name"]: b for b in json.load(handle)["benchmarks"]
                if b.get("aggregate_name") == "median"}
-f64, f32 = (medians[f"BM_FrozenPoshgnnStep{e}Pruned/500"] for e in ("F64", "F32"))
-if f64["time_unit"] != f32["time_unit"]:
-    raise SystemExit("micro gate: F64 and F32 report different time units")
-ratio = f64["cpu_time"] / f32["cpu_time"]
-print(f"frozen step, pruned N=500 (median of 5): f64 {f64['cpu_time']:.0f} / "
-      f"f32 {f32['cpu_time']:.0f} {f32['time_unit']} = {ratio:.1f}x "
-      f"(floor {FLOOR:.0f}x)")
-if ratio < FLOOR:
-    raise SystemExit(f"micro gate: f64/f32 ratio {ratio:.1f}x < {FLOOR:.0f}x")
+failures = []
+for label, slow, fast, floor in [
+        ("frozen step, pruned N=500: f64 / f32",
+         "BM_FrozenPoshgnnStepF64Pruned/500", "BM_FrozenPoshgnnStepF32Pruned/500",
+         25.0),
+        ("occlusion graph, N=512: scratch build / carry of 1 moved",
+         "BM_OcclusionGraphBuild/512", "BM_OcclusionCarry/1", 30.0)]:
+    a, b = medians[slow], medians[fast]
+    if a["time_unit"] != b["time_unit"]:
+        raise SystemExit(f"micro gate: {slow} and {fast} report different time units")
+    ratio = a["cpu_time"] / b["cpu_time"]
+    print(f"{label} (median of 5): {a['cpu_time']:.0f} / {b['cpu_time']:.0f} "
+          f"{b['time_unit']} = {ratio:.1f}x (floor {floor:.0f}x)")
+    if ratio < floor:
+        failures.append(f"{label} ratio {ratio:.1f}x < {floor:.0f}x")
+if failures:
+    raise SystemExit("micro gate: " + "; ".join(failures))
 PY
   echo "---- serve_throughput (baseline config) ----"
   ./build/bench/serve_throughput --rooms=2 --threads=2 --clients=4 \

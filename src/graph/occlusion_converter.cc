@@ -1,7 +1,10 @@
 #include "graph/occlusion_converter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -141,101 +144,132 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
   AFTER_CHECK_EQ(previous.num_nodes(), n);
   AFTER_CHECK_EQ(static_cast<int>(is_moved.size()), n);
   const int num_moved = static_cast<int>(moved.size());
-  // Read once per arc test and once per old adjacency entry below; a
-  // byte is cheaper to read than a vector<bool> bit.
-  const std::vector<unsigned char> moved_flag(is_moved.begin(),
-                                              is_moved.end());
+  // Node sets as bits, 64 to a word: the nodes with a valid arc, the
+  // unmoved nodes, and a moved agent's fresh and old rows. Words fill
+  // highest node first, so that every step shifts by one.
+  const int num_words = (n + 63) / 64;
+  std::vector<uint64_t> valid(num_words, 0);
+  for (int w = 0; w < num_words; ++w)
+    for (int j = std::min(n, 64 * w + 64) - 1; j >= 64 * w; --j)
+      valid[w] = valid[w] << 1 | arcs[j].valid;
+  std::vector<uint64_t> unmoved(num_words, ~uint64_t{0});
+  for (int m : moved) unmoved[m >> 6] &= ~(uint64_t{1} << (m & 63));
+  std::vector<uint64_t> fresh(num_words);
+  std::vector<uint64_t> old(num_words);
 
   // Fresh rows of the moved agents: each moved arc is tested once
-  // against every arc, and j ascends, so each row comes out sorted.
-  // The tests are symmetric, so they also decide every unmoved row's
-  // moved part: an unmoved u gains the moved agents it now overlaps
-  // (`gained`) and loses the ones it overlapped before (`lost`, read off
-  // the moved agents' old rows).
+  // against every arc. The tests are symmetric, so they also decide
+  // every unmoved row's moved part, and diffing a moved agent m's fresh
+  // row against its old row, a word at a time, yields exactly the
+  // unmoved rows that change because of m: a node only in the fresh row
+  // gains m, one only in the old row loses it. Each change is recorded
+  // as (node, m) for a gain and (node, ~m) for a loss; every other entry
+  // of an unmoved row stays as it was.
   std::vector<int> moved_offsets(num_moved + 1, 0);
   std::vector<int> moved_rows;
-  std::vector<int> gained(n, 0);
-  std::vector<int> lost(n, 0);
+  std::vector<std::pair<int, int>> changes;
+  std::vector<int> change_offsets(n + 1, 0);  // counts first, then starts
   std::vector<int> row(n);
+  int total = 2 * previous.num_edges();  // entries of the result
   for (int k = 0; k < num_moved; ++k) {
     const int m = moved[k];
     // The row layout below relies on `moved` being strictly ascending
-    // and flagged in `is_moved`; a violation would write out of bounds.
+    // and flagged in `is_moved`.
     AFTER_CHECK(k == 0 || moved[k - 1] < m);
-    AFTER_CHECK(moved_flag[m]);
-    for (int v : previous.Neighbors(m)) ++lost[v];
+    AFTER_CHECK(is_moved[m]);
     const ViewArc& arc = arcs[m];
+    for (int w = 0; w < num_words; ++w) {
+      // A word's bits gather in a register, branch-free: the outcome of
+      // each test is unpredictable. Invalid arcs are tested too, then
+      // masked out.
+      uint64_t bits = 0;
+      for (int j = std::min(n, 64 * w + 64) - 1; j >= 64 * w; --j)
+        bits = bits << 1 | ValidArcsOverlap(arc, arcs[j]);
+      fresh[w] = arc.valid ? bits & valid[w] : 0;
+    }
+    fresh[m >> 6] &= ~(uint64_t{1} << (m & 63));  // no self-loop
+    const std::span<const int> old_row = previous.Neighbors(m);
+    std::fill(old.begin(), old.end(), 0);
+    for (int v : old_row) old[v >> 6] |= uint64_t{1} << (v & 63);
     int count = 0;
-    if (arc.valid) {
-      // Branch-free compaction: the outcome is unpredictable, so store
-      // every j and advance past it only on a hit.
-      for (int j = 0; j < n; ++j) {
-        row[count] = j;
-        count += arcs[j].valid & ValidArcsOverlap(arc, arcs[j]) & (j != m);
+    for (int w = 0; w < num_words; ++w) {
+      // Bits come out lowest first, so the fresh row is ascending.
+      for (uint64_t bits = fresh[w]; bits != 0; bits &= bits - 1)
+        row[count++] = 64 * w + std::countr_zero(bits);
+      for (uint64_t bits = (fresh[w] ^ old[w]) & unmoved[w]; bits != 0;
+           bits &= bits - 1) {
+        const int v = 64 * w + std::countr_zero(bits);
+        const bool gained = (fresh[w] >> (v & 63)) & 1;
+        changes.emplace_back(v, gained ? m : ~m);
+        ++change_offsets[v + 1];
+        total += gained ? 1 : -1;
       }
     }
-    for (int r = 0; r < count; ++r) gained[row[r]] += !moved_flag[row[r]];
     moved_rows.insert(moved_rows.end(), row.begin(), row.begin() + count);
     moved_offsets[k + 1] = static_cast<int>(moved_rows.size());
+    total += count - static_cast<int>(old_row.size());
   }
 
-  // Row starts of the result. A moved row is its fresh row; an unmoved
-  // row keeps its old row minus the moved agents and gains its hits.
+  // Bucket the changes per unmoved node (counting sort on the node). The
+  // moved agents were visited in ascending order, so every bucket is
+  // ascending by agent.
+  for (int u = 0; u < n; ++u) change_offsets[u + 1] += change_offsets[u];
+  std::vector<int> bucket(changes.size());
+  std::vector<int> fill(change_offsets.begin(), change_offsets.end() - 1);
+  for (const auto& [v, change] : changes) bucket[fill[v]++] = change;
+
+  // Write every row, in order, into one fresh array: the old snapshot
+  // may still be serving requests, so nothing is patched in place. A
+  // run of unchanged rows is one block copy from the old array. A moved
+  // row is its fresh row. A changed unmoved row is its old row merged
+  // with its bucket, each gain inserted where it sorts and each loss
+  // skipped, so the row stays ascending.
   std::vector<int> offsets(n + 1, 0);
-  int flagged = 0;
-  for (int u = 0; u < n; ++u) {
-    int degree;
-    if (moved_flag[u]) {
-      AFTER_CHECK_LT(flagged, num_moved);  // no flag without a `moved` entry
-      degree = moved_offsets[flagged + 1] - moved_offsets[flagged];
-      ++flagged;
-    } else {
-      degree = previous.Degree(u) - lost[u] + gained[u];
-    }
-    offsets[u + 1] = offsets[u] + degree;
-  }
-
-  // Bucket the hits per unmoved node (counting sort on the node). The
-  // moved agents are visited in ascending order, so every bucket is
-  // ascending too.
-  std::vector<int> hit_offsets(n + 1, 0);
-  for (int u = 0; u < n; ++u) hit_offsets[u + 1] = hit_offsets[u] + gained[u];
-  std::vector<int> hits(hit_offsets[n]);
-  std::vector<int> fill(hit_offsets.begin(), hit_offsets.end() - 1);
-  for (int k = 0; k < num_moved; ++k) {
-    for (int r = moved_offsets[k]; r < moved_offsets[k + 1]; ++r) {
-      const int j = moved_rows[r];
-      if (!moved_flag[j]) hits[fill[j]++] = moved[k];
-    }
-  }
-
-  // Write every row into one fresh array: the old snapshot may still be
-  // serving requests, so nothing is patched in place. Both inputs of an
-  // unmoved row are ascending and disjoint (hits are moved agents, the
-  // kept old entries are not), so a plain merge keeps the row sorted.
-  // The old entries are filtered branch-free: each is stored, and the
-  // cursor only advances past the unmoved ones. A dropped entry's store
-  // lands where this row or a later one writes next, or, at the very
-  // end, in one slack slot that is popped afterwards.
-  std::vector<int> neighbors(offsets[n] + 1);
+  std::vector<int> neighbors;
+  neighbors.reserve(total);
+  auto append = [&neighbors](const int* first, const int* last) {
+    neighbors.insert(neighbors.end(), first, last);
+  };
+  auto copy_run = [&](int first, int last) {
+    if (first == last) return;
+    const std::span<const int> run = previous.Rows(first, last);
+    append(run.data(), run.data() + run.size());
+    for (int u = first; u < last; ++u)
+      offsets[u + 1] = offsets[u] + previous.Degree(u);
+  };
+  int run_start = 0;
   for (int u = 0, k = 0; u < n; ++u) {
-    int* out = neighbors.data() + offsets[u];
-    if (moved_flag[u]) {
-      std::copy(moved_rows.begin() + moved_offsets[k],
-                moved_rows.begin() + moved_offsets[k + 1], out);
+    const int* change = bucket.data() + change_offsets[u];
+    const int* const change_end = bucket.data() + change_offsets[u + 1];
+    if (!is_moved[u] && change == change_end) continue;
+    copy_run(run_start, u);
+    run_start = u + 1;
+    if (is_moved[u]) {
+      // No flag without its `moved` entry: k walks `moved` in step.
+      AFTER_CHECK(k < num_moved && moved[k] == u);
+      append(moved_rows.data() + moved_offsets[k],
+             moved_rows.data() + moved_offsets[k + 1]);
       ++k;
-      continue;
+    } else {
+      const std::span<const int> old_row = previous.Neighbors(u);
+      const int* kept = old_row.data();
+      const int* const old_end = kept + old_row.size();
+      int* out = row.data();
+      for (; change != change_end; ++change) {
+        const int m = *change >= 0 ? *change : ~*change;
+        while (kept != old_end && *kept < m) *out++ = *kept++;
+        if (*change >= 0) {
+          *out++ = m;
+        } else {
+          ++kept;  // the old row held the lost agent here
+        }
+      }
+      out = std::copy(kept, old_end, out);
+      append(row.data(), out);
     }
-    const int* hit = hits.data() + hit_offsets[u];
-    const int* const hit_end = hits.data() + hit_offsets[u + 1];
-    for (int v : previous.Neighbors(u)) {
-      while (hit != hit_end && *hit < v) *out++ = *hit++;
-      *out = v;
-      out += !moved_flag[v];
-    }
-    std::copy(hit, hit_end, out);
+    offsets[u + 1] = static_cast<int>(neighbors.size());
   }
-  neighbors.pop_back();
+  copy_run(run_start, n);
   return OcclusionGraph::FromRows(std::move(offsets), std::move(neighbors));
 }
 

@@ -66,13 +66,17 @@ void UpdateViewArcs(const std::vector<Vec2>& positions, int target,
 /// "carry"): edges between two unmoved agents are carried over from
 /// `previous`; every pair with at least one endpoint in `moved` is
 /// re-tested against the (already patched, see UpdateViewArcs) `arcs`.
-/// Each moved arc is tested once against every arc; each unmoved row is
-/// then written as its old row minus the moved agents, merged with its
-/// ascending hits, into one fresh CSR array (`previous` is never
-/// touched). Requirements: `target` is not in `moved`, `moved` is sorted
-/// ascending, and `is_moved` is its indicator vector. Cost O(n + E +
-/// |moved| * n) instead of O(n^2), and the result is bitwise-identical
-/// (operator==) to BuildOcclusionGraphFromArcs(arcs).
+/// Each moved arc is tested once against every arc, and its fresh row
+/// diffed against its old one; the unmoved nodes in that difference
+/// are exactly the unmoved rows that change. The result is written into
+/// one fresh CSR array (`previous` is never touched): runs of unchanged
+/// rows as block copies, moved rows fresh, changed rows as their old
+/// row merged with what they gained and lost. Requirements: `target` is
+/// not in `moved`, `moved` is sorted ascending, and `is_moved` is its
+/// indicator vector. Cost O(n + |moved| * n + the changed rows' degrees)
+/// plus one block copy of the unchanged rows, instead of O(n^2), and the
+/// result is bitwise-identical (operator==) to
+/// BuildOcclusionGraphFromArcs(arcs).
 OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
                                     const std::vector<ViewArc>& arcs,
                                     const std::vector<int>& moved,

@@ -36,8 +36,8 @@ class OcclusionGraph {
   /// entries from 0 to neighbors.size() (checked); each row must be
   /// strictly ascending, free of self-loops and symmetric with the
   /// others (v in row u iff u in row v). Those O(E) row invariants are
-  /// the caller's to keep: checking them would cost as much as the
-  /// merge that produced them.
+  /// the caller's to keep: checking them would cost more than a carry
+  /// that block-copies most rows.
   static OcclusionGraph FromRows(std::vector<int> offsets,
                                  std::vector<int> neighbors);
 
@@ -50,9 +50,13 @@ class OcclusionGraph {
   bool HasEdge(int u, int v) const;
 
   /// u's neighbours in ascending order; valid while the graph lives.
-  std::span<const int> Neighbors(int u) const {
-    return {neighbors_.data() + offsets_[u],
-            neighbors_.data() + offsets_[u + 1]};
+  std::span<const int> Neighbors(int u) const { return Rows(u, u + 1); }
+
+  /// Rows first..last-1 back to back, as stored (0 <= first <= last <=
+  /// num_nodes). The delta carry copies runs of unchanged rows with it.
+  std::span<const int> Rows(int first, int last) const {
+    return {neighbors_.data() + offsets_[first],
+            neighbors_.data() + offsets_[last]};
   }
 
   int Degree(int u) const { return offsets_[u + 1] - offsets_[u]; }

@@ -305,95 +305,6 @@ std::vector<Result<FriendResponse>> NetClient::CallPipelined(
   return results;
 }
 
-Status NetClient::AssignRoom(int room, uint64_t epoch,
-                             const std::string& state, bool primary) {
-  if (broken_) return Transport("connection already broken", 0);
-  const uint64_t id = next_id_++;
-  std::string out;
-  wire::AppendRoomAssignFrame(id, room, epoch, primary, state, &out);
-  AFTER_RETURN_IF_ERROR(SendAll(out));
-  while (true) {
-    wire::Frame frame;
-    AFTER_RETURN_IF_ERROR(ReadFrame(&frame));
-    if (frame.type != wire::MessageType::kResponse) continue;  // stale
-    auto decoded = wire::DecodeResponse(frame.payload);
-    if (!decoded.ok()) {
-      broken_ = true;
-      return decoded.status();
-    }
-    if (decoded.value().id != id) continue;
-    return decoded.value().response.status;
-  }
-}
-
-Result<std::string> NetClient::ReleaseRoom(int room, uint64_t epoch) {
-  if (broken_) return Transport("connection already broken", 0);
-  const uint64_t id = next_id_++;
-  std::string out;
-  wire::AppendRoomReleaseFrame(id, room, epoch, &out);
-  AFTER_RETURN_IF_ERROR(SendAll(out));
-  while (true) {
-    wire::Frame frame;
-    AFTER_RETURN_IF_ERROR(ReadFrame(&frame));
-    // Success acks arrive as a kRoomAssign frame carrying the final
-    // state; failures come back as a plain response frame.
-    if (frame.type == wire::MessageType::kRoomAssign) {
-      auto decoded = wire::DecodeRoomAssign(frame.payload);
-      if (!decoded.ok()) {
-        broken_ = true;
-        return decoded.status();
-      }
-      if (decoded.value().id != id) continue;
-      return std::move(decoded).value().state;
-    }
-    if (frame.type != wire::MessageType::kResponse) continue;  // stale
-    auto decoded = wire::DecodeResponse(frame.payload);
-    if (!decoded.ok()) {
-      broken_ = true;
-      return decoded.status();
-    }
-    if (decoded.value().id != id) continue;
-    const Status& status = decoded.value().response.status;
-    if (status.ok())
-      return InvalidArgumentError("wire: release ack without state");
-    return status;
-  }
-}
-
-Result<std::vector<wire::RecoveredRoom>> NetClient::RecoverRooms() {
-  if (broken_) return Transport("connection already broken", 0);
-  const uint64_t id = next_id_++;
-  std::string out;
-  wire::AppendRoomRecoverQueryFrame(id, &out);
-  AFTER_RETURN_IF_ERROR(SendAll(out));
-  while (true) {
-    wire::Frame frame;
-    AFTER_RETURN_IF_ERROR(ReadFrame(&frame));
-    // Success acks echo a kRoomRecover frame carrying the report;
-    // failures come back as a plain response frame.
-    if (frame.type == wire::MessageType::kRoomRecover) {
-      auto decoded = wire::DecodeRoomRecoverReport(frame.payload);
-      if (!decoded.ok()) {
-        broken_ = true;
-        return decoded.status();
-      }
-      if (decoded.value().id != id) continue;
-      return std::move(decoded).value().rooms;
-    }
-    if (frame.type != wire::MessageType::kResponse) continue;  // stale
-    auto decoded = wire::DecodeResponse(frame.payload);
-    if (!decoded.ok()) {
-      broken_ = true;
-      return decoded.status();
-    }
-    if (decoded.value().id != id) continue;
-    const Status& status = decoded.value().response.status;
-    if (status.ok())
-      return InvalidArgumentError("wire: recover ack without report");
-    return status;
-  }
-}
-
 Status NetClient::Ping() {
   if (broken_) return Transport("connection already broken", 0);
   const uint64_t id = next_id_++;

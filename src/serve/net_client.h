@@ -86,20 +86,6 @@ class NetClient {
   /// speaking the protocol.
   Status Ping();
 
-  /// Room-ownership control plane (router side). AssignRoom grants the
-  /// shard ownership of `room` at `epoch` in role `primary`, with
-  /// `state` either empty (fresh room) or a migration blob; the shard's
-  /// ack status is returned. ReleaseRoom revokes ownership and returns
-  /// the shard's final state blob for the room.
-  Status AssignRoom(int room, uint64_t epoch, const std::string& state,
-                    bool primary = false);
-  Result<std::string> ReleaseRoom(int room, uint64_t epoch);
-
-  /// Recovery control plane: asks the shard to replay its durable state
-  /// (a no-op after the first time) and report what it now hosts from
-  /// disk. Empty report = nothing durable on that shard.
-  Result<std::vector<wire::RecoveredRoom>> RecoverRooms();
-
   const std::string& host() const { return host_; }
   int port() const { return port_; }
 

@@ -34,9 +34,10 @@ namespace serve {
 /// Snapshots are persistent structures updated by deltas
 /// (docs/ticking.md): the delta constructor carries the predecessor's
 /// built occlusion state forward, re-testing only arc pairs that touch
-/// a moved agent, into fresh CSR graphs whose ascending rows are
-/// bit-identical to a from-scratch build — so order-sensitive consumers
-/// (MIA tie-breaks, POSHGNN aggregation) cannot tell the difference.
+/// a moved agent and rewriting only the rows those tests change, into
+/// fresh CSR graphs whose ascending rows are bit-identical to a
+/// from-scratch build — so order-sensitive consumers (MIA tie-breaks,
+/// POSHGNN aggregation) cannot tell the difference.
 class RoomSnapshot {
  public:
   RoomSnapshot(int tick, std::vector<Vec2> positions,
@@ -49,8 +50,9 @@ class RoomSnapshot {
   /// whose position/goal/active state changed since `previous` was
   /// published. Targets the predecessor had built and that did not
   /// themselves move get their occlusion graph delta-updated eagerly
-  /// (UpdateOcclusionGraph's per-row merge, O(n + E + |moved| * n)
-  /// each); moved or never-built targets stay lazy. The predecessor is
+  /// (UpdateOcclusionGraph, O(n + |moved| * n + the changed rows'
+  /// degrees) plus one block copy of the unchanged rows, each); moved or
+  /// never-built targets stay lazy. The predecessor is
   /// only read during construction — no reference is retained, so
   /// snapshots never chain.
   RoomSnapshot(int tick, std::vector<Vec2> positions,

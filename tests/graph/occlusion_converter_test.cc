@@ -386,6 +386,144 @@ TEST(DeltaConverterTest, DenseRoomWalkMatchesPairDefinition) {
   EXPECT_GE(max_degree, n - 2);
 }
 
+/// One carried tick: patches the arcs of the agents in `moved` (sorted
+/// ascending), whose positions have already changed, and carries the
+/// graph across them.
+OcclusionGraph CarryTick(const OcclusionGraph& graph,
+                         const std::vector<Vec2>& positions, int target,
+                         const std::vector<int>& moved,
+                         std::vector<ViewArc>* arcs) {
+  std::vector<bool> is_moved(positions.size(), false);
+  for (int m : moved) is_moved[m] = true;
+  UpdateViewArcs(positions, target, kBody, moved, arcs);
+  return UpdateOcclusionGraph(graph, *arcs, moved, is_moved);
+}
+
+/// The point at `radius` and `angle` around `center`.
+Vec2 Polar(const Vec2& center, double radius, double angle) {
+  return center + Vec2(std::cos(angle), std::sin(angle)) * radius;
+}
+
+/// The deadlocked mega-room tick: 512 users, 1-2 of them taking a
+/// millimetre step, so the carry copies almost every row in bulk. The
+/// movers include row 0 and row n - 1 on some ticks, and both rows sit
+/// inside copied runs on others. One tick makes an unmoved row trade one
+/// moved neighbour for another at equal degree: a carry that took "as
+/// many lost as gained" for "unchanged" would copy its stale row.
+TEST(DeltaConverterTest, MillimetreStepsCopyUnchangedRowsAndTradeNeighbours) {
+  Rng rng(1024);
+  const int n = 512;
+  const int target = 256;
+  std::vector<Vec2> positions(n);
+  for (int i = 0; i < n; ++i)
+    positions[i] = Vec2(rng.Uniform(0, 10), rng.Uniform(0, 10));
+  const Vec2 center(5.0, 5.0);
+  positions[target] = center;
+  // Row `trader` overlaps `leaver` and misses `joiner` by 1e-4 rad; one
+  // tick turns both 3e-4 rad (0.9 mm at 3 m) the same way, so the trader
+  // loses the leaver and gains the joiner.
+  const int trader = 100, leaver = 101, joiner = 102;
+  const double radius = 3.0, theta = 0.5;
+  const double reach = 2.0 * std::asin(kBody / radius);  // summed widths
+  positions[trader] = Polar(center, radius, theta);
+  positions[leaver] = Polar(center, radius, theta + reach - 1e-4);
+  positions[joiner] = Polar(center, radius, theta - reach - 1e-4);
+
+  std::vector<ViewArc> arcs = ComputeViewArcs(positions, target, kBody);
+  OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
+  ASSERT_TRUE(graph.HasEdge(trader, leaver));
+  ASSERT_FALSE(graph.HasEdge(trader, joiner));
+
+  constexpr int kTicks = 24;
+  constexpr int kTradeTick = 5;
+  bool first_row_moved = false, last_row_moved = false;
+  int first_row_copied = 0, last_row_copied = 0;
+  for (int tick = 0; tick < kTicks; ++tick) {
+    std::vector<int> moved;
+    if (tick == kTradeTick) {
+      moved = {leaver, joiner};
+      positions[leaver] = Polar(center, radius, theta + reach + 2e-4);
+      positions[joiner] = Polar(center, radius, theta - reach + 2e-4);
+    } else {
+      // Ticks 0 and 1 move the first and the last row.
+      moved.push_back(tick == 0 ? 0 : tick == 1 ? n - 1 : rng.UniformInt(n));
+      if (rng.UniformInt(2) == 1) moved.push_back(rng.UniformInt(n));
+      std::sort(moved.begin(), moved.end());
+      moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
+      std::erase(moved, target);
+      for (int m : moved) {
+        const double heading = rng.Uniform(-M_PI, M_PI);
+        positions[m] += Vec2(std::cos(heading), std::sin(heading)) *
+                        rng.Uniform(1e-4, 1e-3);
+      }
+    }
+    const OcclusionGraph next =
+        CarryTick(graph, positions, target, moved, &arcs);
+    ASSERT_TRUE(next == GraphFromPairDefinition(positions, target))
+        << "tick " << tick;
+
+    std::vector<bool> is_moved(n, false);
+    for (int m : moved) is_moved[m] = true;
+    std::vector<bool> copied(n);
+    for (int u = 0; u < n; ++u) {
+      const auto before = graph.Neighbors(u), after = next.Neighbors(u);
+      copied[u] = !is_moved[u] && std::equal(before.begin(), before.end(),
+                                             after.begin(), after.end());
+    }
+    EXPECT_GE(std::count(copied.begin(), copied.end(), true), n - 8)
+        << "tick " << tick;  // almost every row
+    first_row_moved |= is_moved[0];
+    last_row_moved |= is_moved[n - 1];
+    first_row_copied += copied[0];
+    last_row_copied += copied[n - 1];
+    if (tick == kTradeTick) {
+      // The trade happened, at equal degree.
+      EXPECT_FALSE(next.HasEdge(trader, leaver));
+      EXPECT_TRUE(next.HasEdge(trader, joiner));
+      EXPECT_EQ(next.Degree(trader), graph.Degree(trader));
+    }
+    graph = next;
+  }
+  EXPECT_TRUE(first_row_moved);
+  EXPECT_TRUE(last_row_moved);
+  EXPECT_GT(first_row_copied, kTicks / 2);
+  EXPECT_GT(last_row_copied, kTicks / 2);
+}
+
+/// Moved-set sizes from none to a quarter of a 512-user room, each
+/// chained over several ticks of walking steps (up to 0.6 m, a live
+/// room's 1.2 m/s over its 0.5 s step), so a carry error compounds.
+TEST(DeltaConverterTest, MovedSetSizesChainMatchPairDefinition) {
+  const int n = 512;
+  for (const int num_moved : {0, 1, 5, 26, 128}) {
+    Rng rng(700 + num_moved);
+    const int target = rng.UniformInt(n);
+    std::vector<Vec2> positions(n);
+    for (int i = 0; i < n; ++i)
+      positions[i] = Vec2(rng.Uniform(0, 10), rng.Uniform(0, 10));
+    std::vector<ViewArc> arcs = ComputeViewArcs(positions, target, kBody);
+    OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
+    for (int tick = 0; tick < 4; ++tick) {
+      std::vector<int> moved;
+      std::vector<bool> chosen(n, false);
+      chosen[target] = true;
+      while (static_cast<int>(moved.size()) < num_moved) {
+        const int m = rng.UniformInt(n);
+        if (chosen[m]) continue;
+        chosen[m] = true;
+        moved.push_back(m);
+        const double heading = rng.Uniform(-M_PI, M_PI);
+        positions[m] += Vec2(std::cos(heading), std::sin(heading)) *
+                        rng.Uniform(0, 0.6);
+      }
+      std::sort(moved.begin(), moved.end());
+      graph = CarryTick(graph, positions, target, moved, &arcs);
+      ASSERT_TRUE(graph == GraphFromPairDefinition(positions, target))
+          << num_moved << " moved, tick " << tick;
+    }
+  }
+}
+
 /// Blocking straight from the pair definition, in plain index order
 /// over every pair: w is blocked when a flagged u (neither w nor the
 /// target) is strictly nearer than w and its arc overlaps w's.
