@@ -40,22 +40,15 @@ bool AddShard(LocalFleet* fleet, int rooms, int threads, bool partitioned,
   serve::ServerOptions server_options;
   server_options.num_threads = threads;
   server_options.default_deadline_ms = 1000.0;
-  PoshgnnConfig model_config;
-  model_config.seed = 42;
-  serve::RecommenderFactory factory;
-  if (fleet->engine_set) {
-    auto source = std::make_shared<Poshgnn>(model_config);
-    const InferEngine engine = fleet->engine;
-    factory = [source, engine] {
-      return std::make_unique<FrozenPoshgnn>(*source, engine);
-    };
-  } else {
-    factory = [model_config] {
-      return std::make_unique<Poshgnn>(model_config);
-    };
-  }
+  // Every shard serves the untrained seed-42 model perfbench serves.
   auto server = std::make_unique<serve::RecommendationServer>(
-      std::move(room_list), std::move(factory), server_options);
+      std::move(room_list),
+      [] {
+        PoshgnnConfig model_config;
+        model_config.seed = 42;
+        return std::make_unique<FrozenPoshgnn>(Poshgnn(model_config));
+      },
+      server_options);
   auto control = std::make_unique<serve::ShardControl>(
       server.get(),
       [make_room](int r) { return make_room(r); });
@@ -170,8 +163,6 @@ std::unique_ptr<LocalFleet> StartLocalFleet(const FleetConfig& config,
                                             FleetRoomFactory room_factory) {
   auto fleet = std::make_unique<LocalFleet>();
   fleet->room_factory = std::move(room_factory);
-  fleet->engine_set = config.engine_set;
-  fleet->engine = config.engine;
 
   std::vector<serve::BackendAddress> backends;
   for (int s = 0; s < config.shards; ++s) {

@@ -48,11 +48,6 @@ using FleetRoomFactory =
 struct LocalFleet {
   /// Room recipe shared by every shard (see FleetRoomFactory).
   FleetRoomFactory room_factory;
-  /// Engine override: every shard (including ones added mid-run or
-  /// rebuilt by the cold-restart drill) freezes its primary on this
-  /// inference engine instead of serving the mutable model.
-  bool engine_set = false;
-  InferEngine engine = InferEngine::kFusedF32;
   /// Guards the three shard vectors: AddShard (mid-run fleet growth)
   /// races the ticker thread otherwise.
   std::mutex mutex;
@@ -115,8 +110,6 @@ struct FleetConfig {
   /// Non-empty: every shard gets a durability subsystem under
   /// base + "/shard-N".
   std::string durable_base;
-  bool engine_set = false;
-  InferEngine engine = InferEngine::kFusedF32;
   /// Connection cap for the router front.
   int front_max_connections = 256;
 };

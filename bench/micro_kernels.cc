@@ -141,12 +141,22 @@ void BM_LocalSearchMwis(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalSearchMwis)->Arg(100)->Arg(1000)->Arg(10000);
 
-/// Shared fixture state for POSHGNN inference benchmarks.
+/// Users a served mega-room request keeps as candidates: the server's
+/// recency prune blocklists everyone else (serve/room.h).
+constexpr int kPrunedCandidates = 32;
+
+/// Shared fixture state for POSHGNN inference benchmarks: an untrained
+/// model and the step context of target 0 at t = 0. `candidates` > 0
+/// adds a blocklist keeping that many users, the mega-room request
+/// shape.
 struct PoshgnnBench {
   Dataset dataset;
   Poshgnn model;
+  OcclusionGraph occlusion;
+  std::vector<bool> blocklist;
+  StepContext context;
 
-  explicit PoshgnnBench(int n)
+  explicit PoshgnnBench(int n, int candidates = 0)
       : dataset([n] {
           DatasetConfig config;
           config.num_users = n;
@@ -155,110 +165,94 @@ struct PoshgnnBench {
           config.seed = 6;
           return GenerateTimikLike(config);
         }()),
-        model(PoshgnnConfig()) {}
+        model(PoshgnnConfig()),
+        occlusion(BuildOcclusionGraph(dataset.sessions[0].PositionsAt(0), 0,
+                                      dataset.sessions[0].body_radius())),
+        blocklist(n, true) {
+    const XrWorld& world = dataset.sessions[0];
+    context.target = 0;
+    context.positions = &world.PositionsAt(0);
+    context.occlusion = &occlusion;
+    context.interfaces = &world.interfaces();
+    context.preference = &dataset.preference;
+    context.social_presence = &dataset.social_presence;
+    context.body_radius = world.body_radius();
+    if (candidates > 0) {
+      for (int i = 0; i < candidates; ++i)
+        blocklist[1 + i * ((n - 1) / candidates)] = false;
+      context.blocklist = &blocklist;
+    }
+  }
+  // `context` points into this object.
+  PoshgnnBench(const PoshgnnBench&) = delete;
+  PoshgnnBench& operator=(const PoshgnnBench&) = delete;
 };
 
 void BM_PoshgnnInferenceStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   PoshgnnBench bench(n);
-  const XrWorld& world = bench.dataset.sessions[0];
-  const OcclusionGraph occlusion =
-      BuildOcclusionGraph(world.PositionsAt(0), 0, world.body_radius());
-  StepContext context;
-  context.target = 0;
-  context.positions = &world.PositionsAt(0);
-  context.occlusion = &occlusion;
-  context.interfaces = &world.interfaces();
-  context.preference = &bench.dataset.preference;
-  context.social_presence = &bench.dataset.social_presence;
-  context.body_radius = world.body_radius();
-
   bench.model.BeginSession(n, 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bench.model.Recommend(context));
+    benchmark::DoNotOptimize(bench.model.Recommend(bench.context));
   }
 }
 BENCHMARK(BM_PoshgnnInferenceStep)->Arg(30)->Arg(200)->Arg(500);
 
-/// Users a served mega-room request keeps as candidates: the server's
-/// recency prune blocklists everyone else (serve/room.h).
-constexpr int kPrunedCandidates = 32;
+// The gated pair: the served step and its f64 reference on the same
+// inputs, which select the same users. The bench-regression lane
+// (scripts/check.sh) fails when the reference/served time ratio of the
+// pruned N = 500 pair falls below its floor (docs/inference.md).
 
-/// One frozen (serving-path) inference step per engine. The pair is the
-/// f64-vs-f32 comparison the inference engine is gated on: same inputs,
-/// same selections. `candidates` > 0 adds a blocklist keeping that many
-/// users, the mega-room request shape. The bench-regression lane
-/// (scripts/check.sh) fails when the f64/f32 time ratio of the pruned
-/// N = 500 pair falls below its floor (docs/inference.md).
-void FrozenStepBench(benchmark::State& state, InferEngine engine,
-                     int candidates = 0) {
-  const int n = static_cast<int>(state.range(0));
-  PoshgnnBench bench(n);
-  const XrWorld& world = bench.dataset.sessions[0];
-  const OcclusionGraph occlusion =
-      BuildOcclusionGraph(world.PositionsAt(0), 0, world.body_radius());
-  StepContext context;
-  context.target = 0;
-  context.positions = &world.PositionsAt(0);
-  context.occlusion = &occlusion;
-  context.interfaces = &world.interfaces();
-  context.preference = &bench.dataset.preference;
-  context.social_presence = &bench.dataset.social_presence;
-  context.body_radius = world.body_radius();
-  std::vector<bool> blocklist(n, true);
-  if (candidates > 0) {
-    for (int i = 0; i < candidates; ++i)
-      blocklist[1 + i * ((n - 1) / candidates)] = false;
-    context.blocklist = &blocklist;
-  }
-
-  FrozenPoshgnn frozen(bench.model, engine);
+/// The served step: FrozenPoshgnn on the fused f32 engine.
+void FrozenStepBench(benchmark::State& state, int candidates) {
+  const PoshgnnBench bench(static_cast<int>(state.range(0)), candidates);
+  FrozenPoshgnn frozen(bench.model);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(frozen.Recommend(context));
+    benchmark::DoNotOptimize(frozen.Recommend(bench.context));
   }
-  state.SetLabel(engine == InferEngine::kFusedF32
-                     ? infer::SimdLevelName(infer::ActiveSimdLevel())
-                     : "reference");
+  state.SetLabel(infer::SimdLevelName(infer::ActiveSimdLevel()));
 }
 
-void BM_FrozenPoshgnnStepF64(benchmark::State& state) {
-  FrozenStepBench(state, InferEngine::kReferenceF64);
+/// The f64 reference of a session-start step: the const forward
+/// AggregateFresh + StepOnTape at zero recurrent state.
+void ReferenceStepBench(benchmark::State& state, int candidates) {
+  const int n = static_cast<int>(state.range(0));
+  const PoshgnnBench bench(n, candidates);
+  const Variable zero_r = Variable::Constant(Matrix(n, 1));
+  const Variable zero_h =
+      Variable::Constant(Matrix(n, bench.model.config().hidden_dim));
+  for (auto _ : state) {
+    const MiaOutput mia = bench.model.AggregateFresh(bench.context);
+    benchmark::DoNotOptimize(
+        bench.model.StepOnTape(mia, zero_r, zero_h).recommendation.value());
+  }
 }
-BENCHMARK(BM_FrozenPoshgnnStepF64)->Arg(30)->Arg(200)->Arg(500);
 
-void BM_FrozenPoshgnnStepF32(benchmark::State& state) {
-  FrozenStepBench(state, InferEngine::kFusedF32);
+void BM_PoshgnnReferenceStep(benchmark::State& state) {
+  ReferenceStepBench(state, 0);
 }
-BENCHMARK(BM_FrozenPoshgnnStepF32)->Arg(30)->Arg(200)->Arg(500);
+BENCHMARK(BM_PoshgnnReferenceStep)->Arg(30)->Arg(200)->Arg(500);
 
-void BM_FrozenPoshgnnStepF64Pruned(benchmark::State& state) {
-  FrozenStepBench(state, InferEngine::kReferenceF64, kPrunedCandidates);
+void BM_FrozenPoshgnnStep(benchmark::State& state) {
+  FrozenStepBench(state, 0);
 }
-BENCHMARK(BM_FrozenPoshgnnStepF64Pruned)->Arg(500);
+BENCHMARK(BM_FrozenPoshgnnStep)->Arg(30)->Arg(200)->Arg(500);
 
-void BM_FrozenPoshgnnStepF32Pruned(benchmark::State& state) {
-  FrozenStepBench(state, InferEngine::kFusedF32, kPrunedCandidates);
+void BM_PoshgnnReferenceStepPruned(benchmark::State& state) {
+  ReferenceStepBench(state, kPrunedCandidates);
 }
-BENCHMARK(BM_FrozenPoshgnnStepF32Pruned)->Arg(500);
+BENCHMARK(BM_PoshgnnReferenceStepPruned)->Arg(500);
+
+void BM_FrozenPoshgnnStepPruned(benchmark::State& state) {
+  FrozenStepBench(state, kPrunedCandidates);
+}
+BENCHMARK(BM_FrozenPoshgnnStepPruned)->Arg(500);
 
 void BM_MiaAggregation(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  PoshgnnBench bench(n);
-  const XrWorld& world = bench.dataset.sessions[0];
-  const OcclusionGraph occlusion =
-      BuildOcclusionGraph(world.PositionsAt(0), 0, world.body_radius());
-  StepContext context;
-  context.target = 0;
-  context.positions = &world.PositionsAt(0);
-  context.occlusion = &occlusion;
-  context.interfaces = &world.interfaces();
-  context.preference = &bench.dataset.preference;
-  context.social_presence = &bench.dataset.social_presence;
-  context.body_radius = world.body_radius();
-
+  const PoshgnnBench bench(static_cast<int>(state.range(0)));
   Mia mia;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mia.Process(context));
+    benchmark::DoNotOptimize(mia.Process(bench.context));
   }
 }
 BENCHMARK(BM_MiaAggregation)->Arg(200)->Arg(500);

@@ -56,10 +56,6 @@
 //        --partitioned --replication=N (default 1, partitioned only)
 //        --kill_shard_ms=F --add_shard_ms=F
 //        --durable_dir=PATH --cold_restart_ms=F (partitioned only)
-//        --engine=f32|f64 (self-contained: every shard serves a frozen
-//                          untrained POSHGNN on the chosen inference
-//                          engine instead of the default mutable
-//                          per-stream primary; docs/inference.md)
 //        --json=PATH (write a BENCH_serve.json-style summary)
 
 #include <fcntl.h>
@@ -488,8 +484,7 @@ int Main(int argc, char** argv) {
   int port = 0, shards = 0, clients = 4, requests = 2000;
   int connections = 0, pipeline = 1;
   int rooms = 2, users = 60, threads = 2, replication = 1;
-  bool partitioned = false, rooms_given = false, engine_set = false;
-  InferEngine engine = InferEngine::kFusedF32;
+  bool partitioned = false, rooms_given = false;
   double deadline_ms = 1000.0, kill_shard_ms = 0.0, add_shard_ms = 0.0;
   double cold_restart_ms = 0.0;
   for (int i = 1; i < argc; ++i) {
@@ -527,13 +522,6 @@ int Main(int argc, char** argv) {
     else if (std::sscanf(argv[i], "--durable_dir=%255s", buffer) == 1)
       durable_dir = buffer;
     else if (std::strcmp(argv[i], "--partitioned") == 0) partitioned = true;
-    else if (std::sscanf(argv[i], "--engine=%255s", buffer) == 1) {
-      if (!ParseInferEngine(buffer, &engine)) {
-        std::fprintf(stderr, "--engine=%s: want f32 or f64\n", buffer);
-        return 1;
-      }
-      engine_set = true;
-    }
     else if (std::sscanf(argv[i], "--host=%255s", buffer) == 1)
       host = buffer;
     else if (std::sscanf(argv[i], "--json=%255s", buffer) == 1)
@@ -564,12 +552,6 @@ int Main(int argc, char** argv) {
   }
   if (cold_restart_ms > 0.0 && durable_dir.empty()) {
     std::fprintf(stderr, "--cold_restart_ms needs --durable_dir\n");
-    return 1;
-  }
-  if (engine_set && shards == 0) {
-    std::fprintf(stderr,
-                 "--engine needs the self-contained fleet (--shards); a "
-                 "remote front (--port) picks its own engine\n");
     return 1;
   }
   if (cold_restart_ms > 0.0 &&
@@ -603,10 +585,9 @@ int Main(int argc, char** argv) {
   std::unique_ptr<bench::LocalFleet> fleet;
   if (shards > 0) {
     std::printf("[net_throughput] starting local fleet: %d shard(s) x "
-                "%d rooms x %d users + router%s, primary engine=%s...\n",
+                "%d rooms x %d users + router%s...\n",
                 shards, rooms, users,
-                partitioned ? " (partitioned)" : "",
-                engine_set ? InferEngineName(engine) : "mutable");
+                partitioned ? " (partitioned)" : "");
     DatasetConfig config;
     config.num_users = users;
     config.num_steps = 2;
@@ -620,8 +601,6 @@ int Main(int argc, char** argv) {
     fleet_config.partitioned = partitioned;
     fleet_config.replication = partitioned ? replication : 0;
     fleet_config.durable_base = durable_dir;
-    fleet_config.engine_set = engine_set;
-    fleet_config.engine = engine;
     fleet_config.front_max_connections = front_max_connections;
     fleet = bench::StartLocalFleet(
         fleet_config,
@@ -896,8 +875,6 @@ int Main(int argc, char** argv) {
     }
     out << "{\n"
         << "  \"bench\": \"net_throughput\",\n"
-        << "  \"engine\": \""
-        << (engine_set ? InferEngineName(engine) : "mutable") << "\",\n"
         << "  \"requests\": " << total << ",\n"
         << "  \"clients\": " << clients << ",\n"
         << "  \"connections\": " << connections << ",\n"

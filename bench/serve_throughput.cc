@@ -17,19 +17,13 @@
 //        --deadline_ms=F (default 1000; <0 disables)
 //        --weights=PATH (serve a trained, frozen POSHGNN loaded from a
 //                        model artifact — see tools/train_poshgnn and
-//                        docs/model_artifacts.md — shared lock-free by
-//                        all workers instead of the untrained
-//                        per-stream primary)
+//                        docs/model_artifacts.md — instead of the
+//                        untrained seed-42 one perfbench serves; either
+//                        way one frozen primary is shared lock-free by
+//                        all workers)
 //        --batch        (in-tick request batching: coalesce each room's
 //                        queued requests into one inference job per
 //                        snapshot; see docs/serving.md)
-//        --engine=f32|f64 (serve a *frozen* POSHGNN on the chosen
-//                        inference engine — the fused f32 kernel path or
-//                        the f64 reference; see docs/inference.md. With
-//                        --weights it selects the frozen engine; without
-//                        it freezes an untrained model instead of the
-//                        default mutable per-stream primary, so the two
-//                        engines are comparable on the same serving path)
 //        --json=PATH    (single-config mode only: write the target
 //                        config's stats as a BENCH_serve.json-style
 //                        summary for scripts/bench_compare.py)
@@ -63,25 +57,11 @@ struct RunStats {
 };
 
 struct PrimarySpec {
-  /// Non-null when serving trained weights: every factory call builds a
-  /// fresh frozen model from this artifact (the server probes one and
-  /// shares it lock-free since FrozenPoshgnn::thread_safe() is true).
+  /// Non-null when serving trained weights: each server's factory call
+  /// builds its frozen primary from this artifact.
   const ModelArtifact* artifact = nullptr;
   bool batch = false;
-  /// --engine given: pin the frozen inference engine (and freeze even
-  /// the untrained primary so both engines run the same serving path).
-  bool engine_set = false;
-  InferEngine engine = InferEngine::kFusedF32;
 };
-
-/// What the --json summary (and the banner) calls the primary's engine:
-/// the frozen engine name, or "mutable" for the default untrained
-/// per-stream trainable model, which has no frozen engine at all.
-const char* EngineLabel(const PrimarySpec& primary) {
-  if (primary.engine_set) return InferEngineName(primary.engine);
-  return primary.artifact != nullptr ? InferEngineName(DefaultInferEngine())
-                                     : "mutable";
-}
 
 RunStats RunConfig(const Dataset& dataset, const PrimarySpec& primary,
                    int num_rooms, int threads, int clients,
@@ -112,10 +92,8 @@ RunStats RunConfig(const Dataset& dataset, const PrimarySpec& primary,
   serve::RecommenderFactory factory;
   if (primary.artifact != nullptr) {
     const ModelArtifact* artifact = primary.artifact;
-    const InferEngine engine =
-        primary.engine_set ? primary.engine : DefaultInferEngine();
-    factory = [artifact, engine]() -> std::unique_ptr<Recommender> {
-      auto frozen = FrozenPoshgnn::FromArtifact(*artifact, engine);
+    factory = [artifact]() -> std::unique_ptr<Recommender> {
+      auto frozen = FrozenPoshgnn::FromArtifact(*artifact);
       if (!frozen.ok()) {
         std::fprintf(stderr, "frozen model: %s\n",
                      frozen.status().ToString().c_str());
@@ -123,23 +101,12 @@ RunStats RunConfig(const Dataset& dataset, const PrimarySpec& primary,
       }
       return std::move(frozen).value();
     };
-  } else if (primary.engine_set) {
-    // Freeze an untrained model on the requested engine so --engine=f32
-    // vs --engine=f64 compares the two kernel paths on the identical
-    // serving surface (shared lock-free, like the trained case).
+  } else {
+    // The untrained seed-42 model perfbench serves.
     PoshgnnConfig model_config;
     model_config.seed = 42;
     auto source = std::make_shared<Poshgnn>(model_config);
-    const InferEngine engine = primary.engine;
-    factory = [source, engine] {
-      return std::make_unique<FrozenPoshgnn>(*source, engine);
-    };
-  } else {
-    PoshgnnConfig model_config;
-    model_config.seed = 42;
-    factory = [model_config] {
-      return std::make_unique<Poshgnn>(model_config);
-    };
+    factory = [source] { return std::make_unique<FrozenPoshgnn>(*source); };
   }
   serve::RecommendationServer server(std::move(rooms), std::move(factory),
                                      server_options);
@@ -209,8 +176,7 @@ int Main(int argc, char** argv) {
   int users = 60, requests = 600;
   double deadline_ms = 1000.0;
   std::string weights, json_path;
-  bool batch = false, engine_set = false;
-  InferEngine engine = InferEngine::kFusedF32;
+  bool batch = false;
   for (int i = 1; i < argc; ++i) {
     int value = 0;
     double fvalue = 0.0;
@@ -229,13 +195,6 @@ int Main(int argc, char** argv) {
       weights = buffer;
     else if (std::sscanf(argv[i], "--json=%255s", buffer) == 1)
       json_path = buffer;
-    else if (std::sscanf(argv[i], "--engine=%255s", buffer) == 1) {
-      if (!ParseInferEngine(buffer, &engine)) {
-        std::fprintf(stderr, "--engine=%s: want f32 or f64\n", buffer);
-        return 1;
-      }
-      engine_set = true;
-    }
     else if (std::strcmp(argv[i], "--batch") == 0)
       batch = true;
     else {
@@ -246,8 +205,6 @@ int Main(int argc, char** argv) {
 
   PrimarySpec primary;
   primary.batch = batch;
-  primary.engine_set = engine_set;
-  primary.engine = engine;
   ModelArtifact artifact;
   if (!weights.empty()) {
     auto loaded = ModelArtifact::Load(weights);
@@ -273,14 +230,12 @@ int Main(int argc, char** argv) {
   std::printf("[serve_throughput] generating %d-user dataset...\n", users);
   const Dataset dataset = GenerateTimikLike(config);
   std::printf(
-      "[serve_throughput] primary=%s, engine=%s, batching=%s, "
+      "[serve_throughput] primary=%s, batching=%s, "
       "fallback=Nearest, deadline=%.0f ms, hw threads=%u\n",
       primary.artifact != nullptr
           ? "POSHGNN(frozen trained artifact, shared lock-free)"
-          : (engine_set
-                 ? "POSHGNN(frozen untrained, shared lock-free)"
-                 : "POSHGNN(untrained, per room+user stream)"),
-      EngineLabel(primary), batch ? "in-tick" : "off", deadline_ms,
+          : "POSHGNN(frozen untrained seed 42, shared lock-free)",
+      batch ? "in-tick" : "off", deadline_ms,
       std::thread::hardware_concurrency());
 
   if (rooms > 0 || threads > 0) {
@@ -316,7 +271,6 @@ int Main(int argc, char** argv) {
       }
       out << "{\n"
           << "  \"bench\": \"serve_throughput\",\n"
-          << "  \"engine\": \"" << EngineLabel(primary) << "\",\n"
           << "  \"rooms\": " << rooms << ",\n"
           << "  \"threads\": " << threads << ",\n"
           << "  \"clients\": " << clients << ",\n"

@@ -29,11 +29,6 @@
 #            the same suites split by ctest regex (-E '^serve/' vs
 #            -R '^serve/') so CI can run both halves in parallel with
 #            per-lane build caches
-#   release-serve-f64
-#            the release serve/ split re-run with AFTER_INFER_ENGINE=f64,
-#            so the f64 reference inference engine keeps passing the
-#            concurrent serving suite even though f32 is the default
-#            (docs/inference.md)
 #   infer-native
 #            configure with -DAFTER_INFER_NATIVE=ON and build the
 #            after_infer library alone: proves the -march=native build of
@@ -51,20 +46,20 @@
 #            first gates two same-run ratios of median CPU times over
 #            5 interleaved micro_kernels repetitions, each against a
 #            floor set between 10 observed runs and a slower variant:
-#            the frozen step's f64/f32 ratio at the pruned N=500
-#            request shape (32 candidates, as in the mega-room
-#            workload; the slower variant is a forward slowed 2x), and
-#            a 512-user scratch graph build over a one-mover delta
-#            carry (the slower variant is the carry that rewrote every
-#            row). Then it runs the serve/net benches in the
-#            baseline config — once
-#            on the default primary and once with --engine=f32 (the
-#            fused inference engine) — plus the C10k config (10k idle
+#            the f64 reference step over the served f32 step at the
+#            pruned N=500 request shape (32 candidates, as in the
+#            mega-room workload; the slower variant is a forward
+#            slowed 2x), and a 512-user scratch graph build over a
+#            one-mover delta carry (the slower variant is the carry
+#            that rewrote every row). Then it runs the serve/net
+#            benches once each in the baseline config (both serve the
+#            frozen POSHGNN on the fused f32 engine), plus the C10k
+#            config (10k idle
 #            connections + pipelined bursts; the run itself fails on
 #            any unconnected swarm client or lost ping) and the
 #            tick_throughput baseline (512-user room, 5% movers, which
 #            must hold a >=2.5x delta-vs-scratch speedup), and gates all
-#            six runs against bench/baselines/*.json with
+#            four runs against bench/baselines/*.json with
 #            scripts/bench_compare.py (>25% p99/throughput regression,
 #            lost/errors != 0, or degraded-share growth fails), then
 #            runs the world_sim macro-driver in its baseline config
@@ -101,7 +96,7 @@ cd "$(dirname "$0")/.."
 # name fails fast with the same list instead of dying inside cmake
 # with a missing-preset error.
 LANE_ORDER=(docs format release asan ubsan tsan release-core release-serve
-  asan-core asan-serve release-serve-f64 infer-native bench bench-regression
+  asan-core asan-serve infer-native bench bench-regression
   perfbench world-sim)
 declare -A LANE_PURPOSE=(
   [docs]="markdown link integrity, subsystem + vocabulary coverage, shellcheck"
@@ -114,7 +109,6 @@ declare -A LANE_PURPOSE=(
   [release-serve]="release suite, serve/ tests only (CI cache-split half)"
   [asan-core]="asan suite minus serve/ (CI cache-split half)"
   [asan-serve]="asan suite, serve/ tests only (CI cache-split half)"
-  [release-serve-f64]="serve/ suite with the f64 reference engine pinned"
   [infer-native]="proves the -march=native after_infer build stays compilable"
   [bench]="smoke-config serving + delta-tick benchmarks (non-blocking in CI)"
   [bench-regression]="baseline-config benches gated vs bench/baselines (blocking)"
@@ -198,11 +192,13 @@ run_docs_lane() {
       fail=1
     fi
   done
-  # The inference page must keep covering the engine vocabulary: the two
-  # engines, the runtime knobs, the SIMD tiers, the workspace machinery,
-  # and the numeric tolerance contract.
-  for term in kFusedF32 kReferenceF64 AFTER_INFER_ENGINE AFTER_INFER_SIMD \
-              AVX2 FMA WorkspacePool arena tolerance engine=f64; do
+  # The inference page must keep covering the engine vocabulary: the
+  # served engine and its f64 reference (the session-start step), the
+  # runtime knob, the SIMD tiers, the workspace machinery, the numeric
+  # tolerance contract and the micro gate's yardstick.
+  for term in FrozenPoshgnn session-start AggregateFresh StepOnTape \
+              AFTER_INFER_SIMD AVX2 FMA WorkspacePool arena tolerance \
+              BM_PoshgnnReferenceStepPruned; do
     if ! grep -q "${term}" docs/inference.md; then
       echo "docs: ${term} is not mentioned in docs/inference.md"
       fail=1
@@ -337,22 +333,25 @@ run_bench_regression_lane() {
   cmake --build --preset release -j "${JOBS}" \
     --target serve_throughput net_throughput tick_throughput world_sim \
     micro_kernels
-  echo "---- micro_kernels (frozen step f64/f32 ratio gate on the pruned ----"
-  echo "---- N=500 request shape; scratch/carry ratio gate at N=512) ----"
+  echo "---- micro_kernels (reference/served step ratio gate on the ----"
+  echo "---- pruned N=500 request shape; scratch/carry ratio gate at ----"
+  echo "---- N=512) ----"
   ./build/bench/micro_kernels \
-    --benchmark_filter='FrozenPoshgnnStep|OcclusionGraphBuild/512|OcclusionCarry' \
+    --benchmark_filter='StepPruned|OcclusionGraphBuild/512|OcclusionCarry' \
     --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
     --benchmark_format=json > build/BENCH_micro.json
   # Both gates are same-run ratios of CPU times, each the median of 5
   # interleaved repetitions, so neither the runner's speed nor time
   # stolen from its vCPU moves them much. No runner of another
   # microarchitecture has been measured.
-  # - Frozen step: the f64 reference over the fused f32 forward. Its
-  #   yardstick is the f64 reference: a change that speeds up or slows
-  #   down the reference moves the ratio as much as one to the fused
-  #   forward, and must re-measure the floor. On a 4-vCPU Intel Xeon VM,
-  #   10 runs read 30.9-49.8x and a fused forward slowed 2x read
-  #   14.8-24.3x in 6 runs; the floor sits between the two
+  # - POSHGNN step: the f64 reference of a session-start step (the
+  #   const AggregateFresh + StepOnTape at zero state) over the served
+  #   fused f32 step. Its yardstick is the f64 reference: a change that
+  #   speeds up or slows down the reference moves the ratio as much as
+  #   one to the fused forward, and must re-measure the floor. On a
+  #   4-vCPU Intel Xeon VM, 18 runs read 30.3-55.5x and 17 runs of a
+  #   fused forward slowed 2x, 6 of them interleaved with the normal
+  #   ones, read 15.3-26.0x; the floor sits midway between the two
   #   (docs/inference.md).
   # - Delta carry: a scratch build of a 512-user graph over one carry
   #   after 1 agent moved, the deadlocked mega-room tick. The yardstick
@@ -369,9 +368,9 @@ with open(sys.argv[1]) as handle:
                if b.get("aggregate_name") == "median"}
 failures = []
 for label, slow, fast, floor in [
-        ("frozen step, pruned N=500: f64 / f32",
-         "BM_FrozenPoshgnnStepF64Pruned/500", "BM_FrozenPoshgnnStepF32Pruned/500",
-         25.0),
+        ("POSHGNN step, pruned N=500: f64 reference / served f32",
+         "BM_PoshgnnReferenceStepPruned/500", "BM_FrozenPoshgnnStepPruned/500",
+         28.0),
         ("occlusion graph, N=512: scratch build / carry of 1 moved",
          "BM_OcclusionGraphBuild/512", "BM_OcclusionCarry/1", 30.0)]:
     a, b = medians[slow], medians[fast]
@@ -392,14 +391,6 @@ PY
   ./build/bench/net_throughput --partitioned --shards=3 --rooms=12 \
     --users=24 --clients=4 --requests=8000 --kill_shard_ms=300 \
     --json=build/BENCH_net.json
-  echo "---- serve_throughput (baseline config, fused f32 engine) ----"
-  ./build/bench/serve_throughput --rooms=2 --threads=2 --clients=4 \
-    --requests=4000 --users=24 --engine=f32 \
-    --json=build/BENCH_serve_f32.json
-  echo "---- net_throughput (baseline config, fused f32 engine) ----"
-  ./build/bench/net_throughput --partitioned --shards=3 --rooms=12 \
-    --users=24 --clients=4 --requests=8000 --kill_shard_ms=300 \
-    --engine=f32 --json=build/BENCH_net_f32.json
   echo "---- net_throughput (C10k baseline: 10k idle connections + ----"
   echo "---- pipelined bursts) ----"
   ./build/bench/net_throughput --shards=2 --rooms=8 --users=24 \
@@ -415,8 +406,6 @@ PY
   python3 scripts/bench_compare.py \
     bench/baselines/BENCH_serve.json build/BENCH_serve.json \
     bench/baselines/BENCH_net.json build/BENCH_net.json \
-    bench/baselines/BENCH_serve_f32.json build/BENCH_serve_f32.json \
-    bench/baselines/BENCH_net_f32.json build/BENCH_net_f32.json \
     bench/baselines/BENCH_net_c10k.json build/BENCH_net_c10k.json \
     bench/baselines/BENCH_tick.json build/BENCH_tick.json
   echo "---- world_sim (baseline config: Zipf + diurnal + kill-at- ----"
@@ -520,15 +509,6 @@ run_lane() {
     bench-regression) run_bench_regression_lane; return ;;
     perfbench) run_perfbench_lane; return ;;
     world-sim) run_world_sim_lane; return ;;
-    release-serve-f64)
-      # The f32 engine is the default; this lane pins the f64 reference
-      # engine via the environment override and re-runs the concurrent
-      # serving suite against it.
-      cmake --preset release
-      cmake --build --preset release -j "${JOBS}"
-      AFTER_INFER_ENGINE=f64 ctest --test-dir build -R '^serve/' \
-        --output-on-failure -j "${JOBS}"
-      return ;;
     infer-native)
       # Opt-in -march=native build of the inference kernels must stay
       # compilable; only the after_infer library is needed to prove it.

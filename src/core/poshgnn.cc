@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/check.h"
@@ -22,10 +21,9 @@ constexpr int kDeltaDim = 3;    // [e0, e1, e2]
 
 Rng MakeInitRng(uint64_t seed) { return Rng(seed * 0xA24BAED4963EE407ULL); }
 
-/// Decodes the display set from one step's probabilities. Shared by the
-/// mutable model (previous = its recurrent state before the step) and
-/// the frozen inference path (previous = zeros), which is what keeps
-/// the two bit-exact on the same inputs.
+/// Decodes the display set from one step's probabilities (previous =
+/// the recurrent state before the step). The fused engine's decoder
+/// (infer/engine.cc) mirrors it at session start, where previous = 0.
 std::vector<bool> DecodeSelection(const PoshgnnConfig& config,
                                   const MiaOutput& mia,
                                   const Matrix& probabilities,
@@ -74,49 +72,7 @@ std::string FormatDouble(double value) {
   return oss.str();
 }
 
-/// True when two batch entries describe the same inference job — same
-/// scene snapshot (by pointer; the in-tick batcher hands every request
-/// of one room tick the same snapshot), same target, same geometry
-/// knobs. Mirrors infer::SameJob so both engines dedupe identically.
-bool SameBatchJob(const StepContext& a, const StepContext& b) {
-  return a.t == b.t && a.target == b.target && a.positions == b.positions &&
-         a.occlusion == b.occlusion && a.interfaces == b.interfaces &&
-         a.preference == b.preference &&
-         a.social_presence == b.social_presence &&
-         a.body_radius == b.body_radius &&
-         a.distance_scale == b.distance_scale && a.blocklist == b.blocklist;
-}
-
 }  // namespace
-
-const char* InferEngineName(InferEngine engine) {
-  switch (engine) {
-    case InferEngine::kFusedF32:
-      return "f32";
-    case InferEngine::kReferenceF64:
-      return "f64";
-  }
-  return "unknown";
-}
-
-bool ParseInferEngine(const std::string& name, InferEngine* out) {
-  if (name == "f32") {
-    *out = InferEngine::kFusedF32;
-    return true;
-  }
-  if (name == "f64") {
-    *out = InferEngine::kReferenceF64;
-    return true;
-  }
-  return false;
-}
-
-InferEngine DefaultInferEngine() {
-  InferEngine engine = InferEngine::kFusedF32;
-  const char* env = std::getenv("AFTER_INFER_ENGINE");
-  if (env != nullptr) ParseInferEngine(env, &engine);
-  return engine;
-}
 
 Poshgnn::Poshgnn(const PoshgnnConfig& config)
     : config_(config),
@@ -303,55 +259,44 @@ Result<PoshgnnConfig> PoshgnnConfigFromArtifact(
   return config;
 }
 
-FrozenPoshgnn::FrozenPoshgnn(const Poshgnn& source, InferEngine engine)
-    : model_(source.config()), engine_(engine) {
-  // Deep copy: a fresh architecture plus a bit-exact value restore, so
-  // the frozen instance shares no autograd nodes with the source and a
-  // later Train() on the source cannot perturb serving.
-  std::vector<Variable> params = model_.Parameters();
-  RestoreParameters(SnapshotParameters(source.Parameters()), params);
-
-  if (engine_ == InferEngine::kFusedF32) {
-    // One-time weight conversion: the engine narrows every parameter to
-    // contiguous row-major f32 and pre-folds the LWP session-start
-    // structure (docs/inference.md).
-    const PoshgnnConfig& config = model_.config();
-    infer::EngineConfig engine_config;
-    engine_config.hidden_dim = config.hidden_dim;
-    engine_config.beta = config.beta;
-    engine_config.threshold = config.threshold;
-    engine_config.max_recommendations = config.max_recommendations;
-    engine_config.use_mia = config.use_mia;
-    engine_config.use_lwp = config.use_lwp;
-    std::vector<Matrix> values;
-    for (const Variable& parameter : model_.Parameters())
-      values.push_back(parameter.value());
-    fused_ =
-        std::make_unique<infer::PoshgnnInferEngine>(engine_config, values);
-  }
+FrozenPoshgnn::FrozenPoshgnn(const Poshgnn& source)
+    : name_(source.name() + " (frozen)") {
+  // One-time weight conversion: the engine narrows every parameter to
+  // contiguous row-major f32 and pre-folds the LWP session-start
+  // structure (docs/inference.md).
+  const PoshgnnConfig& config = source.config();
+  infer::EngineConfig engine_config;
+  engine_config.hidden_dim = config.hidden_dim;
+  engine_config.beta = config.beta;
+  engine_config.threshold = config.threshold;
+  engine_config.max_recommendations = config.max_recommendations;
+  engine_config.use_mia = config.use_mia;
+  engine_config.use_lwp = config.use_lwp;
+  std::vector<Matrix> values;
+  for (const Variable& parameter : source.Parameters())
+    values.push_back(parameter.value());
+  engine_ = std::make_unique<infer::PoshgnnInferEngine>(engine_config, values);
 }
 
 FrozenPoshgnn::~FrozenPoshgnn() = default;
 
 Result<std::unique_ptr<FrozenPoshgnn>> FrozenPoshgnn::FromArtifact(
-    const ModelArtifact& artifact, InferEngine engine) {
+    const ModelArtifact& artifact) {
   Result<PoshgnnConfig> config = PoshgnnConfigFromArtifact(artifact);
   if (!config.ok()) return config.status();
   Poshgnn model(config.value());
   AFTER_RETURN_IF_ERROR(model.LoadArtifact(artifact));
-  return std::make_unique<FrozenPoshgnn>(model, engine);
+  return std::make_unique<FrozenPoshgnn>(model);
 }
 
 Result<std::unique_ptr<FrozenPoshgnn>> FrozenPoshgnn::FromArtifactFile(
-    const std::string& path, InferEngine engine) {
+    const std::string& path) {
   Result<ModelArtifact> artifact = ModelArtifact::Load(path);
   if (!artifact.ok()) return artifact.status();
-  return FromArtifact(artifact.value(), engine);
+  return FromArtifact(artifact.value());
 }
 
-std::string FrozenPoshgnn::name() const {
-  return model_.name() + " (frozen)";
-}
+std::string FrozenPoshgnn::name() const { return name_; }
 
 void FrozenPoshgnn::BeginSession(int num_users, int target) {
   (void)num_users;
@@ -359,57 +304,7 @@ void FrozenPoshgnn::BeginSession(int num_users, int target) {
 }
 
 std::vector<bool> FrozenPoshgnn::Recommend(const StepContext& context) {
-  if (fused_ != nullptr) return fused_->Recommend(context);
-  const int n = static_cast<int>(context.positions->size());
-  const MiaOutput mia = model_.AggregateFresh(context);
-  const Matrix zero_r(n, 1);
-  const Poshgnn::StepResult step =
-      model_.StepOnTape(mia, Variable::Constant(zero_r),
-                        Variable::Constant(Matrix(n, config().hidden_dim)));
-  return DecodeSelection(config(), mia, step.recommendation.value(), zero_r,
-                         context.target);
-}
-
-std::vector<std::vector<bool>> FrozenPoshgnn::RecommendBatch(
-    const std::vector<StepContext>& contexts) {
-  if (fused_ != nullptr) return fused_->RecommendBatch(contexts);
-  // One coalesced job: the zero session-start state is materialized once
-  // per population size and shared (as autograd constants) by every
-  // target's pass, and duplicate (scene, target) entries reuse the first
-  // forward instead of recomputing it. The graph convolutions stay
-  // per-target because each target has its own occlusion adjacency — a
-  // dense block-diagonal super-pass would square the flop count (header
-  // comment).
-  std::vector<std::vector<bool>> out(contexts.size());
-  std::vector<int> distinct;
-  Variable zero_r, zero_h;
-  Matrix zero_previous;
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    const StepContext& context = contexts[i];
-    int duplicate_of = -1;
-    for (int j : distinct) {
-      if (SameBatchJob(contexts[j], context)) {
-        duplicate_of = j;
-        break;
-      }
-    }
-    if (duplicate_of >= 0) {
-      out[i] = out[duplicate_of];
-      continue;
-    }
-    const int n = static_cast<int>(context.positions->size());
-    if (!zero_r.defined() || zero_r.rows() != n) {
-      zero_previous = Matrix(n, 1);
-      zero_r = Variable::Constant(zero_previous);
-      zero_h = Variable::Constant(Matrix(n, config().hidden_dim));
-    }
-    const MiaOutput mia = model_.AggregateFresh(context);
-    const Poshgnn::StepResult step = model_.StepOnTape(mia, zero_r, zero_h);
-    out[i] = DecodeSelection(config(), mia, step.recommendation.value(),
-                             zero_previous, context.target);
-    distinct.push_back(static_cast<int>(i));
-  }
-  return out;
+  return engine_->Recommend(context);
 }
 
 void Poshgnn::Train(const Dataset& dataset, const TrainOptions& options) {

@@ -21,33 +21,6 @@ namespace infer {
 class PoshgnnInferEngine;
 }  // namespace infer
 
-/// Which forward implementation a FrozenPoshgnn serves with.
-/// Training, artifact I/O and the mutable model are always double —
-/// the engine choice only affects frozen inference.
-enum class InferEngine {
-  /// Fused float32 kernels (src/infer/): weights converted once at
-  /// load, runtime AVX2/FMA dispatch, arena-backed zero-allocation
-  /// steady state. Matches the reference path within the documented
-  /// tolerance (docs/inference.md). The default.
-  kFusedF32,
-  /// The original double-precision autograd path — bit-exact against
-  /// the mutable model; escape hatch (--engine=f64) for numerical
-  /// triage and A/B benching.
-  kReferenceF64,
-};
-
-/// "f32" / "f64" — used by bench JSON and flag parsing.
-const char* InferEngineName(InferEngine engine);
-
-/// Parses "f32"/"f64" (the InferEngineName vocabulary). Returns false
-/// and leaves *out untouched on anything else.
-bool ParseInferEngine(const std::string& name, InferEngine* out);
-
-/// kFusedF32 unless the AFTER_INFER_ENGINE environment variable names a
-/// valid engine ("f32"/"f64"). Read per call, so tests and CI lanes can
-/// re-point a whole binary without plumbing flags.
-InferEngine DefaultInferEngine();
-
 /// Configuration of the POSHGNN framework (Sec. IV). The `use_*` flags
 /// realize the Table V ablations: Full = both true; "PDR w/ MIA" =
 /// use_lwp false; "Only PDR" = both false (raw features, no Δ, no mask
@@ -88,8 +61,8 @@ class Poshgnn : public TrainableRecommender {
   void BeginSession(int num_users, int target) override;
   /// NOT thread-safe (thread_safe() stays false): Recommend advances the
   /// detached recurrent state and MIA's previous-step adjacency, both
-  /// keyed to one target's session; the serving runtime therefore
-  /// instantiates POSHGNN per (room, target) stream.
+  /// keyed to one target's session. The offline evaluator replays it one
+  /// target session at a time; the serving runtime serves FrozenPoshgnn.
   std::vector<bool> Recommend(const StepContext& context) override;
   void Train(const Dataset& dataset, const TrainOptions& options) override;
 
@@ -103,8 +76,9 @@ class Poshgnn : public TrainableRecommender {
 
   /// Session-start aggregation that touches no member state: a fresh MIA
   /// (no remembered previous adjacency, so Δ_t = [1 | 0 | 0]) or the raw
-  /// ablation path. This is the inference substrate of FrozenPoshgnn —
-  /// const and safe to call concurrently.
+  /// ablation path. Const and safe to call concurrently. With StepOnTape
+  /// at zero state it is the f64 reference forward of a session-start
+  /// step, which the fused engine's tests and micro gate compare against.
   MiaOutput AggregateFresh(const StepContext& context) const;
 
   std::vector<Variable> Parameters() const;
@@ -173,37 +147,32 @@ Result<PoshgnnConfig> PoshgnnConfigFromArtifact(const ModelArtifact& artifact);
 ///
 /// Semantics: every Recommend() is a *session-start* step — MIA carries
 /// no previous adjacency and the preservation gate sees r_{t-1} = 0,
-/// h_{t-1} = 0 — exactly what the mutable model computes on the first
-/// step after BeginSession(). That makes the frozen f64 path bit-exact
-/// against the mutable model on the same inputs (tested in
-/// tests/core/poshgnn_test.cc) at the cost of the temporal-continuity
-/// term, a deliberate serving trade-off documented in docs/serving.md:
+/// h_{t-1} = 0 — which is what the mutable model computes on the first
+/// step after BeginSession(). That drops the temporal-continuity term, a
+/// deliberate serving trade-off documented in docs/serving.md:
 /// cross-tick smoothing is traded for lock-free sharing and in-tick
 /// batching.
 ///
-/// By default inference runs on the fused float32 engine (src/infer/,
-/// InferEngine::kFusedF32): same decisions within the documented
-/// tolerance, several times faster. InferEngine::kReferenceF64 keeps
-/// the bit-exact double path.
+/// Inference runs on the fused float32 engine (src/infer/). Its
+/// selections equal the mutable model's session-start step, and every
+/// layer stays within the documented tolerance of it
+/// (docs/inference.md, tests/infer/engine_test.cc).
 class FrozenPoshgnn : public Recommender {
  public:
-  /// Deep-copies config and current weights from a (typically trained)
-  /// mutable model; the frozen instance shares no autograd nodes with
-  /// the source.
-  explicit FrozenPoshgnn(const Poshgnn& source,
-                         InferEngine engine = DefaultInferEngine());
+  /// Converts config and current weights of a (typically trained)
+  /// mutable model; the frozen instance shares nothing with the source,
+  /// so a later Train() on the source cannot perturb serving.
+  explicit FrozenPoshgnn(const Poshgnn& source);
   ~FrozenPoshgnn() override;
 
   /// Builds the architecture described by the artifact header and loads
-  /// the checksummed weights into it. The engine choice is a serving
-  /// knob, not part of the artifact: the same bytes power both.
+  /// the checksummed weights into it.
   static Result<std::unique_ptr<FrozenPoshgnn>> FromArtifact(
-      const ModelArtifact& artifact,
-      InferEngine engine = DefaultInferEngine());
+      const ModelArtifact& artifact);
 
   /// Convenience: Load + FromArtifact.
   static Result<std::unique_ptr<FrozenPoshgnn>> FromArtifactFile(
-      const std::string& path, InferEngine engine = DefaultInferEngine());
+      const std::string& path);
 
   std::string name() const override;
   /// Stateless by construction: nothing to reset.
@@ -211,29 +180,11 @@ class FrozenPoshgnn : public Recommender {
   bool thread_safe() const override { return true; }
   std::vector<bool> Recommend(const StepContext& context) override;
 
-  /// One coalesced inference job for all targets of one scene: shared
-  /// zero-state across targets, one forward per *distinct* job —
-  /// duplicate (scene, target) contexts in the batch reuse the first
-  /// answer instead of recomputing the forward. The graph convolutions
-  /// stay per-target because the occlusion adjacency is target-specific
-  /// (a dense block-diagonal super-pass would cost O(T²·n²) against the
-  /// per-target sum's O(T·n²)); see docs/serving.md.
-  std::vector<std::vector<bool>> RecommendBatch(
-      const std::vector<StepContext>& contexts) override;
-
-  const PoshgnnConfig& config() const { return model_.config(); }
-
-  /// The engine this instance serves with (fixed at construction).
-  InferEngine engine() const { return engine_; }
-
  private:
-  /// Const after construction; only const members (AggregateFresh,
-  /// StepOnTape) are ever invoked on it.
-  Poshgnn model_;
-  InferEngine engine_;
-  /// Present iff engine_ == kFusedF32: the weights converted to f32 at
-  /// construction plus the per-request workspace pool.
-  std::unique_ptr<infer::PoshgnnInferEngine> fused_;
+  std::string name_;
+  /// The weights converted to f32 at construction plus the per-request
+  /// workspace pool.
+  std::unique_ptr<infer::PoshgnnInferEngine> engine_;
 };
 
 }  // namespace after

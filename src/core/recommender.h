@@ -94,30 +94,26 @@ class Recommender {
   /// (serve/server.h): true means Recommend() is logically const and
   /// re-entrant — it mutates no member state, so one instance may serve
   /// concurrent requests for arbitrary targets without synchronization.
-  /// Defaults to false (the safe answer): session-stateful models
-  /// (POSHGNN / TGCN / DCRNN carry recurrent state, COMURNet carries its
-  /// staleness pipeline, Random/Oracle mutate an RNG or the previous
-  /// selection) must be instantiated per (room, target) stream and have
-  /// their calls serialized. Purely functional baselines (Nearest, and
-  /// MvAGC / GraFrank after training) override this to true.
+  /// The runtime requires it: it builds one primary and shares it across
+  /// every room and worker. Defaults to false (the safe answer):
+  /// session-stateful models (POSHGNN / TGCN / DCRNN carry recurrent
+  /// state, COMURNet carries its staleness pipeline, Random/Oracle
+  /// mutate an RNG or the previous selection) belong to the offline
+  /// evaluator, which replays them one target session at a time. Purely
+  /// functional models (Nearest, FrozenPoshgnn, and MvAGC / GraFrank
+  /// after training) override this to true.
   virtual bool thread_safe() const { return false; }
 
   /// Returns the set of users rendered for the target at this step
   /// (true = recommended). The target's own slot must be false.
   virtual std::vector<bool> Recommend(const StepContext& context) = 0;
 
-  /// Answers many targets of the *same scene* in one call — the hook the
-  /// serving runtime's in-tick batcher (serve/batcher.h) drives: all
-  /// requests queued against one room snapshot coalesce into a single
-  /// RecommendBatch invocation. The default simply loops Recommend;
-  /// batch-aware models (FrozenPoshgnn) override it to share per-scene
-  /// work across targets. Returns one Recommend-shaped vector per
-  /// context, in order.
-  ///
-  /// Contexts in one batch may carry different (or no) blocklists —
-  /// the batcher attaches per-target prune masks — so overrides that
-  /// dedupe or share work across contexts must key on the blocklist
-  /// too, not just the target (infer/engine.cc's SameJob does).
+  /// Answers many targets of the *same scene* in one call; returns one
+  /// Recommend-shaped vector per context, in order. The default loops
+  /// Recommend, and nothing in src/ overrides or calls it: the serving
+  /// runtime, batcher included, calls Recommend once per distinct
+  /// target. It stays for decorators that forward it (perfbench's
+  /// TracedRecommender).
   virtual std::vector<std::vector<bool>> RecommendBatch(
       const std::vector<StepContext>& contexts) {
     std::vector<std::vector<bool>> out;

@@ -14,19 +14,6 @@ namespace {
 constexpr int kFeatureDim = 4;  // [p̂, ŝ, distance, interface]
 constexpr int kDeltaDim = 3;    // [e0, e1, e2]
 
-/// Two contexts describe the same inference job when every input the
-/// forward consults is identical — same scene snapshot (by pointer; the
-/// in-tick batcher passes one snapshot per room tick), same target, same
-/// geometry knobs. Duplicate jobs in one batch reuse the first answer.
-bool SameJob(const StepContext& a, const StepContext& b) {
-  return a.t == b.t && a.target == b.target && a.positions == b.positions &&
-         a.occlusion == b.occlusion && a.interfaces == b.interfaces &&
-         a.preference == b.preference &&
-         a.social_presence == b.social_presence &&
-         a.body_radius == b.body_radius &&
-         a.distance_scale == b.distance_scale && a.blocklist == b.blocklist;
-}
-
 }  // namespace
 
 PoshgnnInferEngine::PoshgnnInferEngine(const EngineConfig& config,
@@ -261,31 +248,6 @@ std::vector<bool> PoshgnnInferEngine::Recommend(
   WorkspacePool::Handle handle = pool_.Acquire();
   const Buffers b = Forward(context, OutputRows::kLive, *handle.get());
   return Decode(context, b, *handle.get());
-}
-
-std::vector<std::vector<bool>> PoshgnnInferEngine::RecommendBatch(
-    const std::vector<StepContext>& contexts) const {
-  std::vector<std::vector<bool>> out(contexts.size());
-  std::vector<int> distinct;
-  WorkspacePool::Handle handle = pool_.Acquire();
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    int duplicate_of = -1;
-    for (int j : distinct) {
-      if (SameJob(contexts[j], contexts[i])) {
-        duplicate_of = j;
-        break;
-      }
-    }
-    if (duplicate_of >= 0) {
-      out[i] = out[duplicate_of];
-      continue;
-    }
-    handle->arena.Reset();
-    const Buffers b = Forward(contexts[i], OutputRows::kLive, *handle.get());
-    out[i] = Decode(contexts[i], b, *handle.get());
-    distinct.push_back(static_cast<int>(i));
-  }
-  return out;
 }
 
 ForwardTrace PoshgnnInferEngine::Trace(const StepContext& context,

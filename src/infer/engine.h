@@ -76,15 +76,8 @@ class PoshgnnInferEngine {
                      SimdLevel level = ActiveSimdLevel());
 
   /// Session-start recommendation, same contract as
-  /// FrozenPoshgnn::Recommend. Routed through the batch kernel path so
-  /// single and batched answers are bit-identical.
+  /// FrozenPoshgnn::Recommend.
   std::vector<bool> Recommend(const StepContext& context) const;
-
-  /// Shared-scene batch: distinct (scene, target) jobs run the fused
-  /// forward once; duplicate contexts reuse the computed selection. The
-  /// whole batch shares one workspace (one warm arena).
-  std::vector<std::vector<bool>> RecommendBatch(
-      const std::vector<StepContext>& contexts) const;
 
   /// Runs the fused forward and copies out every intermediate (parity
   /// harness hook; not a serving path). Computes every row unless told

@@ -42,19 +42,22 @@ class LatencyHistogram {
   std::atomic<int64_t> buckets_[kNumBuckets] = {};
 };
 
-/// Per-room request histogram: how many requests each room id has
-/// received since start (or Reset). Unlike the rest of ServerMetrics
+/// Per-room request histogram: how many requests the server answered
+/// against each hosted room since start (or Reset). A room is noted
+/// only once a request resolves to it, so ids from an untrusted wire
+/// never grow the map, and requests shed at admission do not count per
+/// room (they still count in `shed`). Unlike the rest of ServerMetrics
 /// this is a mutex-guarded map, not a lock-free counter — the room-id
 /// space is open-ended (partitioned shards host whatever the router
-/// grants), and one short uncontended lock per request is cheap next to
-/// a model forward pass. Skew-aware drivers (bench/world_sim) read the
-/// snapshot to verify that offered Zipf load actually reached the
-/// rooms it targeted.
+/// grants), and one short uncontended lock per answered batch (one
+/// request on the direct path) is cheap next to a model forward pass.
+/// Skew-aware drivers (bench/world_sim) read the snapshot to verify
+/// that offered Zipf load actually reached the rooms it targeted.
 class PerRoomCounters {
  public:
-  void Note(int room) {
+  void Note(int room, int64_t requests) {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++counts_[room];
+    counts_[room] += requests;
   }
 
   std::unordered_map<int, int64_t> Snapshot() const {

@@ -118,14 +118,6 @@ StepContext RoomSnapshot::ContextFor(int target) const {
   return context;
 }
 
-std::vector<StepContext> RoomSnapshot::ContextsFor(
-    const std::vector<int>& targets) const {
-  std::vector<StepContext> contexts;
-  contexts.reserve(targets.size());
-  for (int target : targets) contexts.push_back(ContextFor(target));
-  return contexts;
-}
-
 Room::Room(const Options& options, const Dataset* dataset,
            const XrWorld* world)
     : options_(options),

@@ -75,11 +75,6 @@ class RoomSnapshot {
   /// offline replay bit-exactly (tests/serve/determinism_test.cc).
   StepContext ContextFor(int target) const;
 
-  /// Batch counterpart used by the in-tick batcher (serve/batcher.h):
-  /// one context per target, all viewing this same snapshot, occlusion
-  /// graphs built (once) for every requested target up front.
-  std::vector<StepContext> ContextsFor(const std::vector<int>& targets) const;
-
   /// Temporal recency view attached at publish (null when the room's
   /// temporal index is off).
   const std::shared_ptr<const TemporalView>& temporal_view() const {

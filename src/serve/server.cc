@@ -13,20 +13,22 @@ namespace serve {
 RecommendationServer::RecommendationServer(
     std::vector<std::unique_ptr<Room>> rooms, RecommenderFactory factory,
     const ServerOptions& options)
-    : options_(options), factory_(std::move(factory)),
-      fallback_(options.fallback_k) {
-  AFTER_CHECK(factory_ != nullptr);
+    : options_(options), fallback_(options.fallback_k) {
+  AFTER_CHECK(factory != nullptr);
   for (auto& room : rooms) {
     AFTER_CHECK(room != nullptr);
     const int id = room->id();
     AFTER_CHECK(rooms_.emplace(id, std::move(room)).second);
   }
-  // Probe the primary's capabilities once. A thread-safe model is shared
-  // lock-free by every worker; a stateful one keeps the probe unused and
-  // instances are built per (room, user) stream on demand.
-  std::unique_ptr<Recommender> probe = factory_();
-  AFTER_CHECK(probe != nullptr);
-  if (probe->thread_safe()) primary_shared_ = std::move(probe);
+  primary_ = factory();
+  AFTER_CHECK(primary_ != nullptr);
+  AFTER_CHECK_MSG(primary_->thread_safe(),
+                  "the serving primary '"
+                      << primary_->name()
+                      << "' is not thread-safe; the server shares one "
+                         "primary across every room and worker, so "
+                         "stateful models belong to the offline evaluator "
+                         "(serve FrozenPoshgnn instead)");
   pool_ = std::make_unique<ThreadPool>(options_.num_threads,
                                        options_.queue_capacity);
   if (options_.batch_requests) {
@@ -49,7 +51,6 @@ void RecommendationServer::Submit(
     const FriendRequest& request,
     std::function<void(const FriendResponse&)> done) {
   metrics_.requests_submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.room_requests.Note(request.room);
   const double budget_ms = request.deadline_ms == 0.0
                                ? options_.default_deadline_ms
                                : request.deadline_ms;
@@ -69,11 +70,13 @@ void RecommendationServer::Submit(
     SubmitBatched(request, deadline, std::move(done_ptr));
     return;
   }
+  // One pool task per request keeps idle rooms at their lowest latency;
+  // it answers through the same ladder as the batcher's drains.
   const bool admitted =
       pool_->TrySubmit([this, request, deadline, done_ptr] {
-        const FriendResponse response = Process(request, deadline);
-        metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-        (*done_ptr)(response);
+        std::vector<TickBatcher::Pending> batch;
+        batch.push_back({request, deadline, done_ptr});
+        ProcessBatch(request.room, std::move(batch));
       });
   if (!admitted) {
     metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
@@ -147,12 +150,6 @@ std::shared_ptr<Room> RecommendationServer::RemoveRoom(int id) {
     removed = std::move(it->second);
     rooms_.erase(it);
   }
-  // Drop the room's recurrent streams: if the room ever comes back it
-  // starts fresh, exactly like a never-before-seen room on a new shard.
-  {
-    std::lock_guard<std::mutex> lock(stream_models_mutex_);
-    stream_models_.erase(id);
-  }
   return removed;
 }
 
@@ -187,17 +184,12 @@ void RecommendationServer::SubmitBatched(
     (*done)(response);
   };
 
-  // The batcher parks per room, so a nonexistent room is answered here
-  // (the per-request path reports it from Process instead).
+  // The batcher parks per room, so an unhosted room is answered here,
+  // through the ladder, before it can grow a queue.
   if (request.room < 0 || !HasRoom(request.room)) {
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-    FriendResponse response;
-    std::ostringstream oss;
-    oss << "room " << request.room << " does not exist";
-    response.status = NotFoundError(oss.str());
-    response.latency_ms = deadline.ElapsedMs();
-    metrics_.latency.RecordMs(response.latency_ms);
-    answer_inline(std::move(response));
+    std::vector<TickBatcher::Pending> batch;
+    batch.push_back({request, deadline, std::move(done)});
+    ProcessBatch(request.room, std::move(batch));
     return;
   }
 
@@ -239,35 +231,21 @@ void RecommendationServer::DrainRoom(int room) {
   while (true) {
     std::vector<TickBatcher::Pending> batch = batcher_->TakeBatch(room);
     if (batch.empty()) return;
+    metrics_.batches.fetch_add(1, std::memory_order_relaxed);
+    metrics_.batched_requests.fetch_add(static_cast<int64_t>(batch.size()),
+                                        std::memory_order_relaxed);
     ProcessBatch(room, std::move(batch));
   }
 }
 
 void RecommendationServer::ProcessBatch(
     int room, std::vector<TickBatcher::Pending> batch) {
-  const std::shared_ptr<Room> hosted = FindRoom(room);
-  if (hosted == nullptr) {
-    // The room was removed (migrated away) after these requests were
-    // admitted; answer each one rather than stranding its callback.
-    for (const TickBatcher::Pending& pending : batch) {
-      metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-      FriendResponse response;
-      response.status =
-          NotFoundError("room " + std::to_string(room) +
-                        " was removed while the batch was queued");
-      response.latency_ms = pending.deadline.ElapsedMs();
-      metrics_.latency.RecordMs(response.latency_ms);
-      metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      (*pending.done)(response);
-    }
-    return;
-  }
-  Room& room_ref = *hosted;
-  const int n = room_ref.num_users();
-  const std::shared_ptr<const RoomSnapshot> snapshot = room_ref.snapshot();
-  metrics_.batches.fetch_add(1, std::memory_order_relaxed);
-  metrics_.batched_requests.fetch_add(static_cast<int64_t>(batch.size()),
-                                      std::memory_order_relaxed);
+  // Resolved once for the whole batch. In-flight requests keep a removed
+  // (migrated) room alive through this shared_ptr and drain normally.
+  const std::shared_ptr<Room> hosted = room < 0 ? nullptr : FindRoom(room);
+  if (hosted != nullptr)
+    metrics_.room_requests.Note(room, static_cast<int64_t>(batch.size()));
+  const int n = hosted != nullptr ? hosted->num_users() : 0;
 
   auto respond = [this](const TickBatcher::Pending& pending,
                         FriendResponse response) {
@@ -279,7 +257,7 @@ void RecommendationServer::ProcessBatch(
     (*pending.done)(response);
   };
 
-  // Ladder steps 1-2 and validation happen per request before any model
+  // Ladder step 2 and validation happen per request before any model
   // work; survivors coalesce by target so duplicate requests for one
   // user share a single forward pass.
   struct Group {
@@ -290,72 +268,48 @@ void RecommendationServer::ProcessBatch(
   std::unordered_map<int, size_t> group_of_user;
   for (size_t i = 0; i < batch.size(); ++i) {
     const TickBatcher::Pending& pending = batch[i];
-    if (pending.deadline.Expired()) {
-      metrics_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      FriendResponse response;
-      std::ostringstream oss;
-      oss << "deadline expired after " << pending.deadline.ElapsedMs()
-          << " ms in batch queue";
-      response.status = TimeoutError(oss.str());
-      respond(pending, std::move(response));
+    const bool expired = pending.deadline.Expired();
+    const int user = pending.request.user;
+    if (!expired && hosted != nullptr && user >= 0 && user < n) {
+      auto [it, inserted] = group_of_user.emplace(user, groups.size());
+      if (inserted) groups.push_back(Group{user, {}});
+      groups[it->second].members.push_back(i);
       continue;
     }
-    const int user = pending.request.user;
-    if (user < 0 || user >= n) {
+    FriendResponse response;
+    std::ostringstream oss;
+    if (expired) {
+      metrics_.timeouts.fetch_add(1, std::memory_order_relaxed);
+      oss << "deadline expired after " << pending.deadline.ElapsedMs()
+          << " ms in queue";
+      response.status = TimeoutError(oss.str());
+    } else if (hosted == nullptr) {
       metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-      FriendResponse response;
-      std::ostringstream oss;
+      oss << "room " << room << " does not exist";
+      response.status = NotFoundError(oss.str());
+    } else {
+      metrics_.errors.fetch_add(1, std::memory_order_relaxed);
       oss << "user " << user << " out of range [0, " << n << ") in room "
           << room;
       response.status = InvalidDataError(oss.str());
-      respond(pending, std::move(response));
-      continue;
     }
-    auto [it, inserted] = group_of_user.emplace(user, groups.size());
-    if (inserted) groups.push_back(Group{user, {}});
-    groups[it->second].members.push_back(i);
+    respond(pending, std::move(response));
   }
   if (groups.empty()) return;
 
-  std::vector<int> targets;
-  targets.reserve(groups.size());
-  for (const Group& group : groups) targets.push_back(group.user);
-  std::vector<StepContext> contexts = snapshot->ContextsFor(targets);
-  // Temporal candidate pruning, batch edition: one mask per distinct
-  // target. Sized up front so the addresses stored in the contexts stay
-  // stable, and kept alive past every model call below.
-  std::vector<std::vector<bool>> prune_masks(groups.size());
-  if (options_.max_candidates > 0) {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (snapshot->PruneCandidates(targets[g], options_.max_candidates,
-                                    &prune_masks[g])) {
-        contexts[g].blocklist = &prune_masks[g];
-        metrics_.pruned_requests.fetch_add(1, std::memory_order_relaxed);
-      }
+  const std::shared_ptr<const RoomSnapshot> snapshot = hosted->snapshot();
+  for (const Group& group : groups) {
+    StepContext context = snapshot->ContextFor(group.user);
+    // Temporal candidate pruning: cap the candidate set to the target's
+    // most-recently co-present users. The mask must outlive the model
+    // calls below (fallback included), hence the local here.
+    std::vector<bool> prune_mask;
+    if (snapshot->PruneCandidates(group.user, options_.max_candidates,
+                                  &prune_mask)) {
+      context.blocklist = &prune_mask;
+      metrics_.pruned_requests.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-
-  // One coalesced inference job for the whole batch. A shared primary
-  // answers every distinct target in one RecommendBatch call; per-stream
-  // primaries still benefit from coalescing (one Recommend per distinct
-  // target instead of one per request).
-  std::vector<std::vector<bool>> answers;
-  if (primary_shared_ != nullptr) {
-    answers = primary_shared_->RecommendBatch(contexts);
-  } else {
-    answers.reserve(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const std::shared_ptr<StreamModel> stream =
-          StreamFor(room_ref, groups[g].user);
-      std::lock_guard<std::mutex> lock(stream->mutex);
-      answers.push_back(stream->model->Recommend(contexts[g]));
-    }
-  }
-  AFTER_CHECK_EQ(answers.size(), groups.size());
-
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const Group& group = groups[g];
-    const std::vector<bool>& primary_answer = answers[g];
+    std::vector<bool> primary_answer = primary_->Recommend(context);
     const bool misbehaved = static_cast<int>(primary_answer.size()) != n;
     metrics_.coalesced.fetch_add(
         static_cast<int64_t>(group.members.size()) - 1,
@@ -366,13 +320,13 @@ void RecommendationServer::ProcessBatch(
       const TickBatcher::Pending& pending = batch[index];
       FriendResponse response;
       response.tick = snapshot->tick();
-      const bool missed_deadline = pending.deadline.Expired();
       std::vector<bool> recommended;
-      if (misbehaved || missed_deadline) {
-        // Ladder step 3, batch edition: answer from the cheap spatial
+      if (misbehaved || pending.deadline.Expired()) {
+        // Ladder step 3: the primary's answer is unusable (wrong shape)
+        // or too late to be worth rendering; serve the cheap spatial
         // fallback instead of failing the request.
         if (fallback_answer.empty())
-          fallback_answer = fallback_.Recommend(contexts[g]);
+          fallback_answer = fallback_.Recommend(context);
         recommended = fallback_answer;
         response.used_fallback = true;
         if (misbehaved)
@@ -380,6 +334,8 @@ void RecommendationServer::ProcessBatch(
                                                   std::memory_order_relaxed);
         else
           metrics_.fallbacks_deadline.fetch_add(1, std::memory_order_relaxed);
+      } else if (index == group.members.back()) {
+        recommended = std::move(primary_answer);
       } else {
         recommended = primary_answer;
       }
@@ -396,108 +352,6 @@ void RecommendationServer::ProcessBatch(
       respond(pending, std::move(response));
     }
   }
-}
-
-std::shared_ptr<RecommendationServer::StreamModel>
-RecommendationServer::StreamFor(const Room& room, int user) {
-  std::unique_lock<std::mutex> lock(stream_models_mutex_);
-  auto& per_room = stream_models_[room.id()];
-  auto it = per_room.find(user);
-  if (it != per_room.end()) return it->second;
-  auto inserted =
-      per_room.emplace(user, std::make_shared<StreamModel>()).first;
-  const std::shared_ptr<StreamModel> stream = inserted->second;
-  // Build the instance outside the registry lock so slow model
-  // construction does not serialize unrelated streams; the stream's own
-  // mutex keeps its first request exclusive. The shared_ptr keeps the
-  // stream alive even if RemoveRoom drops the registry entry meanwhile.
-  std::lock_guard<std::mutex> stream_lock(stream->mutex);
-  lock.unlock();
-  stream->model = factory_();
-  AFTER_CHECK(stream->model != nullptr);
-  stream->model->BeginSession(room.num_users(), user);
-  return stream;
-}
-
-FriendResponse RecommendationServer::Process(const FriendRequest& request,
-                                             const Deadline& deadline) {
-  FriendResponse response;
-  auto finish = [&](Status status) {
-    response.status = std::move(status);
-    response.latency_ms = deadline.ElapsedMs();
-    metrics_.latency.RecordMs(response.latency_ms);
-    if (response.status.ok())
-      metrics_.responses_ok.fetch_add(1, std::memory_order_relaxed);
-    return response;
-  };
-
-  if (deadline.Expired()) {
-    metrics_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    std::ostringstream oss;
-    oss << "deadline expired after " << deadline.ElapsedMs()
-        << " ms in queue";
-    return finish(TimeoutError(oss.str()));
-  }
-  const std::shared_ptr<Room> hosted =
-      request.room < 0 ? nullptr : FindRoom(request.room);
-  if (hosted == nullptr) {
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-    std::ostringstream oss;
-    oss << "room " << request.room << " does not exist";
-    return finish(NotFoundError(oss.str()));
-  }
-  Room& room = *hosted;
-  const int n = room.num_users();
-  if (request.user < 0 || request.user >= n) {
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-    std::ostringstream oss;
-    oss << "user " << request.user << " out of range [0, " << n << ") in room "
-        << request.room;
-    return finish(InvalidDataError(oss.str()));
-  }
-
-  const std::shared_ptr<const RoomSnapshot> snapshot = room.snapshot();
-  response.tick = snapshot->tick();
-  StepContext context = snapshot->ContextFor(request.user);
-  // Temporal candidate pruning: cap the candidate set to the target's
-  // most-recently co-present users. The mask must outlive the model
-  // calls below (fallback included), hence the local here.
-  std::vector<bool> prune_mask;
-  if (snapshot->PruneCandidates(request.user, options_.max_candidates,
-                                &prune_mask)) {
-    context.blocklist = &prune_mask;
-    metrics_.pruned_requests.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::vector<bool> recommended;
-  if (primary_shared_ != nullptr) {
-    recommended = primary_shared_->Recommend(context);
-  } else {
-    const std::shared_ptr<StreamModel> stream = StreamFor(room, request.user);
-    std::lock_guard<std::mutex> lock(stream->mutex);
-    recommended = stream->model->Recommend(context);
-  }
-
-  const bool misbehaved = static_cast<int>(recommended.size()) != n;
-  const bool missed_deadline = deadline.Expired();
-  if (misbehaved || missed_deadline) {
-    // Degradation ladder step 3: the primary's answer is unusable (wrong
-    // shape) or too late to be worth rendering; serve the cheap spatial
-    // fallback instead of failing the request.
-    recommended = fallback_.Recommend(context);
-    response.used_fallback = true;
-    if (misbehaved)
-      metrics_.fallbacks_misbehaved.fetch_add(1, std::memory_order_relaxed);
-    else
-      metrics_.fallbacks_deadline.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (static_cast<int>(recommended.size()) != n) {
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
-    return finish(InternalError("fallback produced a wrong-size answer"));
-  }
-  recommended[request.user] = false;
-  response.recommended = std::move(recommended);
-  return finish(OkStatus());
 }
 
 }  // namespace serve

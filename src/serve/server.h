@@ -33,13 +33,14 @@ struct ServerOptions {
   /// Display budget of the NearestRecommender degradation fallback.
   int fallback_k = 10;
   /// In-tick request batching (serve/batcher.h): park requests per room
-  /// and answer each room's whole queue in one coalesced inference job
-  /// against a single snapshot, with duplicate targets sharing one
-  /// forward pass. Deadlines are still honored per request (expired
-  /// entries are answered kTimeout before model work, and entries whose
-  /// deadline passes during the batch get the fallback answer). Off by
-  /// default: the per-request path remains the latency-optimal choice
-  /// for idle rooms; batching is the throughput choice under load.
+  /// and answer each room's whole queue in one drain against a single
+  /// snapshot, with duplicate targets sharing one forward pass.
+  /// Deadlines are still honored per request (expired entries are
+  /// answered kTimeout before model work, and entries whose deadline
+  /// passes during the batch get the fallback answer). Off by default:
+  /// one pool task per request remains the latency-optimal choice for
+  /// idle rooms; batching is the throughput choice under load. Both
+  /// answer through the same degradation ladder.
   bool batch_requests = false;
   /// Temporal candidate pruning (docs/ticking.md): when > 0 and the
   /// room maintains a temporal index (Room::Options::temporal_index),
@@ -56,24 +57,27 @@ struct ServerOptions {
 /// bounded worker pool and answers FriendRequests against each room's
 /// current snapshot.
 ///
-/// Degradation ladder (docs/serving.md):
+/// Degradation ladder (docs/serving.md), implemented once in
+/// ProcessBatch for both the per-request path (a batch of one) and the
+/// batcher's drains:
 ///  1. queue full at admission            -> shed, kResourceExhausted
 ///  2. deadline expired while queued      -> kTimeout, no work done
 ///  3. primary misses deadline/misbehaves -> NearestRecommender answer,
 ///                                           OK with used_fallback=true
 ///  4. otherwise                          -> primary answer, OK
 ///
-/// Model placement honors Recommender::thread_safe(): a thread-safe
-/// primary is built once and shared lock-free by every room and worker;
-/// a stateful primary (POSHGNN, the recurrent baselines, COMURNet) is
-/// instantiated lazily per (room, user) stream — preserving its
-/// per-session recurrent state exactly as the offline evaluator would —
-/// and its calls are serialized per instance.
+/// One primary serves everything: the constructor builds it once and
+/// every room and worker shares it lock-free, so it must report
+/// Recommender::thread_safe(). Stateful models (the mutable POSHGNN,
+/// the recurrent baselines, COMURNet) belong to the offline evaluator;
+/// serve FrozenPoshgnn instead.
 class RecommendationServer {
  public:
   /// Rooms are keyed by Room::id(); ids need not be contiguous, and the
   /// initial set may be empty (a partitioned shard starts bare and is
-  /// granted rooms by the router, serve/shard_control.h).
+  /// granted rooms by the router, serve/shard_control.h). Calls
+  /// `primary_factory` once and aborts unless the primary it returns is
+  /// thread-safe.
   RecommendationServer(std::vector<std::unique_ptr<Room>> rooms,
                        RecommenderFactory primary_factory,
                        const ServerOptions& options);
@@ -121,31 +125,20 @@ class RecommendationServer {
   }
   DurabilityManager* durability() const { return durability_; }
 
-  /// True when the probed primary is shared across threads (thread-safe)
-  /// rather than instantiated per (room, user).
-  bool primary_is_shared() const { return primary_shared_ != nullptr; }
-
   /// Stops admissions, drains in-flight requests, joins workers.
   /// Idempotent; also run by the destructor.
   void Shutdown();
 
  private:
-  /// A stateful primary instance bound to one (room, user) stream.
-  struct StreamModel {
-    std::unique_ptr<Recommender> model;
-    std::mutex mutex;
-  };
-
-  FriendResponse Process(const FriendRequest& request,
-                         const Deadline& deadline);
-  std::shared_ptr<StreamModel> StreamFor(const Room& room, int user);
-
   /// Batched path (options_.batch_requests): Submit parks the request in
   /// the TickBatcher; DrainRoom loops ProcessBatch over whatever queued.
   void SubmitBatched(
       const FriendRequest& request, const Deadline& deadline,
       std::shared_ptr<std::function<void(const FriendResponse&)>> done);
   void DrainRoom(int room);
+  /// The degradation ladder for requests that all name `room`: answers
+  /// every one of them exactly once, calling the primary once per
+  /// distinct target.
   void ProcessBatch(int room, std::vector<TickBatcher::Pending> batch);
 
   ServerOptions options_;
@@ -153,16 +146,8 @@ class RecommendationServer {
   /// requests already processing against the room drain safely.
   std::unordered_map<int, std::shared_ptr<Room>> rooms_;
   mutable std::mutex rooms_mutex_;
-  RecommenderFactory factory_;
-  /// Set when the probed primary reports thread_safe(): one instance
-  /// serves everything with no locking.
-  std::unique_ptr<Recommender> primary_shared_;
-  /// Lazily grown per-(room id, user) instances otherwise; a room's
-  /// streams are dropped when the room is removed (a re-hosted room
-  /// starts its recurrent state fresh, like any new shard would).
-  std::unordered_map<int, std::unordered_map<int, std::shared_ptr<StreamModel>>>
-      stream_models_;
-  std::mutex stream_models_mutex_;
+  /// Thread-safe, shared lock-free by every room and worker.
+  std::unique_ptr<Recommender> primary_;
   NearestRecommender fallback_;
   ServerMetrics metrics_;
   DurabilityManager* durability_ = nullptr;

@@ -38,9 +38,9 @@ struct FriendResponse {
   double latency_ms = 0.0;
 };
 
-/// Creates primary-model instances. Called once at server construction
-/// to probe capabilities, then (for models whose thread_safe() is false)
-/// once per (room, user) stream on first request.
+/// Creates the server's primary. Called exactly once, at server
+/// construction; the instance must be thread_safe(), since every room
+/// and worker shares it.
 using RecommenderFactory = std::function<std::unique_ptr<Recommender>()>;
 
 }  // namespace serve

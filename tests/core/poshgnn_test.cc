@@ -238,10 +238,10 @@ Poshgnn TrainedModel(const Dataset& dataset) {
 TEST(FrozenPoshgnnTest, BitExactAgainstMutableAtSessionStart) {
   const Dataset dataset = GenerateTimikLike(TinyConfig());
   Poshgnn mutable_model = TrainedModel(dataset);
-  // Bit-exactness is the reference f64 engine's contract; the fused f32
-  // engine is tolerance-equal instead (tests/infer/engine_test.cc).
-  FrozenPoshgnn frozen(mutable_model, InferEngine::kReferenceF64);
-  EXPECT_EQ(frozen.engine(), InferEngine::kReferenceF64);
+  // The fused f32 engine's probabilities are tolerance-equal to the f64
+  // model's (tests/infer/engine_test.cc); its selections are the same
+  // bits.
+  FrozenPoshgnn frozen(mutable_model);
   EXPECT_TRUE(frozen.thread_safe());
   EXPECT_FALSE(mutable_model.thread_safe());
   EXPECT_EQ(frozen.name(), "POSHGNN (frozen)");
@@ -280,6 +280,8 @@ TEST(FrozenPoshgnnTest, RecommendBatchMatchesSequentialRecommend) {
   Poshgnn model = TrainedModel(dataset);
   FrozenPoshgnn frozen(model);
 
+  // Recommender's default loop, which decorators that forward
+  // RecommendBatch (perfbench's TracedRecommender) reach.
   // Deque keeps each BoundContext (and the occlusion graph its context
   // points into) at a stable address while we append.
   std::deque<BoundContext> bound;

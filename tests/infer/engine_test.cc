@@ -5,8 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <deque>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -269,12 +267,29 @@ TEST(InferEngineTest, ScalarAndActiveTiersProduceSameSelections) {
   }
 }
 
+// The f64 reference of a served answer: the mutable model's first step
+// after BeginSession, which is the session-start step FrozenPoshgnn
+// serves. Each Recommend starts a fresh session, so the offline
+// evaluator sees a memoryless model just like the served one.
+class SessionStartReference : public Recommender {
+ public:
+  explicit SessionStartReference(Poshgnn* model) : model_(model) {}
+  std::string name() const override { return "session-start reference"; }
+  std::vector<bool> Recommend(const StepContext& context) override {
+    model_->BeginSession(static_cast<int>(context.positions->size()),
+                         context.target);
+    return model_->Recommend(context);
+  }
+
+ private:
+  Poshgnn* model_;
+};
+
 TEST(InferEngineTest, SelectionsMatchReferenceEngineForAllTargets) {
   const Dataset dataset = GenerateTimikLike(TinyConfig());
-  const Poshgnn model = TrainedModel(dataset, ModelConfig());
-  FrozenPoshgnn fused(model, InferEngine::kFusedF32);
-  FrozenPoshgnn reference(model, InferEngine::kReferenceF64);
-  EXPECT_EQ(fused.engine(), InferEngine::kFusedF32);
+  Poshgnn model = TrainedModel(dataset, ModelConfig());
+  FrozenPoshgnn fused(model);
+  SessionStartReference reference(&model);
   for (int t : {0, 5, 11}) {
     for (int target = 0; target < dataset.num_users(); ++target) {
       const BoundContext bound(dataset, 1, t, target);
@@ -291,9 +306,9 @@ TEST(InferEngineTest, AblationConfigsMatchReferenceSelections) {
     PoshgnnConfig config = ModelConfig();
     config.use_lwp = use_lwp;
     if (!use_lwp) config.use_mia = false;  // "Only PDR"
-    const Poshgnn model = TrainedModel(dataset, config);
-    FrozenPoshgnn fused(model, InferEngine::kFusedF32);
-    FrozenPoshgnn reference(model, InferEngine::kReferenceF64);
+    Poshgnn model = TrainedModel(dataset, config);
+    FrozenPoshgnn fused(model);
+    SessionStartReference reference(&model);
     for (int target : {2, 9, 17}) {
       const BoundContext bound(dataset, 0, 1, target);
       EXPECT_EQ(fused.Recommend(bound.context),
@@ -305,12 +320,13 @@ TEST(InferEngineTest, AblationConfigsMatchReferenceSelections) {
 
 TEST(InferEngineTest, EvalMetricsIdenticalToReferenceEngine) {
   // End-to-end: the Table II-style evaluation must report identical
-  // metrics for both engines — same selections means same utilities,
-  // occlusion rates and budget usage everywhere.
+  // metrics for the served engine and its f64 reference — same
+  // selections means same utilities, occlusion rates and budget usage
+  // everywhere.
   const Dataset dataset = GenerateTimikLike(TinyConfig());
-  const Poshgnn model = TrainedModel(dataset, ModelConfig());
-  FrozenPoshgnn fused(model, InferEngine::kFusedF32);
-  FrozenPoshgnn reference(model, InferEngine::kReferenceF64);
+  Poshgnn model = TrainedModel(dataset, ModelConfig());
+  FrozenPoshgnn fused(model);
+  SessionStartReference reference(&model);
 
   EvalOptions options;
   options.num_targets = 6;
@@ -332,29 +348,6 @@ TEST(InferEngineTest, EvalMetricsIdenticalToReferenceEngine) {
                    reference_result.avg_recommended_per_step);
 }
 
-TEST(InferEngineTest, BatchMatchesSequentialAndDedupesDuplicates) {
-  const Dataset dataset = GenerateTimikLike(TinyConfig());
-  const Poshgnn model = TrainedModel(dataset, ModelConfig());
-  FrozenPoshgnn fused(model, InferEngine::kFusedF32);
-
-  std::deque<BoundContext> bound;
-  std::vector<StepContext> contexts;
-  for (int target : {0, 5, 13}) bound.emplace_back(dataset, 0, 0, target);
-  for (const BoundContext& b : bound) contexts.push_back(b.context);
-  // Duplicate jobs (same snapshot pointers + target) must reuse the
-  // first forward's answer.
-  contexts.push_back(bound[1].context);
-  contexts.push_back(bound[0].context);
-
-  const std::vector<std::vector<bool>> batched =
-      fused.RecommendBatch(contexts);
-  ASSERT_EQ(batched.size(), contexts.size());
-  for (std::size_t i = 0; i < contexts.size(); ++i)
-    EXPECT_EQ(batched[i], fused.Recommend(contexts[i])) << "slot " << i;
-  EXPECT_EQ(batched[3], batched[1]);
-  EXPECT_EQ(batched[4], batched[0]);
-}
-
 TEST(InferEngineTest, SteadyStateServesFromOneWorkspace) {
   const Dataset dataset = GenerateTimikLike(TinyConfig());
   const Poshgnn model(ModelConfig());
@@ -366,27 +359,6 @@ TEST(InferEngineTest, SteadyStateServesFromOneWorkspace) {
   // Sequential traffic never needs a second workspace; the arena inside
   // it stops growing after warm-up (ArenaTest covers the block math).
   EXPECT_EQ(engine.pool().created(), 1u);
-}
-
-TEST(InferEngineTest, EngineNamesParseAndRoundTrip) {
-  EXPECT_STREQ(InferEngineName(InferEngine::kFusedF32), "f32");
-  EXPECT_STREQ(InferEngineName(InferEngine::kReferenceF64), "f64");
-  InferEngine engine = InferEngine::kFusedF32;
-  EXPECT_TRUE(ParseInferEngine("f64", &engine));
-  EXPECT_EQ(engine, InferEngine::kReferenceF64);
-  EXPECT_TRUE(ParseInferEngine("f32", &engine));
-  EXPECT_EQ(engine, InferEngine::kFusedF32);
-  EXPECT_FALSE(ParseInferEngine("f16", &engine));
-  EXPECT_EQ(engine, InferEngine::kFusedF32);  // untouched on failure
-}
-
-TEST(InferEngineTest, DefaultEngineHonorsEnvironmentOverride) {
-  ASSERT_EQ(::setenv("AFTER_INFER_ENGINE", "f64", 1), 0);
-  EXPECT_EQ(DefaultInferEngine(), InferEngine::kReferenceF64);
-  ASSERT_EQ(::setenv("AFTER_INFER_ENGINE", "bogus", 1), 0);
-  EXPECT_EQ(DefaultInferEngine(), InferEngine::kFusedF32);
-  ASSERT_EQ(::unsetenv("AFTER_INFER_ENGINE"), 0);
-  EXPECT_EQ(DefaultInferEngine(), InferEngine::kFusedF32);
 }
 
 }  // namespace

@@ -114,14 +114,6 @@ class GatedRecommender : public Recommender {
     Wait();
     return std::vector<bool>(context.positions->size(), false);
   }
-  std::vector<std::vector<bool>> RecommendBatch(
-      const std::vector<StepContext>& contexts) override {
-    Wait();
-    std::vector<std::vector<bool>> out;
-    for (const StepContext& context : contexts)
-      out.push_back(std::vector<bool>(context.positions->size(), false));
-    return out;
-  }
   void WaitForEntries(int count) {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this, count] { return entries_ >= count; });
@@ -145,37 +137,16 @@ class GatedRecommender : public Recommender {
   bool gated_ = true;
 };
 
-/// Factory product that forwards to one shared gate, so the server's
-/// construction-time probe instance is gate-controlled too.
-class GateProxy : public Recommender {
- public:
-  explicit GateProxy(std::shared_ptr<GatedRecommender> gate)
-      : gate_(std::move(gate)) {}
-  std::string name() const override { return gate_->name(); }
-  bool thread_safe() const override { return true; }
-  std::vector<bool> Recommend(const StepContext& context) override {
-    return gate_->Recommend(context);
-  }
-  std::vector<std::vector<bool>> RecommendBatch(
-      const std::vector<StepContext>& contexts) override {
-    return gate_->RecommendBatch(contexts);
-  }
-
- private:
-  std::shared_ptr<GatedRecommender> gate_;
-};
-
 TEST(BatchedServerTest, QueuedRequestsCoalesceIntoOneJob) {
   const Dataset dataset = SmallDataset();
   ServerOptions options;
   options.num_threads = 1;
   options.batch_requests = true;
   options.default_deadline_ms = -1.0;
-  auto gate = std::make_shared<GatedRecommender>();
+  auto owned = std::make_unique<GatedRecommender>();
+  GatedRecommender* gate = owned.get();  // the server owns it
   RecommendationServer server(
-      MakeRooms(dataset, 1),
-      [gate] { return std::make_unique<GateProxy>(gate); }, options);
-  ASSERT_TRUE(server.primary_is_shared());
+      MakeRooms(dataset, 1), [&owned] { return std::move(owned); }, options);
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -205,7 +176,7 @@ TEST(BatchedServerTest, QueuedRequestsCoalesceIntoOneJob) {
 
   const ServerMetrics& m = server.metrics();
   EXPECT_EQ(ok, 6);
-  // Two inference jobs for six requests: {1} and {5,5,5,7,9}, where the
+  // Two drains for six requests: {1} and {5,5,5,7,9}, where the
   // duplicate user-5 requests collapse into one forward pass.
   EXPECT_EQ(m.batches.load(), 2);
   EXPECT_EQ(m.batched_requests.load(), 6);
@@ -219,10 +190,10 @@ TEST(BatchedServerTest, HonorsDeadlinesAndValidatesUsersPerRequest) {
   options.num_threads = 1;
   options.batch_requests = true;
   options.default_deadline_ms = -1.0;
-  auto gate = std::make_shared<GatedRecommender>();
+  auto owned = std::make_unique<GatedRecommender>();
+  GatedRecommender* gate = owned.get();  // the server owns it
   RecommendationServer server(
-      MakeRooms(dataset, 1),
-      [gate] { return std::make_unique<GateProxy>(gate); }, options);
+      MakeRooms(dataset, 1), [&owned] { return std::move(owned); }, options);
 
   // Bad room is rejected synchronously, before batching.
   EXPECT_EQ(server.Handle({.room = 9, .user = 0}).status.code(),
@@ -279,7 +250,6 @@ TEST(BatchedServerTest, FrozenPoshgnnUnderConcurrentLoad) {
       MakeRooms(dataset, 4),
       [&source] { return std::make_unique<FrozenPoshgnn>(source); },
       options);
-  ASSERT_TRUE(server.primary_is_shared());
 
   std::atomic<bool> stop{false};
   std::thread ticker([&] {

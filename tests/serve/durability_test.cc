@@ -397,13 +397,15 @@ TEST(CheckpointTest, ListingSkipsTempLeftoversOfInterruptedWrites) {
 /// directory is the crash + cold restart.
 struct DurableShard {
   DurableShard(const Dataset& dataset, const std::string& dir,
-               int checkpoint_every_ticks = 256)
+               int checkpoint_every_ticks = 256,
+               int64_t journal_rotate_bytes = 8 << 20)
       : server({}, [] { return std::make_unique<NearestRecommender>(5); },
                TestServerOptions()),
         control(&server, FactoryFor(&dataset)) {
     DurabilityManager::Options options;
     options.dir = dir;
     options.checkpoint_every_ticks = checkpoint_every_ticks;
+    options.journal_rotate_bytes = journal_rotate_bytes;
     auto opened = DurabilityManager::Open(options);
     EXPECT_TRUE(opened.ok()) << opened.status().ToString();
     durability = std::move(opened).value();
@@ -517,6 +519,65 @@ TEST(DurabilityManagerTest, ReleasedRoomsStayDead) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report.value().empty());
   EXPECT_FALSE(restarted.control.Owns(1));
+}
+
+TEST(DurabilityManagerTest, JournalRotationKeepsTheLedgerAndTheLiveRoom) {
+  const std::string dir = ScratchDir("recover_rotation");
+  const Dataset dataset = SmallDataset();
+  // A few KiB: a 16-user tick record is ~0.5 KiB, so the live room's
+  // ticks cross the threshold every handful of ticks. The tick-path
+  // checkpoint cadence stays out of the way, so every checkpoint below
+  // is a rotation's.
+  constexpr int64_t kRotateBytes = 4 << 10;
+  std::string expected_state;
+  {
+    DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/1000,
+                       kRotateBytes);
+    ASSERT_TRUE(shard.control.Assign(2, 5, "", /*primary=*/true).ok());
+    ASSERT_TRUE(shard.control.Assign(4, 6, "", /*primary=*/true).ok());
+    for (int i = 0; i < 2; ++i) shard.server.TickAll();
+    // Released before any rotation: the release record is the only
+    // thing keeping room 4 dead, and rotation truncates the journal.
+    ASSERT_TRUE(shard.control.Release(4, 7).ok());
+
+    const Journal& journal = shard.durability->journal();
+    int rotations = 0;
+    int64_t before = journal.bytes();
+    for (int i = 0; i < 64 && rotations < 2; ++i) {
+      shard.server.TickAll();
+      const int64_t after = journal.bytes();
+      if (after < before) {
+        ++rotations;
+        // Rotation empties the journal down to its header.
+        EXPECT_EQ(after, static_cast<int64_t>(kJournalHeaderBytes));
+        EXPECT_EQ(static_cast<int64_t>(fs::file_size(JournalPath(dir))),
+                  after);
+      }
+      // A journal past the threshold never outlives the tick that
+      // crossed it.
+      EXPECT_LE(after, kRotateBytes);
+      before = after;
+    }
+    ASSERT_EQ(rotations, 2);
+    EXPECT_EQ(shard.server.metrics().errors.load(), 0);
+    // Leave a journal tail after the last rotation to replay.
+    for (int i = 0; i < 3; ++i) shard.server.TickAll();
+    EXPECT_GT(journal.bytes(), static_cast<int64_t>(kJournalHeaderBytes));
+    expected_state = shard.server.FindRoom(2)->ExportState();
+  }  // crash
+  EXPECT_EQ(ListCheckpointRooms(dir), std::vector<int>{2});
+
+  DurableShard restarted(dataset, dir);
+  auto report = restarted.control.RecoverFromDurable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().size(), 1u);
+  EXPECT_EQ(report.value()[0].room, 2);
+  EXPECT_EQ(report.value()[0].epoch, 5u);
+  EXPECT_TRUE(report.value()[0].primary);
+  EXPECT_TRUE(restarted.control.Owns(2));
+  EXPECT_FALSE(restarted.control.Owns(4)) << "released room resurrected";
+  ASSERT_NE(restarted.server.FindRoom(2), nullptr);
+  EXPECT_EQ(restarted.server.FindRoom(2)->ExportState(), expected_state);
 }
 
 TEST(DurabilityManagerTest, CrashBetweenReleaseJournalAndCheckpointDelete) {

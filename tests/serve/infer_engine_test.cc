@@ -1,8 +1,9 @@
-// Concurrency coverage for the fused f32 inference engine under the
-// serving runtime: one FrozenPoshgnn(kFusedF32) shared lock-free by all
-// worker threads across concurrent rooms. Registered under the serve/
-// ctest prefix so the TSan lane (scripts/check.sh tsan) race-checks the
-// workspace pool and the const weight tensors.
+// Coverage for the fused f32 inference engine under the serving
+// runtime: one FrozenPoshgnn shared lock-free by all worker threads
+// across concurrent rooms, and its served answers against the f64
+// reference. Registered under the serve/ ctest prefix so the TSan lane
+// (scripts/check.sh tsan) race-checks the workspace pool and the const
+// weight tensors.
 
 #include <atomic>
 #include <chrono>
@@ -53,15 +54,10 @@ TEST(InferEngineServeTest, FusedEngineSharedAcrossConcurrentRooms) {
   options.default_deadline_ms = -1.0;
   RecommendationServer server(
       MakeRooms(dataset, 4),
-      [&source] {
-        return std::make_unique<FrozenPoshgnn>(source,
-                                               InferEngine::kFusedF32);
-      },
+      [&source] { return std::make_unique<FrozenPoshgnn>(source); },
       options);
-  // thread_safe() holds for both engines, so the server shares one
-  // instance — every worker drives the same kernel tables and
-  // workspace pool concurrently.
-  ASSERT_TRUE(server.primary_is_shared());
+  // The server shares its one primary: every worker drives the same
+  // kernel tables and workspace pool concurrently.
 
   std::atomic<bool> stop{false};
   std::thread ticker([&] {
@@ -94,37 +90,34 @@ TEST(InferEngineServeTest, FusedEngineSharedAcrossConcurrentRooms) {
   EXPECT_EQ(server.metrics().errors.load(), 0);
 }
 
-TEST(InferEngineServeTest, BothEnginesAnswerIdenticallyThroughTheServer) {
+TEST(InferEngineServeTest, ServedAnswersMatchSessionStartReference) {
   const Dataset dataset = SmallDataset(20, 4);
   PoshgnnConfig config;
   config.hidden_dim = 8;
   config.seed = 13;
   Poshgnn source(config);
 
-  auto serve_once = [&](InferEngine engine) {
-    ServerOptions options;
-    options.num_threads = 2;
-    options.default_deadline_ms = -1.0;
-    RecommendationServer server(
-        MakeRooms(dataset, 1),
-        [&source, engine] {
-          return std::make_unique<FrozenPoshgnn>(source, engine);
-        },
-        options);
-    std::vector<std::vector<bool>> answers;
-    for (int user = 0; user < dataset.num_users(); ++user) {
-      const FriendResponse response = server.Handle({.room = 0, .user = user});
-      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-      answers.push_back(response.recommended);
-    }
-    server.Shutdown();
-    return answers;
-  };
-
-  // Same room seed + same tick (no ticker) => identical snapshots, so
-  // the engines must agree request for request.
-  EXPECT_EQ(serve_once(InferEngine::kFusedF32),
-            serve_once(InferEngine::kReferenceF64));
+  ServerOptions options;
+  options.num_threads = 2;
+  options.default_deadline_ms = -1.0;
+  RecommendationServer server(
+      MakeRooms(dataset, 1),
+      [&source] { return std::make_unique<FrozenPoshgnn>(source); },
+      options);
+  // No ticker: every request reads this one snapshot.
+  const std::shared_ptr<const RoomSnapshot> snapshot =
+      server.FindRoom(0)->snapshot();
+  for (int user = 0; user < dataset.num_users(); ++user) {
+    const FriendResponse response = server.Handle({.room = 0, .user = user});
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    // The f64 reference: the mutable model's first step after
+    // BeginSession, with the requester's own slot cleared as the server
+    // clears it.
+    source.BeginSession(dataset.num_users(), user);
+    std::vector<bool> expected = source.Recommend(snapshot->ContextFor(user));
+    expected[user] = false;
+    EXPECT_EQ(response.recommended, expected) << "user " << user;
+  }
 }
 
 }  // namespace

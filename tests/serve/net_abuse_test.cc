@@ -101,6 +101,76 @@ std::vector<wire::Frame> ReadFrames(int fd, size_t count, int timeout_ms) {
   return frames;
 }
 
+/// Non-blocking client whose tiny receive buffer keeps its TCP window
+/// from absorbing a response burst for it.
+int SmallWindowConnect(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+  return fd;
+}
+
+/// Sends every byte on a non-blocking socket; the number sent.
+size_t SendAll(int fd, const std::string& bytes, Clock::time_point deadline) {
+  size_t sent = 0;
+  while (sent < bytes.size() && Clock::now() < deadline) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      pollfd pfd{fd, POLLOUT, 0};
+      ::poll(&pfd, 1, 50);
+    } else {
+      break;
+    }
+  }
+  return sent;
+}
+
+/// Handler that parks every request with its completion until the test
+/// takes them, modelling a backend that finishes a pile of work at once.
+struct ParkingHandler {
+  struct Parked {
+    FriendRequest request;
+    std::function<void(const FriendResponse&)> done;
+  };
+
+  RequestHandler handler() {
+    return [this](const FriendRequest& request,
+                  std::function<void(const FriendResponse&)> done) {
+      std::lock_guard<std::mutex> lock(mutex);
+      parked.push_back({request, std::move(done)});
+    };
+  }
+
+  /// Waits until `count` requests are parked, then hands them over.
+  std::vector<Parked> Take(size_t count, Clock::time_point deadline) {
+    while (Clock::now() < deadline) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (parked.size() == count) break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::vector<Parked> out;
+    std::lock_guard<std::mutex> lock(mutex);
+    out.swap(parked);
+    return out;
+  }
+
+  std::mutex mutex;
+  std::vector<Parked> parked;
+};
+
 TEST(NetAbuseTest, SlowLorisPartialHeaderIsClosedByIdleTimeout) {
   NetServerOptions options;
   options.idle_timeout_ms = 200.0;
@@ -231,78 +301,34 @@ TEST(NetAbuseTest, OversizedFrameIsRejected) {
 }
 
 TEST(NetAbuseTest, BackpressureSlowReaderIsDisconnected) {
-  // Handler that parks every completion: responses are withheld until
-  // the test releases them all at once, modelling a backend that
-  // finishes a pile of work for a peer that meanwhile stopped reading.
-  // (Inline responses can't trip the close cap — the pause threshold
-  // throttles the reads first; only asynchronous completions landing on
-  // an already-paused connection can grow the buffer past it.)
-  std::mutex mutex;
-  std::vector<std::function<void(const FriendResponse&)>> parked;
-  RequestHandler handler =
-      [&](const FriendRequest&,
-          std::function<void(const FriendResponse&)> done) {
-        std::lock_guard<std::mutex> lock(mutex);
-        parked.push_back(std::move(done));
-      };
+  // Responses are withheld until the test releases them all at once,
+  // for a peer that meanwhile stopped reading. (Inline responses can't
+  // trip the close cap — the pause threshold throttles the reads first;
+  // only asynchronous completions landing on an already-paused
+  // connection can grow the buffer past it.)
+  ParkingHandler parking;
   NetServerOptions options;
   options.write_pause_bytes = 4 * 1024;
   options.write_close_bytes = 16 * 1024;
-  auto net = std::make_unique<NetServer>(handler, options);
+  auto net = std::make_unique<NetServer>(parking.handler(), options);
   ASSERT_TRUE(net->Start().ok());
 
-  // A tiny receive buffer keeps the client's TCP window from absorbing
-  // the response burst for us.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  const int rcvbuf = 4096;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(net->port()));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-
+  const int fd = SmallWindowConnect(net->port());
   const int kRequests = 64;
   std::string blast;
   for (uint64_t id = 1; id <= kRequests; ++id) {
     wire::AppendRequestFrame(id, {.room = 0, .user = 1, .deadline_ms = -1.0},
                              &blast);
   }
-  size_t sent = 0;
   auto deadline = Clock::now() + std::chrono::seconds(10);
-  while (sent < blast.size() && Clock::now() < deadline) {
-    const ssize_t n = ::send(fd, blast.data() + sent, blast.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-    } else if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      pollfd pfd{fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 50);
-    } else {
-      break;
-    }
-  }
-  ASSERT_EQ(sent, blast.size());
+  ASSERT_EQ(SendAll(fd, blast, deadline), blast.size());
 
   // Wait for the reactor to hand every request to the handler, then
   // complete them all. The responses (far more bytes than the client
   // will ever drain) must cross write_close_bytes and cut the peer
   // loose instead of buffering without bound.
-  while (Clock::now() < deadline) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (static_cast<int>(parked.size()) == kRequests) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::vector<std::function<void(const FriendResponse&)>> release;
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release.swap(parked);
-  }
+  const std::vector<ParkingHandler::Parked> release =
+      parking.Take(kRequests, deadline);
   ASSERT_EQ(static_cast<int>(release.size()), kRequests);
   // Maximum-size responses: the kernel's send buffer can silently
   // absorb megabytes on loopback, so the burst has to be big enough
@@ -310,7 +336,7 @@ TEST(NetAbuseTest, BackpressureSlowReaderIsDisconnected) {
   FriendResponse response;
   response.tick = 7;
   response.recommended.assign(wire::kMaxRecommendedBits, false);
-  for (const auto& done : release) done(response);
+  for (const auto& parked : release) parked.done(response);
 
   deadline = Clock::now() + std::chrono::seconds(10);
   while (Clock::now() < deadline &&
@@ -318,6 +344,81 @@ TEST(NetAbuseTest, BackpressureSlowReaderIsDisconnected) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(net->metrics().backpressure_closed.load(), 1);
+  ::close(fd);
+  net->Shutdown();
+}
+
+TEST(NetAbuseTest, BackpressureSlowReaderDrainsEveryResponseOnce) {
+  // The drain twin of the test above: the peer stops reading until the
+  // server holds output beyond the kernel buffers, but under
+  // write_close_bytes, then reads everything. The reactor must arm
+  // EPOLLOUT for the backlog and flush it as the peer drains, delivering
+  // every response exactly once under its own correlation id.
+  ParkingHandler parking;
+  NetServerOptions options;
+  options.write_close_bytes = 64u << 20;
+  auto net = std::make_unique<NetServer>(parking.handler(), options);
+  ASSERT_TRUE(net->Start().ok());
+
+  const int fd = SmallWindowConnect(net->port());
+  const int kRequests = 48;
+  std::string blast;
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    wire::AppendRequestFrame(
+        id, {.room = 0, .user = static_cast<int>(id), .deadline_ms = -1.0},
+        &blast);
+  }
+  auto deadline = Clock::now() + std::chrono::seconds(10);
+  ASSERT_EQ(SendAll(fd, blast, deadline), blast.size());
+
+  const std::vector<ParkingHandler::Parked> release =
+      parking.Take(kRequests, deadline);
+  ASSERT_EQ(static_cast<int>(release.size()), kRequests);
+  // 48 maximum-size responses, ~6 MiB: more than loopback's kernel
+  // buffers hold for a peer that is not reading, far under the cap.
+  size_t total_bytes = 0;
+  for (const auto& parked : release) {
+    FriendResponse response;
+    response.tick = 1000 + parked.request.user;
+    response.recommended.assign(wire::kMaxRecommendedBits, false);
+    std::string encoded;
+    wire::AppendResponseFrame(static_cast<uint64_t>(parked.request.user),
+                              response, &encoded);
+    total_bytes += encoded.size();
+    parked.done(response);
+  }
+  ASSERT_LT(total_bytes, options.write_close_bytes);
+
+  // Let the server fill the kernel buffers until it can send no more:
+  // what it has not sent by then waits in its own output buffer.
+  int64_t sent = -1;
+  while (Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const int64_t now = net->metrics().bytes_out.load();
+    if (now == sent) break;
+    sent = now;
+  }
+  ASSERT_LT(sent, static_cast<int64_t>(total_bytes))
+      << "the kernel absorbed the whole burst; nothing was left to flush";
+
+  const std::vector<wire::Frame> frames = ReadFrames(fd, kRequests, 30000);
+  ASSERT_EQ(static_cast<int>(frames.size()), kRequests);
+  std::vector<int> seen(kRequests + 1, 0);
+  for (const wire::Frame& frame : frames) {
+    ASSERT_EQ(frame.type, wire::MessageType::kResponse);
+    auto decoded = wire::DecodeResponse(frame.payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const uint64_t id = decoded.value().id;
+    ASSERT_GE(id, 1u);
+    ASSERT_LE(id, static_cast<uint64_t>(kRequests));
+    ++seen[id];
+    EXPECT_EQ(decoded.value().response.tick, 1000 + static_cast<int>(id));
+  }
+  for (int id = 1; id <= kRequests; ++id)
+    EXPECT_EQ(seen[id], 1) << "id " << id;
+  EXPECT_EQ(net->metrics().bytes_out.load(),
+            static_cast<int64_t>(total_bytes));
+  EXPECT_EQ(net->metrics().backpressure_closed.load(), 0);
   ::close(fd);
   net->Shutdown();
 }

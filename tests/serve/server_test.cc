@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/nearest_recommender.h"
@@ -207,43 +208,66 @@ TEST(ServerTest, MisbehavingPrimaryDegradesToNearestFallback) {
   EXPECT_EQ(server.metrics().fallbacks_misbehaved.load(), 1);
 }
 
-TEST(ServerTest, ThreadSafePrimaryIsSharedStatefulIsPerStream) {
+TEST(ServerTest, ThreadSafePrimaryIsBuiltOnceAndShared) {
   const Dataset dataset = SmallDataset();
   ServerOptions options;
   options.default_deadline_ms = -1.0;
 
-  std::atomic<int> nearest_built{0};
-  RecommendationServer shared_server(
+  std::atomic<int> built{0};
+  RecommendationServer server(
       MakeRooms(dataset, 2),
-      [&nearest_built] {
-        nearest_built.fetch_add(1);
+      [&built] {
+        built.fetch_add(1);
         return std::make_unique<NearestRecommender>(5);
       },
       options);
-  EXPECT_TRUE(shared_server.primary_is_shared());
   for (int user = 0; user < 6; ++user)
-    ASSERT_TRUE(shared_server.Handle({.room = user % 2, .user = user})
-                    .status.ok());
-  // Only the construction-time probe: thread-safe models are shared.
-  EXPECT_EQ(nearest_built.load(), 1);
+    ASSERT_TRUE(server.Handle({.room = user % 2, .user = user}).status.ok());
+  // Only the construction-time call: one primary serves every room.
+  EXPECT_EQ(built.load(), 1);
+}
 
-  std::atomic<int> poshgnn_built{0};
-  RecommendationServer stateful_server(
-      MakeRooms(dataset, 2),
-      [&poshgnn_built] {
-        poshgnn_built.fetch_add(1);
-        return std::make_unique<Poshgnn>(PoshgnnConfig{});
-      },
-      options);
-  EXPECT_FALSE(stateful_server.primary_is_shared());
-  for (int user = 0; user < 6; ++user)
-    ASSERT_TRUE(stateful_server.Handle({.room = user % 2, .user = user})
-                    .status.ok());
-  // Probe + one instance per distinct (room, user) stream.
-  EXPECT_EQ(poshgnn_built.load(), 1 + 6);
-  // A repeat request reuses its stream's instance.
-  ASSERT_TRUE(stateful_server.Handle({.room = 0, .user = 0}).status.ok());
-  EXPECT_EQ(poshgnn_built.load(), 1 + 6);
+TEST(ServerDeathTest, StatefulPrimaryAbortsConstruction) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset dataset = SmallDataset();
+  EXPECT_DEATH(
+      RecommendationServer(
+          MakeRooms(dataset, 1),
+          [] { return std::make_unique<Poshgnn>(PoshgnnConfig{}); },
+          ServerOptions{}),
+      "primary 'POSHGNN' is not thread-safe.*offline evaluator");
+}
+
+TEST(ServerTest, PerRoomCountersNoteOnlyHostedRooms) {
+  const Dataset dataset = SmallDataset();
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "batched" : "per-request");
+    ServerOptions options;
+    options.default_deadline_ms = -1.0;
+    options.batch_requests = batch;
+    RecommendationServer server(
+        MakeRooms(dataset, 2),
+        [] { return std::make_unique<NearestRecommender>(5); }, options);
+
+    // Room ids straight off an untrusted wire: every one is answered
+    // kNotFound and none of them grows the per-room map.
+    for (int room = 1000; room < 2000; ++room)
+      ASSERT_EQ(server.Handle({.room = room, .user = 0}).status.code(),
+                StatusCode::kNotFound);
+    EXPECT_TRUE(server.metrics().room_requests.Snapshot().empty());
+    EXPECT_EQ(server.metrics().errors.load(), 1000);
+
+    // Hosted rooms count every answered request, errors included.
+    for (int user = 0; user < 6; ++user)
+      ASSERT_TRUE(server.Handle({.room = user % 2, .user = user}).status.ok());
+    EXPECT_EQ(server.Handle({.room = 0, .user = 999}).status.code(),
+              StatusCode::kInvalidData);
+    const std::unordered_map<int, int64_t> counts =
+        server.metrics().room_requests.Snapshot();
+    EXPECT_EQ(counts.size(), 2u);
+    EXPECT_EQ(counts.at(0), 4);
+    EXPECT_EQ(counts.at(1), 3);
+  }
 }
 
 TEST(ServerTest, ConcurrentLoadCompletesEveryAdmittedRequest) {
@@ -252,9 +276,11 @@ TEST(ServerTest, ConcurrentLoadCompletesEveryAdmittedRequest) {
   options.num_threads = 4;
   options.queue_capacity = 256;
   options.default_deadline_ms = -1.0;
+  const Poshgnn source{PoshgnnConfig{}};
   RecommendationServer server(
       MakeRooms(dataset, 4),
-      [] { return std::make_unique<Poshgnn>(PoshgnnConfig{}); }, options);
+      [&source] { return std::make_unique<FrozenPoshgnn>(source); },
+      options);
 
   std::atomic<bool> stop{false};
   std::thread ticker([&] {

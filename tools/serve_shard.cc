@@ -20,11 +20,10 @@
 //   serve_shard --port=0 --port_file=p.txt     # ephemeral; port written
 //                                              # to the file for scripts
 // Flags: --rooms=N --users=N --threads=N --queue=N --deadline_ms=F
-//        --tick_ms=F --seed=N --batch --weights=PATH --partitioned
-//        --engine=f32|f64 (pin the frozen inference engine: fused f32
-//                          kernels or the f64 reference, docs/inference.md;
-//                          without --weights it freezes an untrained model
-//                          instead of the default mutable per-stream one)
+//        --tick_ms=F --seed=N --batch --partitioned
+//        --weights=PATH (serve a trained, frozen POSHGNN from a model
+//                        artifact, docs/model_artifacts.md, instead of
+//                        the untrained seed-42 one perfbench serves)
 //        --max_connections=N (reactor connection cap; accepts beyond it
 //                             are shed at the socket)
 //        --idle_timeout_ms=F (reap connections silent this long;
@@ -57,7 +56,6 @@
 #include "common/timer.h"
 #include "core/poshgnn.h"
 #include "data/dataset.h"
-#include "nn/artifact.h"
 #include "serve/checkpoint.h"
 #include "serve/net_server.h"
 #include "serve/server.h"
@@ -76,8 +74,6 @@ int Main(int argc, char** argv) {
   double deadline_ms = 1000.0, tick_ms = 10.0, max_seconds = 0.0;
   double idle_timeout_ms = 0.0;
   bool batch = false, partitioned = false, journal_fsync = false;
-  bool engine_set = false;
-  InferEngine engine = InferEngine::kFusedF32;
   std::string port_file, weights, durable_dir;
   for (int i = 1; i < argc; ++i) {
     int value = 0;
@@ -110,13 +106,6 @@ int Main(int argc, char** argv) {
       durable_dir = buffer;
     else if (std::sscanf(argv[i], "--checkpoint_every_ticks=%d", &value) == 1)
       checkpoint_every_ticks = value;
-    else if (std::sscanf(argv[i], "--engine=%255s", buffer) == 1) {
-      if (!ParseInferEngine(buffer, &engine)) {
-        std::fprintf(stderr, "--engine=%s: want f32 or f64\n", buffer);
-        return 1;
-      }
-      engine_set = true;
-    }
     else if (std::strcmp(argv[i], "--journal_fsync") == 0)
       journal_fsync = true;
     else if (std::strcmp(argv[i], "--batch") == 0) batch = true;
@@ -127,17 +116,26 @@ int Main(int argc, char** argv) {
     }
   }
 
-  ModelArtifact artifact;
-  const bool trained = !weights.empty();
-  if (trained) {
-    auto loaded = ModelArtifact::Load(weights);
+  // The served primary: the trained artifact with --weights, otherwise
+  // the untrained seed-42 model perfbench serves.
+  std::unique_ptr<FrozenPoshgnn> primary;
+  if (!weights.empty()) {
+    auto loaded = FrozenPoshgnn::FromArtifactFile(weights);
     if (!loaded.ok()) {
       std::fprintf(stderr, "--weights: %s\n",
                    loaded.status().ToString().c_str());
       return 1;
     }
-    artifact = std::move(loaded).value();
+    primary = std::move(loaded).value();
+  } else {
+    PoshgnnConfig model_config;
+    model_config.seed = 42;
+    primary = std::make_unique<FrozenPoshgnn>(Poshgnn(model_config));
   }
+  const std::string primary_desc =
+      primary->name() +
+      (weights.empty() ? std::string(", untrained seed 42")
+                       : ", trained " + weights);
 
   DatasetConfig config;
   config.num_users = users;
@@ -179,38 +177,10 @@ int Main(int argc, char** argv) {
   server_options.default_deadline_ms = deadline_ms;
   server_options.batch_requests = batch;
   server_options.max_candidates = max_candidates;
-  serve::RecommenderFactory factory;
-  if (trained) {
-    const ModelArtifact* artifact_ptr = &artifact;
-    const InferEngine frozen_engine =
-        engine_set ? engine : DefaultInferEngine();
-    factory = [artifact_ptr, frozen_engine]() -> std::unique_ptr<Recommender> {
-      auto frozen = FrozenPoshgnn::FromArtifact(*artifact_ptr, frozen_engine);
-      if (!frozen.ok()) {
-        std::fprintf(stderr, "frozen model: %s\n",
-                     frozen.status().ToString().c_str());
-        return nullptr;
-      }
-      return std::move(frozen).value();
-    };
-  } else if (engine_set) {
-    // --engine without --weights: freeze an untrained model so the shard
-    // still exercises the requested inference engine on the serving path.
-    PoshgnnConfig model_config;
-    model_config.seed = 42;
-    auto source = std::make_shared<Poshgnn>(model_config);
-    factory = [source, engine] {
-      return std::make_unique<FrozenPoshgnn>(*source, engine);
-    };
-  } else {
-    PoshgnnConfig model_config;
-    model_config.seed = 42;
-    factory = [model_config] {
-      return std::make_unique<Poshgnn>(model_config);
-    };
-  }
-  serve::RecommendationServer server(std::move(room_list),
-                                     std::move(factory), server_options);
+  // The server calls its factory once, at construction.
+  serve::RecommendationServer server(
+      std::move(room_list), [&primary] { return std::move(primary); },
+      server_options);
   serve::ShardControl control(&server, make_room);
 
   // Durable rooms: open the journal + checkpoint dir, recover whatever
@@ -266,13 +236,6 @@ int Main(int argc, char** argv) {
     std::ofstream out(port_file);
     out << net.port() << "\n";
   }
-  const std::string primary_desc =
-      trained ? std::string("frozen-trained/") +
-                    InferEngineName(engine_set ? engine
-                                               : DefaultInferEngine())
-      : engine_set ? std::string("frozen-untrained/") +
-                         InferEngineName(engine)
-                   : std::string("untrained-per-stream");
   if (partitioned)
     std::printf("[serve_shard] listening on %s:%d (partitioned: rooms "
                 "granted by router, %d users each, %d threads, "
