@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -72,41 +73,73 @@ void BM_OcclusionGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_OcclusionGraphBuild)->Arg(50)->Arg(200)->Arg(512);
 
-/// One per-tick delta carry (UpdateOcclusionGraph) of target 0's graph
-/// in the 512-user frame of BM_OcclusionGraphBuild/512, after M agents
-/// each took one walking step: up to 0.6 m (a live room's 1.2 m/s over
-/// its 0.5 s simulator step) in a random direction. mega-room moves ~26
-/// agents a tick while its walkers still walk and 1-6 once they
-/// deadlock. The bench-regression lane (scripts/check.sh) gates the
-/// ratio of BM_OcclusionGraphBuild/512 to the M = 1 carry
-/// (docs/ticking.md).
-void BM_OcclusionCarry(benchmark::State& state) {
-  constexpr int kUsers = 512;
-  constexpr double kStep = 0.6;
-  const int num_moved = static_cast<int>(state.range(0));
-  std::vector<Vec2> positions = RoomFrame(kUsers);
-  std::vector<ViewArc> arcs = ComputeViewArcs(positions, 0, 0.25);
-  const OcclusionGraph previous = BuildOcclusionGraphFromArcs(arcs);
-  Rng rng(8);
+/// The input of one per-tick delta carry (UpdateOcclusionGraph): target
+/// 0's graph in the 512-user frame of BM_OcclusionGraphBuild/512, and its
+/// arcs after `num_moved` agents each took one step of up to `max_step`
+/// metres in a random direction.
+struct CarryInput {
+  std::shared_ptr<const OcclusionGraph> previous;
+  std::vector<ViewArc> arcs;
   std::vector<int> moved;
-  std::vector<bool> is_moved(kUsers, false);
-  while (static_cast<int>(moved.size()) < num_moved) {
+  std::vector<bool> is_moved;
+};
+
+CarryInput MakeCarryInput(int num_moved, double max_step) {
+  constexpr int kUsers = 512;
+  CarryInput in;
+  std::vector<Vec2> positions = RoomFrame(kUsers);
+  in.arcs = ComputeViewArcs(positions, 0, 0.25);
+  in.previous = std::make_shared<const OcclusionGraph>(
+      BuildOcclusionGraphFromArcs(in.arcs));
+  in.is_moved.assign(kUsers, false);
+  Rng rng(8);
+  while (static_cast<int>(in.moved.size()) < num_moved) {
     const int m = 1 + rng.UniformInt(kUsers - 1);
-    if (is_moved[m]) continue;
-    is_moved[m] = true;
-    moved.push_back(m);
+    if (in.is_moved[m]) continue;
+    in.is_moved[m] = true;
+    in.moved.push_back(m);
     const double heading = rng.Uniform(-M_PI, M_PI);
     positions[m] += Vec2(std::cos(heading), std::sin(heading)) *
-                    (kStep * rng.Uniform());
+                    (max_step * rng.Uniform());
   }
-  std::sort(moved.begin(), moved.end());
-  UpdateViewArcs(positions, 0, 0.25, moved, &arcs);
+  std::sort(in.moved.begin(), in.moved.end());
+  UpdateViewArcs(positions, 0, 0.25, in.moved, &in.arcs);
+  return in;
+}
+
+/// One carry after M agents each took one walking step: up to 0.6 m (a
+/// live room's 1.2 m/s over its 0.5 s simulator step), which changes
+/// rows, so the carry writes a new graph. mega-room moves ~26 agents a
+/// tick while its walkers still walk and 1-6 once they deadlock. The
+/// bench-regression lane (scripts/check.sh) gates the ratio of
+/// BM_OcclusionGraphBuild/512 to the M = 1 carry (docs/ticking.md).
+void BM_OcclusionCarry(benchmark::State& state) {
+  const CarryInput in =
+      MakeCarryInput(static_cast<int>(state.range(0)), /*max_step=*/0.6);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        UpdateOcclusionGraph(previous, arcs, moved, is_moved));
+        UpdateOcclusionGraph(in.previous, in.arcs, in.moved, in.is_moved));
   }
 }
 BENCHMARK(BM_OcclusionCarry)->Arg(1)->Arg(26)->Arg(128);
+
+/// One carry after one agent moved at most 1.3 um, the deadlocked
+/// mega-room step: no row changes, so the carry shares the previous
+/// graph. The bench-regression lane gates the ratio of
+/// BM_OcclusionGraphBuild/512 to it.
+void BM_OcclusionCarryUnchanged(benchmark::State& state) {
+  const CarryInput in = MakeCarryInput(1, /*max_step=*/1.3e-6);
+  if (*UpdateOcclusionGraph(in.previous, in.arcs, in.moved, in.is_moved) !=
+      *in.previous) {
+    state.SkipWithError("the step changed a row");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        UpdateOcclusionGraph(in.previous, in.arcs, in.moved, in.is_moved));
+  }
+}
+BENCHMARK(BM_OcclusionCarryUnchanged);
 
 void BM_GreedyMwis(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

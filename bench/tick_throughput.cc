@@ -6,10 +6,12 @@
 // motion crowd one step and then touches `--hot` target occlusion
 // graphs, modeling the request traffic that keeps a hot set of targets
 // materialized every tick. After every measured tick (untimed), each
-// hot target's graph is checked against a from-scratch rebuild. The
-// delta/scratch speedup at 512 users with 5% movers is the headline
-// number the bench-regression CI lane gates at >=2.5x
-// (bench/baselines/BENCH_tick.json).
+// hot target's graph is checked against a from-scratch rebuild. Each
+// variant's row reports, per measured delta tick, the agents moved, the
+// hot targets carried, and the carries that shared their predecessor's
+// graph because no row changed. The delta/scratch speedup at 512 users
+// with 5% movers is the headline number the bench-regression CI lane
+// gates at >=2.5x (bench/baselines/BENCH_tick.json).
 //
 // Usage:
 //   tick_throughput                               # default config
@@ -67,7 +69,9 @@ struct TickStats {
   double ticks_per_sec = 0.0;
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
   long long delta_ticks = 0, scratch_ticks = 0;
-  double avg_moved = 0.0;
+  /// Per measured delta tick: agents moved, hot targets carried, and
+  /// carries that shared the predecessor's graph because no row changed.
+  double avg_moved = 0.0, avg_carried = 0.0, avg_shared = 0.0;
   /// Bit-exactness violations found by the per-tick verification pass
   /// (delta-built occlusion graph != from-scratch rebuild) plus any
   /// prune-mask size violations. Must be 0.
@@ -145,7 +149,8 @@ TickStats RunVariant(const Dataset& dataset, const BenchConfig& config,
   TickStats stats;
   std::vector<double> tick_ms;
   tick_ms.reserve(config.ticks);
-  long long moved_total = 0;
+  long long measured_delta = 0, moved_total = 0, carried_total = 0,
+            shared_total = 0;
   double ticking_s = 0.0;
   for (int i = 0; i < config.ticks; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -154,7 +159,12 @@ TickStats RunVariant(const Dataset& dataset, const BenchConfig& config,
     ticking_s += std::chrono::duration<double>(t1 - t0).count();
     tick_ms.push_back(
         std::chrono::duration<double, std::milli>(t1 - t0).count());
-    if (snapshot->num_moved() >= 0) moved_total += snapshot->num_moved();
+    if (snapshot->built_by_delta()) {
+      ++measured_delta;
+      moved_total += snapshot->num_moved();
+      carried_total += snapshot->delta_carried();
+      shared_total += snapshot->delta_shared();
+    }
     stats.errors += verify(*snapshot);  // untimed
   }
 
@@ -169,10 +179,11 @@ TickStats RunVariant(const Dataset& dataset, const BenchConfig& config,
   }
   stats.delta_ticks = static_cast<long long>(room->delta_ticks());
   stats.scratch_ticks = static_cast<long long>(room->scratch_ticks());
-  stats.avg_moved =
-      stats.delta_ticks > 0
-          ? static_cast<double>(moved_total) / stats.delta_ticks
-          : 0.0;
+  if (measured_delta > 0) {
+    stats.avg_moved = static_cast<double>(moved_total) / measured_delta;
+    stats.avg_carried = static_cast<double>(carried_total) / measured_delta;
+    stats.avg_shared = static_cast<double>(shared_total) / measured_delta;
+  }
   return stats;
 }
 
@@ -315,16 +326,18 @@ int RunStaleCacheDrill(const Dataset& dataset, const BenchConfig& config,
 void PrintRow(const char* label, const BenchConfig& config,
               const TickStats& stats) {
   std::printf(
-      "%-8s %5d %4d %6.2f %9.1f %8.3f %8.3f %6lld %7lld %9.1f %6lld\n",
+      "%-8s %5d %4d %6.2f %9.1f %8.3f %8.3f %6lld %7lld %9.1f %7.1f "
+      "%6.1f %6lld\n",
       label, config.users, config.hot, config.move_fraction,
       stats.ticks_per_sec, stats.p50_ms, stats.p99_ms, stats.delta_ticks,
-      stats.scratch_ticks, stats.avg_moved, stats.errors);
+      stats.scratch_ticks, stats.avg_moved, stats.avg_carried,
+      stats.avg_shared, stats.errors);
 }
 
 void PrintHeader() {
   std::printf(
       "variant  users  hot  moved   ticks/s   p50 ms   p99 ms  delta "
-      "scratch  avg_mvd errors\n");
+      "scratch  avg_mvd carried shared errors\n");
 }
 
 int Main(int argc, char** argv) {
@@ -430,6 +443,8 @@ int Main(int argc, char** argv) {
         << "  \"p95_ms\": " << delta.p95_ms << ",\n"
         << "  \"p99_ms\": " << delta.p99_ms << ",\n"
         << "  \"avg_moved\": " << delta.avg_moved << ",\n"
+        << "  \"avg_carried\": " << delta.avg_carried << ",\n"
+        << "  \"avg_shared\": " << delta.avg_shared << ",\n"
         << "  \"delta_ticks\": " << delta.delta_ticks << ",\n"
         << "  \"lost\": 0,\n"
         << "  \"errors\": " << errors << "\n"

@@ -43,15 +43,18 @@
 #            build/BENCH_*.json and failing on malformed output. Not
 #            in the default set: CI runs it as a non-blocking job.
 #   bench-regression
-#            first gates two same-run ratios of median CPU times over
+#            first gates three same-run ratios of median CPU times over
 #            5 interleaved micro_kernels repetitions, each against a
 #            floor set between 10 observed runs and a slower variant:
 #            the f64 reference step over the served f32 step at the
 #            pruned N=500 request shape (32 candidates, as in the
 #            mega-room workload; the slower variant is a forward
-#            slowed 2x), and a 512-user scratch graph build over a
+#            slowed 2x), a 512-user scratch graph build over a
 #            one-mover delta carry (the slower variant is the carry
-#            that rewrote every row). Then it runs the serve/net
+#            that rewrote every row), and the same build over a
+#            one-mover carry that changes no row (the slower variant
+#            is a carry that rewrites unchanged rows instead of
+#            sharing the graph). Then it runs the serve/net
 #            benches once each in the baseline config (both serve the
 #            frozen POSHGNN on the fused f32 engine), plus the C10k
 #            config (10k idle
@@ -334,13 +337,13 @@ run_bench_regression_lane() {
     --target serve_throughput net_throughput tick_throughput world_sim \
     micro_kernels
   echo "---- micro_kernels (reference/served step ratio gate on the ----"
-  echo "---- pruned N=500 request shape; scratch/carry ratio gate at ----"
-  echo "---- N=512) ----"
+  echo "---- pruned N=500 request shape; scratch/carry ratio gates at ----"
+  echo "---- N=512, a carry that rewrites rows and one that shares) ----"
   ./build/bench/micro_kernels \
     --benchmark_filter='StepPruned|OcclusionGraphBuild/512|OcclusionCarry' \
     --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
     --benchmark_format=json > build/BENCH_micro.json
-  # Both gates are same-run ratios of CPU times, each the median of 5
+  # All three gates are same-run ratios of CPU times, each the median of 5
   # interleaved repetitions, so neither the runner's speed nor time
   # stolen from its vCPU moves them much. No runner of another
   # microarchitecture has been measured.
@@ -361,6 +364,13 @@ run_bench_regression_lane() {
   #   9.8-13.0x. The floor sits at about half the lowest normal run, so
   #   it catches a carry that rewrites every row again, not a small
   #   slowdown (docs/ticking.md).
+  # - Shared carry: the same scratch build over one carry after 1 agent
+  #   moved at most 1.3 um, the deadlocked mega-room step, which changes
+  #   no row, so the carry returns the previous graph. The filter's
+  #   OcclusionCarry matches BM_OcclusionCarryUnchanged too. On the same
+  #   VM, 10 runs read 179.5-316.2x, and 10 runs interleaved with them
+  #   of a carry that rewrites unchanged rows instead of sharing them
+  #   read 66.5-90.1x; the floor sits midway (docs/ticking.md).
   python3 - build/BENCH_micro.json <<'PY'
 import json, sys
 with open(sys.argv[1]) as handle:
@@ -372,7 +382,10 @@ for label, slow, fast, floor in [
          "BM_PoshgnnReferenceStepPruned/500", "BM_FrozenPoshgnnStepPruned/500",
          28.0),
         ("occlusion graph, N=512: scratch build / carry of 1 moved",
-         "BM_OcclusionGraphBuild/512", "BM_OcclusionCarry/1", 30.0)]:
+         "BM_OcclusionGraphBuild/512", "BM_OcclusionCarry/1", 30.0),
+        ("occlusion graph, N=512: scratch build / carry that changes no row",
+         "BM_OcclusionGraphBuild/512", "BM_OcclusionCarryUnchanged",
+         135.0)]:
     a, b = medians[slow], medians[fast]
     if a["time_unit"] != b["time_unit"]:
         raise SystemExit(f"micro gate: {slow} and {fast} report different time units")

@@ -136,12 +136,14 @@ void UpdateViewArcs(const std::vector<Vec2>& positions, int target,
   }
 }
 
-OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
-                                    const std::vector<ViewArc>& arcs,
-                                    const std::vector<int>& moved,
-                                    const std::vector<bool>& is_moved) {
+std::shared_ptr<const OcclusionGraph> UpdateOcclusionGraph(
+    const std::shared_ptr<const OcclusionGraph>& previous,
+    const std::vector<ViewArc>& arcs, const std::vector<int>& moved,
+    const std::vector<bool>& is_moved) {
+  AFTER_CHECK(previous != nullptr);
+  const OcclusionGraph& graph = *previous;
   const int n = static_cast<int>(arcs.size());
-  AFTER_CHECK_EQ(previous.num_nodes(), n);
+  AFTER_CHECK_EQ(graph.num_nodes(), n);
   AFTER_CHECK_EQ(static_cast<int>(is_moved.size()), n);
   const int num_moved = static_cast<int>(moved.size());
   // Node sets as bits, 64 to a word: the nodes with a valid arc, the
@@ -170,7 +172,8 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
   std::vector<std::pair<int, int>> changes;
   std::vector<int> change_offsets(n + 1, 0);  // counts first, then starts
   std::vector<int> row(n);
-  int total = 2 * previous.num_edges();  // entries of the result
+  int total = 2 * graph.num_edges();  // entries of the result
+  bool same_rows = true;  // every fresh row equals its old row
   for (int k = 0; k < num_moved; ++k) {
     const int m = moved[k];
     // The row layout below relies on `moved` being strictly ascending
@@ -188,11 +191,12 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
       fresh[w] = arc.valid ? bits & valid[w] : 0;
     }
     fresh[m >> 6] &= ~(uint64_t{1} << (m & 63));  // no self-loop
-    const std::span<const int> old_row = previous.Neighbors(m);
+    const std::span<const int> old_row = graph.Neighbors(m);
     std::fill(old.begin(), old.end(), 0);
     for (int v : old_row) old[v >> 6] |= uint64_t{1} << (v & 63);
     int count = 0;
     for (int w = 0; w < num_words; ++w) {
+      same_rows = same_rows && fresh[w] == old[w];
       // Bits come out lowest first, so the fresh row is ascending.
       for (uint64_t bits = fresh[w]; bits != 0; bits &= bits - 1)
         row[count++] = 64 * w + std::countr_zero(bits);
@@ -210,6 +214,16 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
     total += count - static_cast<int>(old_row.size());
   }
 
+  if (same_rows) {
+    // No moved row changed, so no unmoved row did either (each change is
+    // a bit where a fresh and an old row differ): share the graph. The
+    // row loop below checks that no flag lacks its `moved` entry; every
+    // entry is flagged (checked above), so counting the flags does it.
+    AFTER_CHECK_EQ(std::count(is_moved.begin(), is_moved.end(), true),
+                   num_moved);
+    return previous;
+  }
+
   // Bucket the changes per unmoved node (counting sort on the node). The
   // moved agents were visited in ascending order, so every bucket is
   // ascending by agent.
@@ -218,8 +232,8 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
   std::vector<int> fill(change_offsets.begin(), change_offsets.end() - 1);
   for (const auto& [v, change] : changes) bucket[fill[v]++] = change;
 
-  // Write every row, in order, into one fresh array: the old snapshot
-  // may still be serving requests, so nothing is patched in place. A
+  // Write every row, in order, into one fresh array: the old graph may
+  // still be serving requests, so nothing is patched in place. A
   // run of unchanged rows is one block copy from the old array. A moved
   // row is its fresh row. A changed unmoved row is its old row merged
   // with its bucket, each gain inserted where it sorts and each loss
@@ -232,10 +246,10 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
   };
   auto copy_run = [&](int first, int last) {
     if (first == last) return;
-    const std::span<const int> run = previous.Rows(first, last);
+    const std::span<const int> run = graph.Rows(first, last);
     append(run.data(), run.data() + run.size());
     for (int u = first; u < last; ++u)
-      offsets[u + 1] = offsets[u] + previous.Degree(u);
+      offsets[u + 1] = offsets[u] + graph.Degree(u);
   };
   int run_start = 0;
   for (int u = 0, k = 0; u < n; ++u) {
@@ -251,7 +265,7 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
              moved_rows.data() + moved_offsets[k + 1]);
       ++k;
     } else {
-      const std::span<const int> old_row = previous.Neighbors(u);
+      const std::span<const int> old_row = graph.Neighbors(u);
       const int* kept = old_row.data();
       const int* const old_end = kept + old_row.size();
       int* out = row.data();
@@ -270,7 +284,8 @@ OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
     offsets[u + 1] = static_cast<int>(neighbors.size());
   }
   copy_run(run_start, n);
-  return OcclusionGraph::FromRows(std::move(offsets), std::move(neighbors));
+  return std::make_shared<const OcclusionGraph>(
+      OcclusionGraph::FromRows(std::move(offsets), std::move(neighbors)));
 }
 
 DynamicOcclusionGraph BuildDynamicOcclusionGraph(

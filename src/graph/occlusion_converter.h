@@ -1,6 +1,7 @@
 #ifndef AFTER_GRAPH_OCCLUSION_CONVERTER_H_
 #define AFTER_GRAPH_OCCLUSION_CONVERTER_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/geometry.h"
@@ -68,19 +69,22 @@ void UpdateViewArcs(const std::vector<Vec2>& positions, int target,
 /// re-tested against the (already patched, see UpdateViewArcs) `arcs`.
 /// Each moved arc is tested once against every arc, and its fresh row
 /// diffed against its old one; the unmoved nodes in that difference
-/// are exactly the unmoved rows that change. The result is written into
-/// one fresh CSR array (`previous` is never touched): runs of unchanged
-/// rows as block copies, moved rows fresh, changed rows as their old
-/// row merged with what they gained and lost. Requirements: `target` is
-/// not in `moved`, `moved` is sorted ascending, and `is_moved` is its
-/// indicator vector. Cost O(n + |moved| * n + the changed rows' degrees)
-/// plus one block copy of the unchanged rows, instead of O(n^2), and the
-/// result is bitwise-identical (operator==) to
+/// are exactly the unmoved rows that change. When every fresh row
+/// equals its old row, no row changes and the result is `previous`
+/// itself, shared rather than copied. Otherwise it is a new graph
+/// (`previous` is never touched) written into one fresh CSR array: runs
+/// of unchanged rows as block copies, moved rows fresh, changed rows as
+/// their old row merged with what they gained and lost.
+/// Requirements: `previous` is not null, `target` is not in `moved`,
+/// `moved` is sorted ascending, and `is_moved` is its indicator vector.
+/// Cost O(n + |moved| * n), plus the changed rows' degrees and one block
+/// copy of the unchanged rows when some row changed, instead of O(n^2);
+/// the result is bitwise-identical (operator==) to
 /// BuildOcclusionGraphFromArcs(arcs).
-OcclusionGraph UpdateOcclusionGraph(const OcclusionGraph& previous,
-                                    const std::vector<ViewArc>& arcs,
-                                    const std::vector<int>& moved,
-                                    const std::vector<bool>& is_moved);
+std::shared_ptr<const OcclusionGraph> UpdateOcclusionGraph(
+    const std::shared_ptr<const OcclusionGraph>& previous,
+    const std::vector<ViewArc>& arcs, const std::vector<int>& moved,
+    const std::vector<bool>& is_moved);
 
 /// Builds the dynamic occlusion graph over a trajectory: one static graph
 /// per time step. `trajectory[t][i]` is user i's position at time t.

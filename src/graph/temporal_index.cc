@@ -8,22 +8,22 @@ namespace after {
 
 void TemporalView::FillPruneMask(int target, int k,
                                  std::vector<bool>* mask) const {
+  const int n = num_users();
   AFTER_CHECK(mask != nullptr);
   AFTER_CHECK_GE(target, 0);
-  AFTER_CHECK_LT(target, n_);
-  mask->assign(n_, false);
-  if (k <= 0 || k >= n_ - 1) return;  // nothing to prune
+  AFTER_CHECK_LT(target, n);
+  mask->assign(n, false);
+  if (k <= 0 || k >= n - 1) return;  // nothing to prune
   std::vector<int> cand;
-  cand.reserve(n_ - 1);
-  for (int i = 0; i < n_; ++i) {
+  cand.reserve(n - 1);
+  for (int i = 0; i < n; ++i) {
     if (i != target) cand.push_back(i);
   }
   // (score desc, index asc) is a strict total order, so the top-k set is
   // unique and the mask deterministic.
-  const auto better = [this, target](int a, int b) {
-    const std::int32_t sa = score(target, a);
-    const std::int32_t sb = score(target, b);
-    if (sa != sb) return sa > sb;
+  const std::vector<std::int32_t>& row = *rows_[target];
+  const auto better = [&row](int a, int b) {
+    if (row[a] != row[b]) return row[a] > row[b];
     return a < b;
   };
   std::nth_element(cand.begin(), cand.begin() + k, cand.end(), better);
@@ -33,17 +33,17 @@ void TemporalView::FillPruneMask(int target, int k,
 }
 
 std::vector<int> TemporalView::TopCandidates(int target, int k) const {
+  const int n = num_users();
   AFTER_CHECK_GE(target, 0);
-  AFTER_CHECK_LT(target, n_);
+  AFTER_CHECK_LT(target, n);
   std::vector<int> cand;
-  cand.reserve(n_ - 1);
-  for (int i = 0; i < n_; ++i) {
+  cand.reserve(n - 1);
+  for (int i = 0; i < n; ++i) {
     if (i != target) cand.push_back(i);
   }
-  const auto better = [this, target](int a, int b) {
-    const std::int32_t sa = score(target, a);
-    const std::int32_t sb = score(target, b);
-    if (sa != sb) return sa > sb;
+  const std::vector<std::int32_t>& row = *rows_[target];
+  const auto better = [&row](int a, int b) {
+    if (row[a] != row[b]) return row[a] > row[b];
     return a < b;
   };
   const size_t take = std::min<size_t>(k < 0 ? 0 : k, cand.size());
@@ -54,96 +54,69 @@ std::vector<int> TemporalView::TopCandidates(int target, int k) const {
 
 void TemporalIndex::Rebuild(const std::vector<Vec2>& positions,
                             std::int64_t tick) {
-  n_ = static_cast<int>(positions.size());
-  scores_.assign(static_cast<size_t>(n_) * n_, TemporalView::kNever);
-  for (int i = 0; i < n_; ++i) {
-    for (int j = i + 1; j < n_; ++j) {
+  const int n = static_cast<int>(positions.size());
+  rows_.clear();
+  for (int i = 0; i < n; ++i)
+    rows_.push_back(std::make_shared<Row>(n, TemporalView::kNever));
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
       if (CoPresent(positions[i], positions[j])) {
-        At(scores_, i, j) = TemporalView::kCoPresent;
-        At(scores_, j, i) = TemporalView::kCoPresent;
+        (*rows_[i])[j] = TemporalView::kCoPresent;
+        (*rows_[j])[i] = TemporalView::kCoPresent;
       }
     }
   }
   last_tick_ = tick;
-  ++version_;
-  // History is gone, so views from before the rebuild are no longer
-  // patchable; dropping the ring makes PublishView fall back to copies.
-  ring_.clear();
+  // Every row is new, so the next publish makes a new view.
+  published_.reset();
 }
 
 void TemporalIndex::Update(const std::vector<Vec2>& positions,
                            const std::vector<int>& moved,
                            std::int64_t tick) {
-  AFTER_CHECK_EQ(static_cast<int>(positions.size()), n_);
+  const int n = num_users();
+  AFTER_CHECK_EQ(static_cast<int>(positions.size()), n);
   for (int m : moved) {
     AFTER_CHECK_GE(m, 0);
-    AFTER_CHECK_LT(m, n_);
-    for (int c = 0; c < n_; ++c) {
+    AFTER_CHECK_LT(m, n);
+    for (int c = 0; c < n; ++c) {
       if (c == m) continue;
-      std::int32_t& s = At(scores_, m, c);
-      std::int32_t& mirror = At(scores_, c, m);
+      // Scores are symmetric, so the mover's own row holds the pair's.
+      // Write may replace the row, so it is looked up every time.
+      const std::int32_t old = (*rows_[m])[c];
+      std::int32_t now = old;
       if (CoPresent(positions[m], positions[c])) {
-        s = TemporalView::kCoPresent;
-        mirror = TemporalView::kCoPresent;
-      } else if (s == TemporalView::kCoPresent) {
+        now = TemporalView::kCoPresent;
+      } else if (old == TemporalView::kCoPresent) {
         // The pair just separated; it was last co-present at the
         // previous update. (A doubly-moved pair hits this branch only
         // on its first visit — the second sees the stamped tick.)
-        s = static_cast<std::int32_t>(last_tick_);
-        mirror = s;
+        now = static_cast<std::int32_t>(last_tick_);
       }
+      if (now == old) continue;
+      Write(m, c, now);
+      Write(c, m, now);
     }
   }
   last_tick_ = tick;
-  ++version_;
-  ring_.push_back(RingEntry{version_, moved});
-  while (ring_.size() > kRingCapacity) ring_.pop_front();
+}
+
+void TemporalIndex::Write(int u, int c, std::int32_t score) {
+  if (published_ != nullptr && published_->rows_[u] == rows_[u])
+    rows_[u] = std::make_shared<Row>(*rows_[u]);
+  (*rows_[u])[c] = score;
 }
 
 std::shared_ptr<const TemporalView> TemporalIndex::PublishView() {
-  // Pick the freshest pooled buffer nobody else holds — the fresher the
-  // buffer, the smaller the patch.
-  std::shared_ptr<TemporalView> buf;
-  for (const auto& p : pool_) {
-    if (p.use_count() == 1 && (!buf || p->version_ > buf->version_)) {
-      buf = p;
-    }
-  }
-  if (!buf) {
-    buf = std::make_shared<TemporalView>();
-    if (pool_.size() < kPoolCapacity) pool_.push_back(buf);
-  }
-
-  bool patchable = buf->n_ == n_ && buf->version_ >= 0 &&
-                   buf->version_ <= version_;
-  if (patchable && buf->version_ < version_) {
-    patchable = !ring_.empty() && ring_.back().version == version_ &&
-                ring_.front().version <= buf->version_ + 1;
-  }
-  if (patchable) {
-    if (buf->version_ < version_) {
-      std::vector<bool> touched(n_, false);
-      for (const auto& e : ring_) {
-        if (e.version <= buf->version_) continue;
-        for (int m : e.moved) touched[m] = true;
-      }
-      for (int m = 0; m < n_; ++m) {
-        if (!touched[m]) continue;
-        const size_t row = static_cast<size_t>(m) * n_;
-        std::copy(scores_.begin() + row, scores_.begin() + row + n_,
-                  buf->scores_.begin() + row);
-        for (int t = 0; t < n_; ++t) {
-          buf->scores_[static_cast<size_t>(t) * n_ + m] =
-              scores_[static_cast<size_t>(t) * n_ + m];
-        }
-      }
-    }
-  } else {
-    buf->n_ = n_;
-    buf->scores_ = scores_;
-  }
-  buf->version_ = version_;
-  return buf;
+  // Every row still the one the last view holds: nothing changed.
+  if (published_ != nullptr &&
+      std::equal(rows_.begin(), rows_.end(), published_->rows_.begin(),
+                 published_->rows_.end()))
+    return published_;
+  auto view = std::make_shared<TemporalView>();
+  view->rows_.assign(rows_.begin(), rows_.end());
+  published_ = view;
+  return published_;
 }
 
 }  // namespace after

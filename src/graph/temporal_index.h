@@ -2,7 +2,6 @@
 #define AFTER_GRAPH_TEMPORAL_INDEX_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -26,21 +25,19 @@ namespace after {
 /// change when one of its endpoints moved, so a tick with |M| movers
 /// costs O(|M| * n) instead of O(n^2).
 
-/// Immutable published view of the score matrix. Snapshots hold one of
-/// these via shared_ptr; the index recycles view buffers whose refcount
-/// dropped back to one (see TemporalIndex::PublishView).
+/// Immutable published view of the score matrix, one immutable row per
+/// user. Snapshots hold one of these via shared_ptr, and consecutive
+/// views share every row that did not change between them (see
+/// TemporalIndex::PublishView).
 class TemporalView {
  public:
   static constexpr std::int32_t kCoPresent = INT32_MAX;
   static constexpr std::int32_t kNever = INT32_MIN;
 
-  int num_users() const { return n_; }
-  std::int64_t version() const { return version_; }
+  int num_users() const { return static_cast<int>(rows_.size()); }
 
   /// Score for candidate `c` in target `t`'s view (symmetric).
-  std::int32_t score(int t, int c) const {
-    return scores_[static_cast<size_t>(t) * n_ + c];
-  }
+  std::int32_t score(int t, int c) const { return (*rows_[t])[c]; }
 
   /// Fills `mask` (resized to n) with true for every candidate that is
   /// NOT in the target's top-`k` by (score desc, index asc). The target
@@ -56,14 +53,14 @@ class TemporalView {
 
  private:
   friend class TemporalIndex;
-  int n_ = 0;
-  std::int64_t version_ = -1;
-  std::vector<std::int32_t> scores_;
+  std::vector<std::shared_ptr<const std::vector<std::int32_t>>> rows_;
 };
 
 /// Incrementally maintained recency/co-presence index owned by a Room
 /// and updated under its tick lock. Not thread-safe by itself; the
 /// published views are immutable and safe to read from any thread.
+/// Rows are copy-on-write: the index never writes a row a published
+/// view holds, so a tick pays for the rows whose scores it changes.
 class TemporalIndex {
  public:
   struct Options {
@@ -73,7 +70,7 @@ class TemporalIndex {
 
   explicit TemporalIndex(const Options& options) : options_(options) {}
 
-  int num_users() const { return n_; }
+  int num_users() const { return static_cast<int>(rows_.size()); }
 
   /// Rebuilds from scratch at `tick`: currently-co-present pairs score
   /// kCoPresent, everything else kNever. Historical recency is lost —
@@ -85,46 +82,37 @@ class TemporalIndex {
   /// is stamped with the previous update's tick (its last co-present
   /// tick); untouched pairs cannot have changed co-presence status, so
   /// their scores are already correct. Idempotent for doubly-moved
-  /// pairs.
+  /// pairs. Writes only the scores that change, each into both of its
+  /// rows, copying a row before its first write after a publish.
   void Update(const std::vector<Vec2>& positions,
               const std::vector<int>& moved, std::int64_t tick);
 
-  /// Publishes an immutable view of the current scores. Reuses a pooled
-  /// buffer whose only owner is the pool (use_count() == 1), patching
-  /// just the rows/columns touched since that buffer's version via the
-  /// recent-mover ring; falls back to a full copy when the buffer is
-  /// too stale (ring no longer covers its version) or the pool is
-  /// exhausted.
+  /// Publishes an immutable view of the current scores: the last
+  /// published view when no row changed since, otherwise a new view
+  /// holding the current rows (O(n) pointer copies, no score copies).
   std::shared_ptr<const TemporalView> PublishView();
 
  private:
-  std::int32_t& At(std::vector<std::int32_t>& s, int t, int c) const {
-    return s[static_cast<size_t>(t) * n_ + c];
-  }
+  using Row = std::vector<std::int32_t>;
+
   bool CoPresent(const Vec2& a, const Vec2& b) const {
     const double r = options_.co_presence_radius;
     return (a - b).NormSq() <= r * r;
   }
+  /// Sets score (u, c), first copying row u if the last published view
+  /// holds it.
+  void Write(int u, int c, std::int32_t score);
 
   Options options_;
-  int n_ = 0;
   std::int64_t last_tick_ = -1;
-  /// Bumped by every Rebuild/Update; views remember the version they
-  /// were copied at so PublishView knows what to patch.
-  std::int64_t version_ = 0;
-  std::vector<std::int32_t> scores_;
-
-  /// Ring of per-update mover lists, newest last. A pooled view at
-  /// version v is patchable when every entry with version > v is still
-  /// in the ring.
-  struct RingEntry {
-    std::int64_t version;
-    std::vector<int> moved;
-  };
-  static constexpr size_t kRingCapacity = 64;
-  static constexpr size_t kPoolCapacity = 8;
-  std::deque<RingEntry> ring_;
-  std::vector<std::shared_ptr<TemporalView>> pool_;
+  /// One row per user. A row the last published view holds is copied
+  /// before it is written; a row created since is written in place. A
+  /// row an older view holds is either held by the last view too or no
+  /// longer here.
+  std::vector<std::shared_ptr<Row>> rows_;
+  /// The last published view; null before the first publish and after
+  /// a Rebuild.
+  std::shared_ptr<const TemporalView> published_;
 };
 
 }  // namespace after

@@ -82,6 +82,7 @@ RoomSnapshot::RoomSnapshot(int tick, std::vector<Vec2> positions,
                              is_moved);
     occlusion_built_[u].store(true, std::memory_order_relaxed);
     ++delta_carried_;
+    delta_shared_ += occlusion_[u] == previous.occlusion_[u];
   }
 }
 
@@ -89,11 +90,12 @@ const OcclusionGraph& RoomSnapshot::OcclusionFor(int target) const {
   if (!occlusion_built_[target].load(std::memory_order_acquire)) {
     std::call_once(occlusion_once_[target], [this, target] {
       arcs_[target] = ComputeViewArcs(positions_, target, body_radius_);
-      occlusion_[target] = BuildOcclusionGraphFromArcs(arcs_[target]);
+      occlusion_[target] = std::make_shared<const OcclusionGraph>(
+          BuildOcclusionGraphFromArcs(arcs_[target]));
       occlusion_built_[target].store(true, std::memory_order_release);
     });
   }
-  return occlusion_[target];
+  return *occlusion_[target];
 }
 
 bool RoomSnapshot::PruneCandidates(int target, int max_candidates,

@@ -34,8 +34,9 @@ namespace serve {
 /// Snapshots are persistent structures updated by deltas
 /// (docs/ticking.md): the delta constructor carries the predecessor's
 /// built occlusion state forward, re-testing only arc pairs that touch
-/// a moved agent and rewriting only the rows those tests change, into
-/// fresh CSR graphs whose ascending rows are bit-identical to a
+/// a moved agent. A graph in which no row changes is shared with the
+/// predecessor; otherwise only the changed rows are rewritten, into a
+/// fresh CSR graph. Either way its ascending rows are bit-identical to a
 /// from-scratch build — so order-sensitive consumers (MIA tie-breaks,
 /// POSHGNN aggregation) cannot tell the difference.
 class RoomSnapshot {
@@ -50,11 +51,12 @@ class RoomSnapshot {
   /// whose position/goal/active state changed since `previous` was
   /// published. Targets the predecessor had built and that did not
   /// themselves move get their occlusion graph delta-updated eagerly
-  /// (UpdateOcclusionGraph, O(n + |moved| * n + the changed rows'
-  /// degrees) plus one block copy of the unchanged rows, each); moved or
-  /// never-built targets stay lazy. The predecessor is
-  /// only read during construction — no reference is retained, so
-  /// snapshots never chain.
+  /// (UpdateOcclusionGraph, O(n + |moved| * n) each, plus the changed
+  /// rows' degrees and one block copy of the unchanged rows when a row
+  /// changed); moved or never-built targets stay lazy. The predecessor
+  /// is only read during construction. No reference to it is retained,
+  /// so snapshots never chain; two consecutive snapshots may share an
+  /// immutable graph.
   RoomSnapshot(int tick, std::vector<Vec2> positions,
                const RoomSnapshot& previous, std::vector<int> moved,
                std::shared_ptr<const TemporalView> temporal);
@@ -65,8 +67,9 @@ class RoomSnapshot {
   double beta() const { return beta_; }
   double body_radius() const { return body_radius_; }
 
-  /// The target's static occlusion graph at this tick. Thread-safe:
-  /// concurrent first calls for the same target build it exactly once.
+  /// The target's static occlusion graph at this tick, valid while the
+  /// snapshot lives. Thread-safe: concurrent first calls for the same
+  /// target build it exactly once.
   const OcclusionGraph& OcclusionFor(int target) const;
 
   /// A StepContext viewing this snapshot (valid while the snapshot
@@ -97,6 +100,9 @@ class RoomSnapshot {
   /// Number of targets whose occlusion state was carried forward from
   /// the predecessor by the delta constructor.
   int delta_carried() const { return delta_carried_; }
+  /// Number of carried targets whose graph had no row change, so this
+  /// snapshot shares it with the predecessor (<= delta_carried()).
+  int delta_shared() const { return delta_shared_; }
   /// Whether `target`'s occlusion graph is materialized right now.
   bool occlusion_built(int target) const {
     return occlusion_built_[target].load(std::memory_order_acquire);
@@ -110,7 +116,7 @@ class RoomSnapshot {
   const Matrix* social_presence_;
   double beta_;
   double body_radius_;
-  mutable std::vector<OcclusionGraph> occlusion_;
+  mutable std::vector<std::shared_ptr<const OcclusionGraph>> occlusion_;
   /// Per-target view arcs cached alongside the graph so successor
   /// snapshots can delta-update instead of recomputing O(n) trig.
   mutable std::vector<std::vector<ViewArc>> arcs_;
@@ -123,6 +129,7 @@ class RoomSnapshot {
   bool built_by_delta_ = false;
   int num_moved_ = -1;
   int delta_carried_ = 0;
+  int delta_shared_ = 0;
 };
 
 /// Published frames retained for migration handoff: the room keeps the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -266,8 +267,9 @@ TEST(DeltaConverterTest, UpdateOcclusionGraphIsBitExact) {
     for (int i = 0; i < n; ++i)
       positions.emplace_back(rng.Uniform(-3, 3), rng.Uniform(-3, 3));
     auto arcs = ComputeViewArcs(positions, target, kBody);
-    OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
-    ASSERT_TRUE(graph == BuildOcclusionGraph(positions, target, kBody))
+    auto graph = std::make_shared<const OcclusionGraph>(
+        BuildOcclusionGraphFromArcs(arcs));
+    ASSERT_TRUE(*graph == BuildOcclusionGraph(positions, target, kBody))
         << "trial " << trial;
 
     // Walk several ticks so errors would compound if carried edges ever
@@ -282,9 +284,13 @@ TEST(DeltaConverterTest, UpdateOcclusionGraphIsBitExact) {
         positions[i] += Vec2(rng.Uniform(-2, 2), rng.Uniform(-2, 2));
       }
       UpdateViewArcs(positions, target, kBody, moved, &arcs);
-      graph = UpdateOcclusionGraph(graph, arcs, moved, is_moved);
-      ASSERT_TRUE(graph == BuildOcclusionGraph(positions, target, kBody))
+      const auto next = UpdateOcclusionGraph(graph, arcs, moved, is_moved);
+      ASSERT_TRUE(*next == BuildOcclusionGraph(positions, target, kBody))
           << "trial " << trial << " step " << step;
+      // The carry shares the graph exactly when no row changed.
+      EXPECT_EQ(next == graph, *next == *graph)
+          << "trial " << trial << " step " << step;
+      graph = next;
     }
   }
 }
@@ -296,10 +302,23 @@ TEST(DeltaConverterTest, EmptyMovedSetIsIdentity) {
   for (int i = 0; i < n; ++i)
     positions.emplace_back(rng.Uniform(-2, 2), rng.Uniform(-2, 2));
   auto arcs = ComputeViewArcs(positions, 0, kBody);
-  const OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
-  const OcclusionGraph updated =
-      UpdateOcclusionGraph(graph, arcs, {}, std::vector<bool>(n, false));
-  EXPECT_TRUE(graph == updated);
+  const auto graph = std::make_shared<const OcclusionGraph>(
+      BuildOcclusionGraphFromArcs(arcs));
+  EXPECT_EQ(
+      UpdateOcclusionGraph(graph, arcs, {}, std::vector<bool>(n, false)),
+      graph);
+}
+
+/// The shared path skips the row loop, which is where a flag without its
+/// `moved` entry used to be caught; it must be caught there too.
+TEST(DeltaConverterDeathTest, FlagWithoutItsMovedEntryAborts) {
+  const std::vector<Vec2> positions = {{0, 0}, {1, 0}, {0, 1}, {-2, 1}};
+  const auto arcs = ComputeViewArcs(positions, 0, kBody);
+  const auto graph = std::make_shared<const OcclusionGraph>(
+      BuildOcclusionGraphFromArcs(arcs));
+  std::vector<bool> is_moved(positions.size(), false);
+  is_moved[2] = true;  // flagged, but absent from `moved`
+  EXPECT_DEATH(UpdateOcclusionGraph(graph, arcs, {}, is_moved), "num_moved");
 }
 
 /// Edge (i, j) straight from the pair definition, written apart from
@@ -343,8 +362,9 @@ TEST(DeltaConverterTest, DenseRoomWalkMatchesPairDefinition) {
   positions[7] = Vec2(0.1, 0.05);  // encloses the target
 
   auto arcs = ComputeViewArcs(positions, target, kBody);
-  OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
-  ASSERT_TRUE(graph == GraphFromPairDefinition(positions, target));
+  auto graph = std::make_shared<const OcclusionGraph>(
+      BuildOcclusionGraphFromArcs(arcs));
+  ASSERT_TRUE(*graph == GraphFromPairDefinition(positions, target));
 
   int full_circle_rows = 0, plus_pi = 0, minus_pi = 0, max_degree = 0;
   for (int tick = 0; tick < 10; ++tick) {
@@ -368,7 +388,7 @@ TEST(DeltaConverterTest, DenseRoomWalkMatchesPairDefinition) {
     }
     UpdateViewArcs(positions, target, kBody, moved, &arcs);
     graph = UpdateOcclusionGraph(graph, arcs, moved, is_moved);
-    ASSERT_TRUE(graph == GraphFromPairDefinition(positions, target))
+    ASSERT_TRUE(*graph == GraphFromPairDefinition(positions, target))
         << "tick " << tick;
 
     for (int i = 0; i < n; ++i) {
@@ -376,7 +396,7 @@ TEST(DeltaConverterTest, DenseRoomWalkMatchesPairDefinition) {
       full_circle_rows += arcs[i].half_width == M_PI;
       plus_pi += arcs[i].center == M_PI;
       minus_pi += arcs[i].center == -M_PI;
-      max_degree = std::max(max_degree, graph.Degree(i));
+      max_degree = std::max(max_degree, graph->Degree(i));
     }
   }
   // The walk really covered the cases the small fuzz cannot reach.
@@ -389,10 +409,10 @@ TEST(DeltaConverterTest, DenseRoomWalkMatchesPairDefinition) {
 /// One carried tick: patches the arcs of the agents in `moved` (sorted
 /// ascending), whose positions have already changed, and carries the
 /// graph across them.
-OcclusionGraph CarryTick(const OcclusionGraph& graph,
-                         const std::vector<Vec2>& positions, int target,
-                         const std::vector<int>& moved,
-                         std::vector<ViewArc>* arcs) {
+std::shared_ptr<const OcclusionGraph> CarryTick(
+    const std::shared_ptr<const OcclusionGraph>& graph,
+    const std::vector<Vec2>& positions, int target,
+    const std::vector<int>& moved, std::vector<ViewArc>* arcs) {
   std::vector<bool> is_moved(positions.size(), false);
   for (int m : moved) is_moved[m] = true;
   UpdateViewArcs(positions, target, kBody, moved, arcs);
@@ -404,46 +424,66 @@ Vec2 Polar(const Vec2& center, double radius, double angle) {
   return center + Vec2(std::cos(angle), std::sin(angle)) * radius;
 }
 
+/// A 512-user room around `kTarget` at its centre in which row `kTrader`
+/// overlaps `kLeaver` and misses `kJoiner` by 1e-4 rad. Trade() turns
+/// both 3e-4 rad (0.9 mm at 3 m) the same way, so the trader loses the
+/// leaver and gains the joiner at equal degree.
+struct TradeRoom {
+  static constexpr int kUsers = 512, kTarget = 256;
+  static constexpr int kTrader = 100, kLeaver = 101, kJoiner = 102;
+  static constexpr double kRadius = 3.0, kTheta = 0.5;
+
+  explicit TradeRoom(Rng& rng) : positions(kUsers) {
+    for (Vec2& p : positions) p = Vec2(rng.Uniform(0, 10), rng.Uniform(0, 10));
+    positions[kTarget] = center;
+    positions[kTrader] = Polar(center, kRadius, kTheta);
+    positions[kLeaver] = Polar(center, kRadius, kTheta + reach - 1e-4);
+    positions[kJoiner] = Polar(center, kRadius, kTheta - reach - 1e-4);
+  }
+
+  /// Moves the leaver and the joiner; returns them as a moved set.
+  std::vector<int> Trade() {
+    positions[kLeaver] = Polar(center, kRadius, kTheta + reach + 2e-4);
+    positions[kJoiner] = Polar(center, kRadius, kTheta - reach + 2e-4);
+    return {kLeaver, kJoiner};
+  }
+
+  const Vec2 center{5.0, 5.0};
+  const double reach = 2.0 * std::asin(kBody / kRadius);  // summed widths
+  std::vector<Vec2> positions;
+};
+
 /// The deadlocked mega-room tick: 512 users, 1-2 of them taking a
-/// millimetre step, so the carry copies almost every row in bulk. The
-/// movers include row 0 and row n - 1 on some ticks, and both rows sit
-/// inside copied runs on others. One tick makes an unmoved row trade one
-/// moved neighbour for another at equal degree: a carry that took "as
-/// many lost as gained" for "unchanged" would copy its stale row.
+/// millimetre step, so on most ticks no row changes and the carry
+/// shares the graph, and on the others it copies almost every row in
+/// bulk. The movers include row 0 and row n - 1 on some ticks, and both
+/// rows sit inside copied runs on others. One tick makes an unmoved row
+/// trade one moved neighbour for another at equal degree: a carry that
+/// took "as many lost as gained" for "unchanged" would copy its stale
+/// row, or share the stale graph.
 TEST(DeltaConverterTest, MillimetreStepsCopyUnchangedRowsAndTradeNeighbours) {
   Rng rng(1024);
-  const int n = 512;
-  const int target = 256;
-  std::vector<Vec2> positions(n);
-  for (int i = 0; i < n; ++i)
-    positions[i] = Vec2(rng.Uniform(0, 10), rng.Uniform(0, 10));
-  const Vec2 center(5.0, 5.0);
-  positions[target] = center;
-  // Row `trader` overlaps `leaver` and misses `joiner` by 1e-4 rad; one
-  // tick turns both 3e-4 rad (0.9 mm at 3 m) the same way, so the trader
-  // loses the leaver and gains the joiner.
-  const int trader = 100, leaver = 101, joiner = 102;
-  const double radius = 3.0, theta = 0.5;
-  const double reach = 2.0 * std::asin(kBody / radius);  // summed widths
-  positions[trader] = Polar(center, radius, theta);
-  positions[leaver] = Polar(center, radius, theta + reach - 1e-4);
-  positions[joiner] = Polar(center, radius, theta - reach - 1e-4);
+  const int n = TradeRoom::kUsers;
+  const int target = TradeRoom::kTarget;
+  const int trader = TradeRoom::kTrader, leaver = TradeRoom::kLeaver,
+            joiner = TradeRoom::kJoiner;
+  TradeRoom room(rng);
+  std::vector<Vec2>& positions = room.positions;
 
   std::vector<ViewArc> arcs = ComputeViewArcs(positions, target, kBody);
-  OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
-  ASSERT_TRUE(graph.HasEdge(trader, leaver));
-  ASSERT_FALSE(graph.HasEdge(trader, joiner));
+  auto graph = std::make_shared<const OcclusionGraph>(
+      BuildOcclusionGraphFromArcs(arcs));
+  ASSERT_TRUE(graph->HasEdge(trader, leaver));
+  ASSERT_FALSE(graph->HasEdge(trader, joiner));
 
   constexpr int kTicks = 24;
   constexpr int kTradeTick = 5;
   bool first_row_moved = false, last_row_moved = false;
-  int first_row_copied = 0, last_row_copied = 0;
+  int first_row_copied = 0, last_row_copied = 0, shared = 0;
   for (int tick = 0; tick < kTicks; ++tick) {
     std::vector<int> moved;
     if (tick == kTradeTick) {
-      moved = {leaver, joiner};
-      positions[leaver] = Polar(center, radius, theta + reach + 2e-4);
-      positions[joiner] = Polar(center, radius, theta - reach + 2e-4);
+      moved = room.Trade();
     } else {
       // Ticks 0 and 1 move the first and the last row.
       moved.push_back(tick == 0 ? 0 : tick == 1 ? n - 1 : rng.UniformInt(n));
@@ -457,16 +497,17 @@ TEST(DeltaConverterTest, MillimetreStepsCopyUnchangedRowsAndTradeNeighbours) {
                         rng.Uniform(1e-4, 1e-3);
       }
     }
-    const OcclusionGraph next =
-        CarryTick(graph, positions, target, moved, &arcs);
-    ASSERT_TRUE(next == GraphFromPairDefinition(positions, target))
+    const auto next = CarryTick(graph, positions, target, moved, &arcs);
+    ASSERT_TRUE(*next == GraphFromPairDefinition(positions, target))
         << "tick " << tick;
+    EXPECT_EQ(next == graph, *next == *graph) << "tick " << tick;
+    shared += next == graph;
 
     std::vector<bool> is_moved(n, false);
     for (int m : moved) is_moved[m] = true;
     std::vector<bool> copied(n);
     for (int u = 0; u < n; ++u) {
-      const auto before = graph.Neighbors(u), after = next.Neighbors(u);
+      const auto before = graph->Neighbors(u), after = next->Neighbors(u);
       copied[u] = !is_moved[u] && std::equal(before.begin(), before.end(),
                                              after.begin(), after.end());
     }
@@ -477,10 +518,11 @@ TEST(DeltaConverterTest, MillimetreStepsCopyUnchangedRowsAndTradeNeighbours) {
     first_row_copied += copied[0];
     last_row_copied += copied[n - 1];
     if (tick == kTradeTick) {
-      // The trade happened, at equal degree.
-      EXPECT_FALSE(next.HasEdge(trader, leaver));
-      EXPECT_TRUE(next.HasEdge(trader, joiner));
-      EXPECT_EQ(next.Degree(trader), graph.Degree(trader));
+      // The trade happened, at equal degree, in a new graph.
+      EXPECT_NE(next, graph);
+      EXPECT_FALSE(next->HasEdge(trader, leaver));
+      EXPECT_TRUE(next->HasEdge(trader, joiner));
+      EXPECT_EQ(next->Degree(trader), graph->Degree(trader));
     }
     graph = next;
   }
@@ -488,6 +530,42 @@ TEST(DeltaConverterTest, MillimetreStepsCopyUnchangedRowsAndTradeNeighbours) {
   EXPECT_TRUE(last_row_moved);
   EXPECT_GT(first_row_copied, kTicks / 2);
   EXPECT_GT(last_row_copied, kTicks / 2);
+  EXPECT_GT(shared, kTicks / 2);
+}
+
+/// The two outcomes of a carry. Agents that each moved at most 1.3 um
+/// (the deadlocked mega-room step) change no row, and the carry returns
+/// the previous graph, the very object. A neighbour trade at equal
+/// degree gets a new graph, equal to a scratch build, and the shared
+/// one is left as it was.
+TEST(DeltaConverterTest, MicrometreStepsShareTheGraphATradeWritesANewOne) {
+  Rng rng(2048);
+  TradeRoom room(rng);
+  const int target = TradeRoom::kTarget;
+  std::vector<ViewArc> arcs = ComputeViewArcs(room.positions, target, kBody);
+  const auto graph = std::make_shared<const OcclusionGraph>(
+      BuildOcclusionGraphFromArcs(arcs));
+
+  std::vector<int> moved;
+  for (int m = 3; m < TradeRoom::kUsers; m += 64) {
+    const double heading = rng.Uniform(-M_PI, M_PI);
+    room.positions[m] += Vec2(std::cos(heading), std::sin(heading)) *
+                         rng.Uniform(0.0, 1.3e-6);
+    moved.push_back(m);
+  }
+  const auto shared = CarryTick(graph, room.positions, target, moved, &arcs);
+  EXPECT_EQ(shared, graph);
+  EXPECT_TRUE(*shared == GraphFromPairDefinition(room.positions, target));
+
+  const auto traded =
+      CarryTick(shared, room.positions, target, room.Trade(), &arcs);
+  EXPECT_NE(traded, graph);
+  EXPECT_TRUE(*traded == GraphFromPairDefinition(room.positions, target));
+  EXPECT_FALSE(traded->HasEdge(TradeRoom::kTrader, TradeRoom::kLeaver));
+  EXPECT_TRUE(traded->HasEdge(TradeRoom::kTrader, TradeRoom::kJoiner));
+  EXPECT_EQ(traded->Degree(TradeRoom::kTrader),
+            graph->Degree(TradeRoom::kTrader));
+  EXPECT_TRUE(graph->HasEdge(TradeRoom::kTrader, TradeRoom::kLeaver));
 }
 
 /// Moved-set sizes from none to a quarter of a 512-user room, each
@@ -502,7 +580,8 @@ TEST(DeltaConverterTest, MovedSetSizesChainMatchPairDefinition) {
     for (int i = 0; i < n; ++i)
       positions[i] = Vec2(rng.Uniform(0, 10), rng.Uniform(0, 10));
     std::vector<ViewArc> arcs = ComputeViewArcs(positions, target, kBody);
-    OcclusionGraph graph = BuildOcclusionGraphFromArcs(arcs);
+    auto graph = std::make_shared<const OcclusionGraph>(
+        BuildOcclusionGraphFromArcs(arcs));
     for (int tick = 0; tick < 4; ++tick) {
       std::vector<int> moved;
       std::vector<bool> chosen(n, false);
@@ -518,7 +597,7 @@ TEST(DeltaConverterTest, MovedSetSizesChainMatchPairDefinition) {
       }
       std::sort(moved.begin(), moved.end());
       graph = CarryTick(graph, positions, target, moved, &arcs);
-      ASSERT_TRUE(graph == GraphFromPairDefinition(positions, target))
+      ASSERT_TRUE(*graph == GraphFromPairDefinition(positions, target))
           << num_moved << " moved, tick " << tick;
     }
   }

@@ -125,41 +125,98 @@ TEST(TemporalIndexTest, UpdateMatchesExhaustiveReference) {
   }
 }
 
-/// Views produced through the patch-from-pooled-buffer fast path must
-/// be indistinguishable from full copies. Index A publishes every tick
-/// (and drops most views, so its pool recycles + patches); index B is
-/// fed identically but publishes only at the end (always a fresh copy).
-TEST(TemporalIndexTest, PatchedViewsEqualFullCopies) {
+/// One random walk step: each agent moves with probability 1/4, up to
+/// `reach` along each axis. Returns the moved set, ascending.
+std::vector<int> WalkStep(Rng& rng, double reach,
+                          std::vector<Vec2>* positions) {
+  std::vector<int> moved;
+  for (int i = 0; i < static_cast<int>(positions->size()); ++i) {
+    if (rng.UniformInt(4) != 0) continue;
+    moved.push_back(i);
+    (*positions)[i].x += rng.Uniform(-reach, reach);
+    (*positions)[i].y += rng.Uniform(-reach, reach);
+  }
+  return moved;
+}
+
+std::vector<std::vector<std::int32_t>> Scores(const TemporalView& view) {
+  const int n = view.num_users();
+  std::vector<std::vector<std::int32_t>> scores(
+      n, std::vector<std::int32_t>(n));
+  for (int t = 0; t < n; ++t)
+    for (int c = 0; c < n; ++c) scores[t][c] = view.score(t, c);
+  return scores;
+}
+
+/// Rows are copy-on-write: a view keeps every score it was published
+/// with, however many updates and publishes follow.
+TEST(TemporalIndexTest, HeldViewKeepsItsScoresAcrossUpdates) {
+  Rng rng(7);
+  const int n = 10;
+  std::vector<Vec2> positions;
+  for (int i = 0; i < n; ++i)
+    positions.emplace_back(rng.Uniform(0, 6), rng.Uniform(0, 6));
+  TemporalIndex index(Opts());
+  index.Rebuild(positions, 0);
+  std::vector<int> moved = WalkStep(rng, 2.0, &positions);
+  index.Update(positions, moved, 1);
+  const auto held = index.PublishView();
+  const auto published_with = Scores(*held);
+  bool changed = false;
+  for (std::int64_t tick = 2; tick <= 31; ++tick) {
+    moved = WalkStep(rng, 2.0, &positions);
+    index.Update(positions, moved, tick);
+    changed |= Scores(*index.PublishView()) != published_with;
+    ASSERT_EQ(Scores(*held), published_with) << "tick " << tick;
+  }
+  EXPECT_TRUE(changed);  // later views did move on
+}
+
+/// A publish after updates that changed no score returns the last view
+/// itself; one after a change returns a new view.
+TEST(TemporalIndexTest, PublishWithoutAChangeReturnsTheSameView) {
+  std::vector<Vec2> positions = {{0, 0}, {1, 0}, {10, 10}};
+  TemporalIndex index(Opts());
+  index.Rebuild(positions, 0);
+  const auto first = index.PublishView();
+  EXPECT_EQ(index.PublishView(), first);  // no update at all
+  // 1 stays co-present with 0, and 2 stays away from both.
+  positions[1].x = 1.5;
+  positions[2].y = 11.0;
+  index.Update(positions, {1, 2}, 1);
+  EXPECT_EQ(index.PublishView(), first);
+  positions[1].x = 50.0;  // 0 and 1 separate
+  index.Update(positions, {1}, 2);
+  const auto second = index.PublishView();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->score(0, 1), 1);
+  EXPECT_EQ(first->score(0, 1), TemporalView::kCoPresent);
+  EXPECT_EQ(index.PublishView(), second);
+}
+
+/// Publishing is only a copy of row pointers: an index that publishes
+/// every tick (holding some of its views) reads the same as one fed
+/// identically that publishes once at the end.
+TEST(TemporalIndexTest, ViewsPublishedEveryTickEqualOnePublishedAtTheEnd) {
   Rng rng(99);
   const int n = 10;
   std::vector<Vec2> positions;
   for (int i = 0; i < n; ++i)
     positions.emplace_back(rng.Uniform(0, 6), rng.Uniform(0, 6));
 
-  TemporalIndex patched(Opts());
-  TemporalIndex copied(Opts());
-  patched.Rebuild(positions, 0);
-  copied.Rebuild(positions, 0);
-  std::shared_ptr<const TemporalView> held;  // keeps one buffer busy
+  TemporalIndex every_tick(Opts());
+  TemporalIndex at_end(Opts());
+  every_tick.Rebuild(positions, 0);
+  at_end.Rebuild(positions, 0);
+  std::vector<std::shared_ptr<const TemporalView>> held;
   for (std::int64_t tick = 1; tick <= 30; ++tick) {
-    std::vector<int> moved;
-    for (int i = 0; i < n; ++i) {
-      if (rng.UniformInt(4) != 0) continue;
-      moved.push_back(i);
-      positions[i].x += rng.Uniform(-2, 2);
-      positions[i].y += rng.Uniform(-2, 2);
-    }
-    patched.Update(positions, moved, tick);
-    copied.Update(positions, moved, tick);
-    const auto view = patched.PublishView();
-    if (tick % 7 == 0) held = view;  // sometimes pin a view alive
+    const std::vector<int> moved = WalkStep(rng, 2.0, &positions);
+    every_tick.Update(positions, moved, tick);
+    at_end.Update(positions, moved, tick);
+    const auto view = every_tick.PublishView();
+    if (tick % 7 == 0) held.push_back(view);  // sometimes pin a view alive
   }
-  const auto a = patched.PublishView();
-  const auto b = copied.PublishView();
-  for (int t = 0; t < n; ++t)
-    for (int c = 0; c < n; ++c)
-      ASSERT_EQ(a->score(t, c), b->score(t, c))
-          << "pair (" << t << "," << c << ")";
+  EXPECT_EQ(Scores(*every_tick.PublishView()), Scores(*at_end.PublishView()));
 }
 
 TEST(TemporalViewTest, FillPruneMaskKeepsExactlyTopK) {

@@ -1,6 +1,8 @@
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -286,6 +288,91 @@ TEST(DeltaTickTest, BatchedRequestsGetPerTargetPruneMasks) {
               ExpectedTopK(*snapshot, users[i], kTopK))
         << "user " << users[i];
   }
+}
+
+/// Consecutive snapshots share the graphs and temporal rows a tick did
+/// not change, so a tick must never write what a reader of an older
+/// snapshot can see. A 256-user live room ticks on one thread, which
+/// also touches a 16-user hot set so it is carried every tick, while two
+/// readers check that hot set's graphs and prune masks on the current
+/// snapshot and hold some snapshots across later ticks. The TSan lane
+/// runs it.
+TEST(DeltaTickTest, SharedGraphsAndRowsStayImmutableUnderConcurrentReads) {
+  constexpr int kUsers = 256, kTicks = 200, kMaxCandidates = 32;
+  const Dataset dataset = SmallDataset(kUsers, 2);
+  Room::Options options = LiveOptions(true, /*move_fraction=*/0.05);
+  options.temporal_index = true;
+  auto room = Room::Create(options, &dataset).value();
+  std::vector<int> hot;
+  for (int u = 0; u < kUsers; u += kUsers / 16) hot.push_back(u);
+
+  /// A snapshot with the graphs and masks first read from it.
+  struct Held {
+    std::shared_ptr<const RoomSnapshot> snapshot;
+    std::vector<OcclusionGraph> graphs;
+    std::vector<std::vector<bool>> masks;
+  };
+  struct Reader {
+    std::vector<Held> held;
+    int reads = 0, mismatches = 0;
+  };
+  std::atomic<bool> done{false};
+  const auto read = [&](Reader* reader) {
+    while (!done.load(std::memory_order_acquire)) {
+      Held now{room->snapshot(), {}, {}};
+      for (int target : hot) {
+        const OcclusionGraph& graph = now.snapshot->OcclusionFor(target);
+        reader->mismatches +=
+            graph != BuildOcclusionGraph(now.snapshot->positions(), target,
+                                         now.snapshot->body_radius());
+        std::vector<bool> mask;
+        reader->mismatches +=
+            !now.snapshot->PruneCandidates(target, kMaxCandidates, &mask);
+        now.graphs.push_back(graph);
+        now.masks.push_back(std::move(mask));
+      }
+      if (reader->reads++ % 4 == 0 && reader->held.size() < 8)
+        reader->held.push_back(std::move(now));
+    }
+  };
+  Reader readers[2];
+  std::thread first(read, &readers[0]);
+  std::thread second(read, &readers[1]);
+  int shared = 0, carried = 0;
+  for (int t = 0; t < kTicks; ++t) {
+    const bool ticked = room->Tick().ok();
+    EXPECT_TRUE(ticked);  // no ASSERT before the readers are joined
+    if (!ticked) break;
+    const auto snapshot = room->snapshot();
+    for (int target : hot) (void)snapshot->OcclusionFor(target);
+    shared += snapshot->delta_shared();
+    carried += snapshot->delta_carried();
+  }
+  done.store(true, std::memory_order_release);
+  first.join();
+  second.join();
+
+  for (const Reader& reader : readers) {
+    EXPECT_GT(reader.reads, 0);
+    EXPECT_EQ(reader.mismatches, 0);
+    int followed = 0;  // held snapshots that later ticks succeeded
+    for (const Held& held : reader.held) {
+      followed += held.snapshot->tick() < room->tick();
+      for (size_t i = 0; i < hot.size(); ++i) {
+        EXPECT_TRUE(held.snapshot->OcclusionFor(hot[i]) == held.graphs[i])
+            << "target " << hot[i] << " tick " << held.snapshot->tick();
+        std::vector<bool> mask;
+        ASSERT_TRUE(held.snapshot->PruneCandidates(hot[i], kMaxCandidates,
+                                                   &mask));
+        EXPECT_EQ(mask, held.masks[i])
+            << "target " << hot[i] << " tick " << held.snapshot->tick();
+      }
+    }
+    EXPECT_GT(followed, 0);
+  }
+  // The shared path really ran, and not on every carry.
+  EXPECT_GT(shared, 0);
+  EXPECT_LT(shared, carried);
 }
 
 }  // namespace

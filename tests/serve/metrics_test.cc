@@ -1,5 +1,9 @@
 #include "serve/metrics.h"
 
+#include <cstdio>
+#include <initializer_list>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace after {
@@ -61,6 +65,104 @@ TEST(LatencyHistogramTest, ResetClears) {
   histogram.RecordMs(2.0);
   EXPECT_EQ(histogram.count(), 1);
   EXPECT_NEAR(histogram.PercentileMs(0.5), 2.0, 2.0 * kBucketError);
+}
+
+/// Expects every entry of `want` in `dump`.
+void ExpectAll(const std::string& dump,
+               std::initializer_list<std::string> want) {
+  for (const std::string& text : want)
+    EXPECT_NE(dump.find(text), std::string::npos)
+        << "missing \"" << text << "\" in:\n"
+        << dump;
+}
+
+std::string Ms(double ms) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.3f", ms);
+  return text;
+}
+
+TEST(MetricsDumpTest, ServerMetricsPrintsEveryCounterUnderItsLabel) {
+  ServerMetrics metrics;
+  metrics.requests_submitted.store(101);
+  metrics.responses_ok.store(102);
+  metrics.shed.store(103);
+  metrics.timeouts.store(104);
+  metrics.fallbacks_deadline.store(105);
+  metrics.fallbacks_misbehaved.store(106);
+  metrics.errors.store(107);
+  metrics.queue_depth.store(8);
+  metrics.max_queue_depth.store(9);
+  metrics.ticks.store(110);
+  metrics.delta_ticks.store(111);
+  metrics.pruned_requests.store(112);
+  metrics.rooms_assigned.store(113);
+  metrics.migrations_in.store(114);
+  metrics.rooms_released.store(115);
+  metrics.checkpoints_written.store(116);
+  metrics.journal_records.store(117);
+  metrics.journal_bytes.store(118);
+  metrics.rooms_recovered.store(119);
+  metrics.records_replayed.store(120);
+  metrics.data_loss_rooms.store(121);
+  metrics.batches.store(122);
+  metrics.batched_requests.store(305);
+  metrics.coalesced.store(123);
+  for (double ms : {1.0, 2.0, 40.0}) metrics.latency.RecordMs(ms);
+
+  ExpectAll(metrics.DebugString(),
+            {"serve: 101 submitted | 102 ok | 103 shed | 104 timeout | "
+             "211 fallback (deadline 105, misbehaved 106) | 107 errors\n",
+             "queue: depth 8 (max 9) | ticks 110 (111 delta)\n",
+             "pruned: 112 requests\n",
+             "partition: 113 assigned (114 migrated in) | 115 released\n",
+             "durability: 116 checkpoints | 117 journal records (118 bytes) "
+             "| 119 rooms recovered (120 records replayed) | 121 data-loss "
+             "rooms\n",
+             "batch: 122 jobs | 305 requests (2.50/job) | 123 coalesced\n",
+             "latency ms: p50 " + Ms(metrics.latency.PercentileMs(0.50)) +
+                 " | p95 " + Ms(metrics.latency.PercentileMs(0.95)) +
+                 " | p99 " + Ms(metrics.latency.PercentileMs(0.99)) +
+                 " (n=3)\n"});
+}
+
+TEST(MetricsDumpTest, ServerMetricsOmitsIdleSubsystemsAndResetClears) {
+  ServerMetrics metrics;
+  const std::string idle = metrics.DebugString();
+  for (const char* label : {"pruned:", "partition:", "durability:", "batch:"})
+    EXPECT_EQ(idle.find(label), std::string::npos) << label;
+  // One counter of each conditional line is enough to print it.
+  metrics.pruned_requests.store(1);
+  metrics.rooms_released.store(2);
+  metrics.data_loss_rooms.store(3);
+  metrics.batches.store(4);
+  ExpectAll(metrics.DebugString(),
+            {"pruned: 1 requests", "| 2 released",
+             "| 3 data-loss rooms", "batch: 4 jobs"});
+  metrics.latency.RecordMs(5.0);
+  metrics.Reset();
+  EXPECT_EQ(metrics.DebugString(), idle);
+}
+
+TEST(MetricsDumpTest, NetFrontMetricsPrintsEveryCounterUnderItsLabel) {
+  NetFrontMetrics metrics;
+  metrics.connections_accepted.store(201);
+  metrics.connections_rejected.store(202);
+  metrics.open_connections.store(3);
+  metrics.max_open_connections.store(4);
+  metrics.idle_closed.store(205);
+  metrics.backpressure_closed.store(206);
+  metrics.frames_in.store(207);
+  metrics.frames_rejected.store(208);
+  metrics.not_owner_replies.store(209);
+  metrics.control_frames.store(210);
+  metrics.bytes_in.store(211);
+  metrics.bytes_out.store(212);
+  ExpectAll(metrics.DebugString(),
+            {"connections: accepted 201 | rejected 202 | open 3 (max 4)\n",
+             "slow peers: idle_closed 205 | backpressure_closed 206\n",
+             "frames: in 207 | rejected 208 | not_owner 209 | control 210\n",
+             "bytes: in 211 | out 212\n"});
 }
 
 }  // namespace
