@@ -21,28 +21,15 @@ LocalFleet::~LocalFleet() {
   for (auto& shard : shards) shard->Shutdown();
 }
 
-bool AddShard(LocalFleet* fleet, int rooms, int threads, bool partitioned,
-              const std::string& durable_dir,
+bool AddShard(LocalFleet* fleet, int threads, const std::string& durable_dir,
               serve::BackendAddress* address) {
   const FleetRoomFactory& make_room = fleet->room_factory;
-  std::vector<std::unique_ptr<serve::Room>> room_list;
-  if (!partitioned) {
-    for (int r = 0; r < rooms; ++r) {
-      auto created = make_room(r);
-      if (!created.ok()) {
-        std::fprintf(stderr, "shard room %d: %s\n", r,
-                     created.status().ToString().c_str());
-        return false;
-      }
-      room_list.push_back(std::move(created).value());
-    }
-  }
   serve::ServerOptions server_options;
   server_options.num_threads = threads;
   server_options.default_deadline_ms = 1000.0;
   // Every shard serves the untrained seed-42 model perfbench serves.
   auto server = std::make_unique<serve::RecommendationServer>(
-      std::move(room_list),
+      std::vector<std::unique_ptr<serve::Room>>(),
       [] {
         PoshgnnConfig model_config;
         model_config.seed = 42;
@@ -80,8 +67,7 @@ bool AddShard(LocalFleet* fleet, int rooms, int threads, bool partitioned,
   }
   auto net = std::make_unique<serve::NetServer>(
       serve::NetServer::HandlerFor(server.get()), serve::NetServerOptions{});
-  if (partitioned)
-    net->set_room_control(serve::NetServer::ControlFor(control.get()));
+  net->set_room_control(serve::NetServer::ControlFor(control.get()));
   const Status started = net->Start();
   if (!started.ok()) {
     std::fprintf(stderr, "shard start: %s\n", started.ToString().c_str());
@@ -167,8 +153,7 @@ std::unique_ptr<LocalFleet> StartLocalFleet(const FleetConfig& config,
   std::vector<serve::BackendAddress> backends;
   for (int s = 0; s < config.shards; ++s) {
     serve::BackendAddress address;
-    if (!AddShard(fleet.get(), config.rooms, config.threads,
-                  config.partitioned,
+    if (!AddShard(fleet.get(), config.threads,
                   ShardDurableDir(config.durable_base, s), &address))
       return nullptr;
     backends.push_back(address);
@@ -176,13 +161,11 @@ std::unique_ptr<LocalFleet> StartLocalFleet(const FleetConfig& config,
 
   fleet->router = std::make_unique<serve::ShardRouter>(
       backends, FleetRouterOptions(config.replication));
-  if (config.partitioned) {
-    const Status enabled = fleet->router->EnablePartition(config.rooms);
-    if (!enabled.ok()) {
-      std::fprintf(stderr, "EnablePartition(%d): %s\n", config.rooms,
-                   enabled.ToString().c_str());
-      return nullptr;
-    }
+  const Status enabled = fleet->router->EnablePartition(config.rooms);
+  if (!enabled.ok()) {
+    std::fprintf(stderr, "EnablePartition(%d): %s\n", config.rooms,
+                 enabled.ToString().c_str());
+    return nullptr;
   }
   if (!StartRouterFront(fleet.get(), config.threads, /*port=*/0,
                         config.front_max_connections))

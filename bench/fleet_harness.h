@@ -2,15 +2,15 @@
 #define AFTER_BENCH_FLEET_HARNESS_H_
 
 // Self-contained serving fleet for the macro benchmarks: N shard
-// servers plus a consistent-hash router front, all over real loopback
-// sockets in one process. Extracted from bench/net_throughput.cc so the
+// servers that own the rooms a router front grants them, all over real
+// loopback sockets in one process. Extracted from bench/net_throughput.cc so the
 // world-scale scenario driver (bench/world_sim.cc) shares one battle-
 // tested harness instead of growing a second, subtly different fleet.
 //
 // The harness is deliberately policy-free about room contents: callers
 // supply a FleetRoomFactory, so net_throughput builds uniform rooms
 // from one dataset while world_sim builds Zipf-skewed room sizes from a
-// per-size dataset pool. Everything else — partitioned ownership,
+// per-size dataset pool. Everything else — room ownership,
 // replication standbys, durability replay, mid-run shard adds, and the
 // cold-restart drill's rebuild path — is common machinery.
 
@@ -36,10 +36,9 @@ namespace after {
 namespace bench {
 
 /// Builds one room for the self-contained fleet. Called for every room
-/// id a shard pre-builds (full replication) or is granted / rebuilds
-/// (partitioned serving, cold restart). Must be deterministic per room
-/// id: a standby or recovered copy has to be built from the same recipe
-/// as the primary it replaces. Whatever the factory captures (datasets,
+/// id a shard is granted or rebuilds (cold restart). Must be
+/// deterministic per room id: a standby or recovered copy has to be
+/// built from the same recipe as the primary it replaces. Whatever the factory captures (datasets,
 /// options) must outlive the fleet, including mid-run AddShard calls.
 using FleetRoomFactory =
     std::function<Result<std::unique_ptr<serve::Room>>(int room)>;
@@ -69,15 +68,14 @@ struct LocalFleet {
   ~LocalFleet();
 };
 
-/// Starts one shard worker and appends it to the fleet. Partitioned
-/// shards start empty and host whatever the router grants them (same
-/// room recipe via fleet->room_factory); full-replication shards
-/// pre-build rooms 0..rooms-1. A non-empty `durable_dir` attaches a
-/// journal + checkpoint subsystem there and replays whatever durable
-/// state the dir already holds before the shard starts serving.
-/// Returns false (with a message on stderr) on failure.
-bool AddShard(LocalFleet* fleet, int rooms, int threads, bool partitioned,
-              const std::string& durable_dir, serve::BackendAddress* address);
+/// Starts one shard worker and appends it to the fleet. The shard starts
+/// empty and hosts whatever the router grants it (same room recipe via
+/// fleet->room_factory). A non-empty `durable_dir` attaches a journal +
+/// checkpoint subsystem there and replays whatever durable state the
+/// dir already holds before the shard starts serving. Returns false
+/// (with a message on stderr) on failure.
+bool AddShard(LocalFleet* fleet, int threads, const std::string& durable_dir,
+              serve::BackendAddress* address);
 
 serve::RouterOptions FleetRouterOptions(int replication);
 
@@ -99,13 +97,11 @@ std::string ShardDurableDir(const std::string& base, int shard);
 
 struct FleetConfig {
   int shards = 2;
-  /// Partitioned: rooms 0..rooms-1 are granted across the shards.
-  /// Full replication: every shard pre-builds all of them.
+  /// Rooms 0..rooms-1 are granted across the shards.
   int rooms = 2;
   /// Worker threads per shard and for the router front pool.
   int threads = 2;
-  bool partitioned = false;
-  /// Warm standbys per room (partitioned only).
+  /// Warm standbys per room.
   int replication = 0;
   /// Non-empty: every shard gets a durability subsystem under
   /// base + "/shard-N".

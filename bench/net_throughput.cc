@@ -7,25 +7,22 @@
 // nothing is silently lost.
 //
 // Two targets:
-//   --port=N [--host=H]   drive an already-running fleet front
-//                         (tools/shard_router or a single serve_shard)
+//   --port=N [--host=H]   drive an already-running tools/shard_router
+//                         front; pass it the router's room count
+//                         (--rooms=R for --partition_rooms=R)
 //   --shards=N            self-contained: spin N in-process shard
 //                         servers + a router front over real sockets,
 //                         drive it, tear it down (the CI bench smoke)
-// In self-contained mode, --kill_shard_ms=T kills shard 0 after T ms to
-// demonstrate retry-next-shard failover under fire, and
-// --add_shard_ms=T starts an extra shard mid-run and folds it into the
-// live fleet (AddBackendLive).
+// The self-contained shards start empty and the router grants each room
+// to 1 + --replication owners (kRoomAssign). --kill_shard_ms=T kills
+// shard 0 after T ms, exercising standby promotion + RepairPartition
+// under fire, and --add_shard_ms=T starts an extra shard mid-run and
+// folds it into the live fleet (AddBackendLive: live migration with
+// state handoff). The run fails (exit 2) if any request is lost, any
+// unexpected error class appears, or the final primary spread across
+// healthy shards exceeds 1 + replication.
 //
-// --partitioned switches the self-contained fleet to room-partitioned
-// serving: shards start empty, the router grants each room to
-// 1 + --replication owners (kRoomAssign), and a kill exercises
-// standby promotion + RepairPartition while an add exercises live
-// migration with state handoff. The run fails (exit 2) if any request
-// is lost, any unexpected error class appears, or the final primary
-// spread across healthy shards exceeds 1 + replication.
-//
-// --durable_dir=PATH gives every partitioned shard a durability
+// --durable_dir=PATH gives every self-contained shard a durability
 // subsystem (journal + checkpoints under PATH/shard-<i>), and
 // --cold_restart_ms=T runs the crash drill: after T ms the ENTIRE
 // fleet — every shard and the router — is torn down mid-run, rebuilt
@@ -49,13 +46,14 @@
 // (NetClient::CallPipelined), exercising the server's request-ID
 // correlation path; the recorded latency is the burst round trip.
 //
-// Flags: --clients=N --requests=N --rooms=N --users=N --deadline_ms=F
+// Flags: --clients=N --requests=N --users=N --deadline_ms=F
+//        --rooms=N (default 4 x shards)
 //        --connections=N (idle-swarm size, default 0)
 //        --pipeline=D (requests in flight per client, default 1)
 //        --threads=N (self-contained: worker threads per shard)
-//        --partitioned --replication=N (default 1, partitioned only)
+//        --replication=N (default 1)
 //        --kill_shard_ms=F --add_shard_ms=F
-//        --durable_dir=PATH --cold_restart_ms=F (partitioned only)
+//        --durable_dir=PATH --cold_restart_ms=F
 //        --json=PATH (write a BENCH_serve.json-style summary)
 
 #include <fcntl.h>
@@ -483,8 +481,7 @@ int Main(int argc, char** argv) {
   std::string host = "127.0.0.1", json_path, durable_dir;
   int port = 0, shards = 0, clients = 4, requests = 2000;
   int connections = 0, pipeline = 1;
-  int rooms = 2, users = 60, threads = 2, replication = 1;
-  bool partitioned = false, rooms_given = false;
+  int rooms = 0, users = 60, threads = 2, replication = 1;
   double deadline_ms = 1000.0, kill_shard_ms = 0.0, add_shard_ms = 0.0;
   double cold_restart_ms = 0.0;
   for (int i = 1; i < argc; ++i) {
@@ -502,10 +499,7 @@ int Main(int argc, char** argv) {
       connections = value;
     else if (std::sscanf(argv[i], "--pipeline=%d", &value) == 1)
       pipeline = value;
-    else if (std::sscanf(argv[i], "--rooms=%d", &value) == 1) {
-      rooms = value;
-      rooms_given = true;
-    }
+    else if (std::sscanf(argv[i], "--rooms=%d", &value) == 1) rooms = value;
     else if (std::sscanf(argv[i], "--users=%d", &value) == 1) users = value;
     else if (std::sscanf(argv[i], "--replication=%d", &value) == 1)
       replication = value;
@@ -521,7 +515,6 @@ int Main(int argc, char** argv) {
       cold_restart_ms = fvalue;
     else if (std::sscanf(argv[i], "--durable_dir=%255s", buffer) == 1)
       durable_dir = buffer;
-    else if (std::strcmp(argv[i], "--partitioned") == 0) partitioned = true;
     else if (std::sscanf(argv[i], "--host=%255s", buffer) == 1)
       host = buffer;
     else if (std::sscanf(argv[i], "--json=%255s", buffer) == 1)
@@ -536,18 +529,12 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "--port and --shards are mutually exclusive\n");
     return 1;
   }
-  if (partitioned && shards == 0) {
+  // Balance is only interesting with more rooms than shards; give the
+  // default enough rooms for ~4 primaries per shard.
+  if (rooms <= 0) rooms = 4 * std::max(1, shards);
+  if (!durable_dir.empty() && shards == 0) {
     std::fprintf(stderr,
-                 "--partitioned needs the self-contained fleet (--shards)\n");
-    return 1;
-  }
-  // Partitioned balance is only interesting with more rooms than
-  // shards; give the default enough rooms for ~4 primaries per shard.
-  if (partitioned && !rooms_given) rooms = 4 * std::max(1, shards);
-  if (!durable_dir.empty() && (shards == 0 || !partitioned)) {
-    std::fprintf(stderr,
-                 "--durable_dir needs the partitioned self-contained fleet "
-                 "(--shards + --partitioned)\n");
+                 "--durable_dir needs the self-contained fleet (--shards)\n");
     return 1;
   }
   if (cold_restart_ms > 0.0 && durable_dir.empty()) {
@@ -584,10 +571,9 @@ int Main(int argc, char** argv) {
   Dataset dataset;
   std::unique_ptr<bench::LocalFleet> fleet;
   if (shards > 0) {
-    std::printf("[net_throughput] starting local fleet: %d shard(s) x "
-                "%d rooms x %d users + router%s...\n",
-                shards, rooms, users,
-                partitioned ? " (partitioned)" : "");
+    std::printf("[net_throughput] starting local fleet: %d shard(s), "
+                "%d rooms x %d users, replication %d + router...\n",
+                shards, rooms, users, replication);
     DatasetConfig config;
     config.num_users = users;
     config.num_steps = 2;
@@ -598,8 +584,7 @@ int Main(int argc, char** argv) {
     fleet_config.shards = shards;
     fleet_config.rooms = rooms;
     fleet_config.threads = threads;
-    fleet_config.partitioned = partitioned;
-    fleet_config.replication = partitioned ? replication : 0;
+    fleet_config.replication = replication;
     fleet_config.durable_base = durable_dir;
     fleet_config.front_max_connections = front_max_connections;
     fleet = bench::StartLocalFleet(
@@ -631,13 +616,16 @@ int Main(int argc, char** argv) {
     std::printf("[net_throughput] dialing idle swarm: %d connection(s) "
                 "(forked load process)\n",
                 connections);
+    WallTimer dial;
     swarm = StartSwarm(host, port, connections);
     if (!swarm.running()) {
       std::fprintf(stderr, "FAIL: could not fork the swarm process\n");
       return 2;
     }
-    std::printf("[net_throughput] idle swarm up: %lld/%d connected\n",
-                swarm.WaitUp(), connections);
+    const long long connected = swarm.WaitUp();
+    std::printf("[net_throughput] idle swarm up: %lld/%d connected in "
+                "%.2f s\n",
+                connected, connections, dial.ElapsedSeconds());
   }
   WallTimer timer;
   std::thread killer;
@@ -653,14 +641,12 @@ int Main(int argc, char** argv) {
   std::thread adder;
   if (fleet != nullptr && add_shard_ms > 0.0) {
     bench::LocalFleet* fleet_ptr = fleet.get();
-    adder = std::thread([fleet_ptr, add_shard_ms, rooms, threads,
-                         partitioned] {
+    adder = std::thread([fleet_ptr, add_shard_ms, threads] {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(add_shard_ms));
       std::printf("[net_throughput] adding a shard mid-run\n");
       serve::BackendAddress address;
-      if (!bench::AddShard(fleet_ptr, rooms, threads, partitioned,
-                    /*durable_dir=*/"", &address))
+      if (!bench::AddShard(fleet_ptr, threads, /*durable_dir=*/"", &address))
         return;
       auto added = fleet_ptr->router->AddBackendLive(address);
       if (!added.ok())
@@ -728,8 +714,7 @@ int Main(int argc, char** argv) {
       std::vector<serve::BackendAddress> backends;
       for (const std::string& dir : dirs) {
         serve::BackendAddress address;
-        if (!bench::AddShard(fleet_ptr, rooms, threads, /*partitioned=*/true, dir,
-                      &address)) {
+        if (!bench::AddShard(fleet_ptr, threads, dir, &address)) {
           drill_failed.store(true);
           return;
         }
@@ -825,12 +810,12 @@ int Main(int argc, char** argv) {
                 swarm_stats.connected, connections, swarm_stats.pings,
                 swarm_stats.pongs, swarm_stats.swarm_errors);
 
-  // Partitioned post-mortem: the final ownership table must still be
-  // balanced across the healthy shards (acceptance gate for live
-  // migration + repair).
+  // Post-mortem: the final ownership table must still be balanced
+  // across the healthy shards (acceptance gate for live migration +
+  // repair).
   bool balanced = true;
   long long migrations = 0, repairs = 0, rerouted = 0;
-  if (fleet != nullptr && partitioned) {
+  if (fleet != nullptr) {
     const auto snapshot = fleet->router->AssignmentSnapshot();
     const int num_backends = fleet->router->num_backends();
     std::vector<int> primaries(num_backends, 0), copies(num_backends, 0);
@@ -881,7 +866,6 @@ int Main(int argc, char** argv) {
         << "  \"pipeline\": " << pipeline << ",\n"
         << "  \"swarm_pings\": " << swarm_stats.pings << ",\n"
         << "  \"swarm_pongs\": " << swarm_stats.pongs << ",\n"
-        << "  \"partitioned\": " << (partitioned ? "true" : "false") << ",\n"
         << "  \"ok\": " << tally.ok.load() << ",\n"
         << "  \"degraded\": " << tally.degraded.load() << ",\n"
         << "  \"shed\": " << tally.shed.load() << ",\n"

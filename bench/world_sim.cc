@@ -344,7 +344,6 @@ int Main(int argc, char** argv) {
     fleet_config.shards = shards;
     fleet_config.rooms = world.rooms;
     fleet_config.threads = threads;
-    fleet_config.partitioned = true;
     fleet_config.replication = replication;
     fleet_config.durable_base = durable_dir;
     fleet_config.front_max_connections = clients * 2 + storm_wave + 64;

@@ -51,7 +51,7 @@ refresh them only when a deliberate change moves the numbers, with
 
     ./build/bench/serve_throughput --rooms=2 --threads=2 --clients=4 \
         --requests=4000 --users=24 --json=bench/baselines/BENCH_serve.json
-    ./build/bench/net_throughput --partitioned --shards=3 --rooms=12 \
+    ./build/bench/net_throughput --shards=3 --rooms=12 \
         --users=24 --clients=4 --requests=8000 --kill_shard_ms=300 \
         --json=bench/baselines/BENCH_net.json
     ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \

@@ -36,8 +36,9 @@
 #            dispatch is what ships; this guards the opt-in native path)
 #   bench    smoke-config serving benchmarks: serve_throughput
 #            (in-process), net_throughput (TCP fleet with mid-run
-#            shard kill, then a partitioned fleet with live migration,
-#            then a 500-connection idle swarm with pipelined clients),
+#            shard kill, then a kill plus a live shard add with
+#            migration, then a 500-connection idle swarm with pipelined
+#            clients; every fleet partitions its rooms),
 #            and tick_throughput (delta-vs-scratch room ticking plus
 #            the stale-cache recovery drill), writing
 #            build/BENCH_*.json and failing on malformed output. Not
@@ -293,8 +294,8 @@ run_bench_lane() {
   echo "---- net_throughput (TCP fleet smoke, kill one shard) ----"
   ./build/bench/net_throughput --shards=2 --rooms=4 --users=24 \
     --clients=4 --requests=800 --kill_shard_ms=100
-  echo "---- net_throughput (partitioned fleet, kill + live add) ----"
-  ./build/bench/net_throughput --partitioned --shards=3 --rooms=12 \
+  echo "---- net_throughput (TCP fleet, kill + live add) ----"
+  ./build/bench/net_throughput --shards=3 --rooms=12 \
     --users=24 --clients=4 --requests=4000 --kill_shard_ms=200 \
     --add_shard_ms=400 --json=build/BENCH_net.json
   echo "---- net_throughput (connection-count axis smoke: idle swarm ----"
@@ -400,8 +401,8 @@ PY
   echo "---- serve_throughput (baseline config) ----"
   ./build/bench/serve_throughput --rooms=2 --threads=2 --clients=4 \
     --requests=4000 --users=24 --json=build/BENCH_serve.json
-  echo "---- net_throughput (baseline config: partitioned + kill) ----"
-  ./build/bench/net_throughput --partitioned --shards=3 --rooms=12 \
+  echo "---- net_throughput (baseline config: kill + repair) ----"
+  ./build/bench/net_throughput --shards=3 --rooms=12 \
     --users=24 --clients=4 --requests=8000 --kill_shard_ms=300 \
     --json=build/BENCH_net.json
   echo "---- net_throughput (C10k baseline: 10k idle connections + ----"

@@ -170,7 +170,13 @@ Status NetServer::Start() {
     ::close(fd);
     return UnavailableError(oss.str());
   }
-  if (::listen(fd, options_.backlog) != 0) {
+  // A deep accept queue: a burst of dials that lands while the reactor
+  // is busy waits in the kernel instead of having its SYNs dropped (each
+  // dropped SYN costs the dialer a 1 s retransmit). The kernel caps the
+  // value at net.core.somaxconn. Not SOMAXCONN: older glibc headers
+  // define it as 128.
+  constexpr int kListenBacklog = 4096;
+  if (::listen(fd, kListenBacklog) != 0) {
     const Status status =
         UnavailableError(std::string("listen: ") + std::strerror(errno));
     ::close(fd);

@@ -61,7 +61,6 @@ struct NetServerOptions {
   std::string host = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back via port() after Start().
   int port = 0;
-  int backlog = 128;
   /// Accepted connections beyond this are closed immediately (the
   /// network-layer analogue of queue-full shedding). Raise it for C10k
   /// fronts — and raise RLIMIT_NOFILE with it.

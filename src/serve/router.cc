@@ -53,7 +53,6 @@ ShardRouter::ShardRouter(std::vector<BackendAddress> backends,
     : options_(options) {
   AFTER_CHECK(!backends.empty());
   AFTER_CHECK_GE(options_.virtual_nodes, 1);
-  AFTER_CHECK_GE(options_.max_attempts, 1);
   backends_.reserve(backends.size());
   for (auto& address : backends) {
     auto backend = std::make_unique<Backend>();
@@ -122,11 +121,6 @@ int ShardRouter::ShardFor(int room) const {
       std::make_pair(h, std::numeric_limits<int>::max()));
   if (it == ring_.end()) it = ring_.begin();  // wrap around
   return it->second;
-}
-
-std::vector<int> ShardRouter::RingOrder(int room) const {
-  std::shared_lock<std::shared_mutex> lock(topology_mutex_);
-  return RingOrderLocked(room);
 }
 
 std::vector<int> ShardRouter::RingOrderLocked(int room) const {
@@ -224,101 +218,82 @@ std::shared_ptr<MuxLink> ShardRouter::AcquireLink(Backend& backend,
 
 FriendResponse ShardRouter::Route(const FriendRequest& request) {
   metrics_.routed.fetch_add(1, std::memory_order_relaxed);
-  // Partitioned rooms whose every owner answered kNotOwner are mid-
-  // migration: the table is about to settle, so re-read it briefly
-  // instead of failing the request.
+  // Rooms whose every owner answered kNotOwner are mid-migration: the
+  // table is about to settle, so re-read it briefly instead of failing
+  // the request.
   constexpr int kOwnerRounds = 40;
   constexpr auto kOwnerRetrySleep = std::chrono::milliseconds(5);
 
   Status last_error;
   int tried = 0;
   for (int round = 0; round < kOwnerRounds; ++round) {
-    // Candidate set: the room's owner list (partitioned) or the full
-    // ring order (replicated).
-    bool partitioned_room = false;
-    std::vector<int> order;
+    std::vector<int> owners;
     {
       std::lock_guard<std::mutex> lock(partition_mutex_);
-      if (partitioned_ && request.room >= 0 &&
-          request.room < partition_rooms_) {
-        partitioned_room = true;
-        auto it = assignment_.find(request.room);
-        if (it != assignment_.end()) order = it->second.copies;
-      }
+      auto it = assignment_.find(request.room);
+      if (it != assignment_.end()) owners = it->second.copies;
     }
-    if (!partitioned_room) order = RingOrder(request.room);
+    if (owners.empty()) {
+      FriendResponse response;
+      response.status = NotFoundError("room " + std::to_string(request.room) +
+                                      " is outside the partition");
+      return response;
+    }
     std::vector<Backend*> candidates;
     {
       std::shared_lock<std::shared_mutex> lock(topology_mutex_);
-      candidates.reserve(order.size());
-      for (int b : order)
-        if (b >= 0 && b < static_cast<int>(backends_.size()))
-          candidates.push_back(backends_[b].get());
+      candidates.reserve(owners.size());
+      for (int b : owners) candidates.push_back(backends_[b].get());
     }
-    // Partitioned mode must be allowed to reach every owner — capping
-    // below the copy count would turn a standby into dead weight.
-    const int attempts =
-        partitioned_room
-            ? static_cast<int>(candidates.size())
-            : std::min(options_.max_attempts,
-                       static_cast<int>(candidates.size()));
+    // Healthy owners first; ejected ones last rather than never, so a
+    // room whose every owner looks dead is still tried, not blacked out.
+    std::stable_partition(candidates.begin(), candidates.end(),
+                          [this](Backend* b) { return !Ejected(*b); });
 
     bool saw_not_owner = false;
-    // Two passes: first skip ejected backends, then — if every candidate
-    // was ejected — try them anyway rather than blackout the room.
-    int tried_this_round = 0;
-    for (const bool include_ejected : {false, true}) {
-      for (Backend* candidate : candidates) {
-        if (tried_this_round >= attempts) break;
-        Backend& backend = *candidate;
-        if (!include_ejected && Ejected(backend)) continue;
-        if (include_ejected && !Ejected(backend)) continue;  // pass 1 did it
-        if (tried > 0)
-          metrics_.retried.fetch_add(1, std::memory_order_relaxed);
-        ++tried;
-        ++tried_this_round;
-        bool reused = false;
-        std::shared_ptr<MuxLink> link = AcquireLink(backend, &reused);
-        if (link == nullptr) {
-          last_error = UnavailableError(
-              "connect to " + backend.address.ToString() + " failed");
-          Eject(backend);
+    for (Backend* candidate : candidates) {
+      Backend& backend = *candidate;
+      if (tried > 0) metrics_.retried.fetch_add(1, std::memory_order_relaxed);
+      ++tried;
+      bool reused = false;
+      std::shared_ptr<MuxLink> link = AcquireLink(backend, &reused);
+      if (link == nullptr) {
+        last_error = UnavailableError("connect to " +
+                                      backend.address.ToString() + " failed");
+        Eject(backend);
+        continue;
+      }
+      auto result = link->Call(request);
+      if (result.ok()) {
+        const StatusCode code = result.value().status.code();
+        // kNotFound is the drain-side twin of kNotOwner: the request
+        // passed the ownership check but the room was released before its
+        // batch ran. Every routed room has an owner, so both mean "ask the
+        // current owner".
+        if (code == StatusCode::kNotOwner || code == StatusCode::kNotFound) {
+          // The shard is healthy but no longer responsible (a racing
+          // migration): move on to the next owner, no ejection.
+          metrics_.not_owner.fetch_add(1, std::memory_order_relaxed);
+          saw_not_owner = true;
+          last_error =
+              result.value().status.Annotate(backend.address.ToString());
           continue;
         }
-        auto result = link->Call(request);
-        if (result.ok()) {
-          const StatusCode code = result.value().status.code();
-          // kNotFound on a partitioned room is the drain-side twin of
-          // kNotOwner: the request passed the ownership check but the
-          // room was released before its batch ran. Every partitioned
-          // room has an owner, so both mean "ask the current owner".
-          if (code == StatusCode::kNotOwner ||
-              (partitioned_room && code == StatusCode::kNotFound)) {
-            // The shard is healthy but no longer responsible (a racing
-            // migration): move on to the next owner, no ejection.
-            metrics_.not_owner.fetch_add(1, std::memory_order_relaxed);
-            saw_not_owner = true;
-            last_error =
-                result.value().status.Annotate(backend.address.ToString());
-            continue;
-          }
-          if (reused)
-            metrics_.link_reuse.fetch_add(1, std::memory_order_relaxed);
-          return std::move(result).value();
-        }
-        // Transport failure: the backend may be dead. Anything else (a
-        // protocol error) is not retryable — report it as-is.
-        last_error = result.status().Annotate(backend.address.ToString());
-        if (result.status().code() != StatusCode::kUnavailable) {
-          FriendResponse response;
-          response.status = last_error;
-          return response;
-        }
-        Eject(backend);
+        if (reused)
+          metrics_.link_reuse.fetch_add(1, std::memory_order_relaxed);
+        return std::move(result).value();
       }
-      if (tried_this_round >= attempts) break;
+      // Transport failure: the backend may be dead. Anything else (a
+      // protocol error) is not retryable — report it as-is.
+      last_error = result.status().Annotate(backend.address.ToString());
+      if (result.status().code() != StatusCode::kUnavailable) {
+        FriendResponse response;
+        response.status = last_error;
+        return response;
+      }
+      Eject(backend);
     }
-    if (!partitioned_room || !saw_not_owner) break;
+    if (!saw_not_owner) break;
     std::this_thread::sleep_for(kOwnerRetrySleep);
   }
 
@@ -358,11 +333,6 @@ void ShardRouter::ProbeAll() {
       Eject(backend);  // also drops the broken link
     }
   }
-}
-
-bool ShardRouter::partitioned() const {
-  std::lock_guard<std::mutex> lock(partition_mutex_);
-  return partitioned_;
 }
 
 std::unordered_map<int, ShardRouter::RoomAssignment>
@@ -543,7 +513,7 @@ int ShardRouter::ApplyAssignment(
     // its live replica untouched but its durable ledger learns the
     // primary role. New standbys (including the demoted old primary,
     // which needs a newer epoch than its own release) start from a
-    // fresh-seeded room, the same contract as full replication.
+    // fresh-seeded room.
     uint64_t final_epoch = epoch;
     for (int b : want) {
       const bool inherits = primary_moved && b == want[0] && !state.empty();
@@ -584,8 +554,7 @@ Status ShardRouter::EnablePartition(int num_rooms) {
   }
   {
     std::lock_guard<std::mutex> lock(partition_mutex_);
-    AFTER_CHECK(!partitioned_);  // EnablePartition is once-only
-    partitioned_ = true;
+    AFTER_CHECK_EQ(partition_rooms_, 0);  // EnablePartition is once-only
     partition_rooms_ = num_rooms;
   }
   Status first_error;
@@ -597,7 +566,7 @@ Status ShardRouter::RecoverPartition(int num_rooms) {
   AFTER_CHECK_GT(num_rooms, 0);
   {
     std::lock_guard<std::mutex> lock(partition_mutex_);
-    AFTER_CHECK(!partitioned_);  // recovery precedes partitioned serving
+    AFTER_CHECK_EQ(partition_rooms_, 0);  // recovery precedes serving
   }
   // Phase 1: every backend replays its durable state and reports what it
   // hosts. An unreachable backend simply recovers nothing — its rooms
@@ -668,7 +637,6 @@ Status ShardRouter::RecoverPartition(int num_rooms) {
   // assign handoff, and grants never-recovered rooms fresh.
   {
     std::lock_guard<std::mutex> lock(partition_mutex_);
-    partitioned_ = true;
     partition_rooms_ = num_rooms;
     for (const auto& [room, replica] : winners) {
       RoomAssignment& entry = assignment_[room];
@@ -700,7 +668,7 @@ Result<int> ShardRouter::AddBackendLive(const BackendAddress& address) {
   int rooms = 0;
   {
     std::lock_guard<std::mutex> lock(partition_mutex_);
-    if (!partitioned_) return index;
+    if (partition_rooms_ == 0) return index;  // nothing placed yet
     rooms = partition_rooms_;
   }
   // Rebalance: the new backend takes its hash-fair share; rooms whose
@@ -718,17 +686,15 @@ Result<int> ShardRouter::AddBackendLive(const BackendAddress& address) {
 }
 
 int ShardRouter::RepairPartition() {
-  {
-    std::lock_guard<std::mutex> lock(partition_mutex_);
-    if (!partitioned_) return 0;
-  }
   const std::vector<int> active = ActiveBackends();
   // Patch, don't recompute: surviving copies keep the room (a promoted
   // standby serves its live state bit-exactly), and only the dead
   // copies are replaced, following ring order over healthy backends.
   std::unordered_map<int, std::vector<int>> current;
+  int rooms = 0;
   {
     std::lock_guard<std::mutex> lock(partition_mutex_);
+    rooms = partition_rooms_;
     for (const auto& [room, entry] : assignment_)
       current[room] = entry.copies;
   }
@@ -754,7 +720,32 @@ int ShardRouter::RepairPartition() {
   }
   if (target.empty()) return 0;
   Status first_error;
-  const int repaired = ApplyAssignment(target, &first_error);
+  int repaired = ApplyAssignment(target, &first_error);
+
+  // The patch promotes a dead primary's standbys where they stand, so a
+  // survivor holding most of them ends up with most of the primaries.
+  // Past one room of spread, rebalance the way AddBackendLive does: a
+  // primary that moves is alive and hands its state over.
+  std::unordered_map<int, int> primaries;
+  for (int b : active) primaries[b] = 0;
+  {
+    std::lock_guard<std::mutex> lock(partition_mutex_);
+    for (const auto& [room, entry] : assignment_) {
+      auto it = primaries.find(entry.copies.front());
+      if (it != primaries.end()) ++it->second;
+    }
+  }
+  const auto [fewest, most] = std::minmax_element(
+      primaries.begin(), primaries.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  if (most->second - fewest->second > 1) {
+    std::unordered_map<int, std::vector<int>> balanced;
+    {
+      std::shared_lock<std::shared_mutex> lock(topology_mutex_);
+      balanced = ComputeAssignment(active, rooms);
+    }
+    repaired += ApplyAssignment(balanced, &first_error);
+  }
   metrics_.repairs.fetch_add(repaired, std::memory_order_relaxed);
   return repaired;
 }

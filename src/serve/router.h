@@ -31,9 +31,6 @@ struct RouterOptions {
   /// Ring points per backend. More points = smoother key spread and
   /// smaller movement when the backend set changes.
   int virtual_nodes = 64;
-  /// Distinct backends tried per request before giving up with
-  /// kUnavailable. 1 disables failover.
-  int max_attempts = 3;
   /// Persistent multiplexed links kept per backend (serve/net_mux.h).
   /// All in-flight calls to a shard share these links, correlated by
   /// request id — C10k client fan-in collapses onto
@@ -49,38 +46,33 @@ struct RouterOptions {
   /// interval, lifting ejections early when a backend comes back and
   /// ejecting quietly-dead ones before a request has to find out.
   double health_check_interval_ms = 0.0;
-  /// Partitioned serving (EnablePartition): warm standby copies per room
-  /// beyond the primary. 0 = primary only (cheapest, but a room's state
-  /// dies with its shard); 1 = one standby, so a killed shard fails over
-  /// with no request loss while RepairPartition rebuilds headroom.
-  /// (The issue sketched this knob on ServerOptions; it lives here
-  /// because replication is a fleet-layout decision the router owns.)
+  /// Warm standby copies per room beyond the primary. 0 = primary only
+  /// (cheapest, but a room's state dies with its shard); 1 = one
+  /// standby, so a killed shard fails over with no request loss while
+  /// RepairPartition rebuilds headroom. It lives here, not on
+  /// ServerOptions, because placement is the router's decision.
   int replication_factor = 0;
   NetClientOptions client;
 };
 
 /// Routes FriendRequests across a fleet of shard workers
-/// (tools/serve_shard) by consistent hashing on the room id: each room
-/// maps to one backend on a hash ring (stable as backends join/leave —
-/// only ~1/N of rooms move), so a room's simulation state and snapshot
-/// cache stay hot on one shard. Two fleet layouts:
+/// (tools/serve_shard), each of which hosts only the rooms the router
+/// grants it (docs/serving.md), so per-process memory and tick cost
+/// scale with a shard's share of the fleet, not the whole conference.
+/// The router is the ownership authority: it grants rooms with
+/// kRoomAssign, revokes with kRoomRelease (the ack carries the room's
+/// final state, forwarded to the new owner), keeps replication_factor
+/// warm standbys per room, and repairs the assignment when backends join
+/// or die. Placement follows a consistent-hash ring on the room id
+/// (stable as backends join/leave: only ~1/N of rooms move), capped so
+/// primaries stay balanced.
 ///
-///  - Full replication (default): every shard hosts every room, the
-///    ring only provides affinity, and when a backend dies mid-request
-///    (kUnavailable from the transport) the router ejects it and retries
-///    the *next* backend on the ring.
-///  - Partitioned (EnablePartition, docs/serving.md): each shard owns
-///    only the rooms granted to it, so per-process memory and tick cost
-///    scale with its share of the fleet, not the whole conference. The
-///    router is the ownership authority: it grants rooms with
-///    kRoomAssign, revokes with kRoomRelease (the ack carries the room's
-///    final state, forwarded to the new owner), keeps
-///    replication_factor warm standbys per room, and repairs the
-///    assignment when backends join or die.
-///
-/// In both layouts server-side statuses (shed / timeout / fallback)
-/// pass through untouched — the router only retries transport failures
-/// and ownership misses, never degradation decisions.
+/// Route() reads only the ownership table and tries a room's owners in
+/// priority order, primary first. A transport failure ejects the backend
+/// and moves on to the next owner; an ownership miss (a racing
+/// migration) moves on without ejecting anyone. Server-side statuses
+/// (shed / timeout / fallback) pass through untouched: the router never
+/// retries a degradation decision.
 ///
 /// Thread-safe: Route() may be called from many connection threads;
 /// calls to one backend multiplex over a few persistent MuxLinks
@@ -96,30 +88,31 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// The ring's pick for a room (ignoring health) — stable across
-  /// router instances with the same backend list.
+  /// The ring's first pick for a room (ignoring health and load caps) —
+  /// stable across router instances with the same backend list.
   int ShardFor(int room) const;
 
-  /// Routes one request: home shard first, then ring-order failover on
-  /// kUnavailable, up to max_attempts distinct backends. Always returns
-  /// a response; total failure yields status kUnavailable. In
-  /// partitioned mode the candidate set is the room's current owner list
-  /// instead of the full ring, and a kNotOwner answer (a racing
-  /// migration) moves on to the next owner without ejecting anyone,
-  /// briefly retrying the refreshed table before giving up.
+  /// Routes one request to the room's owners in priority order. A room
+  /// outside the partition is answered kNotFound without a backend hop.
+  /// A transport failure (kUnavailable) ejects the backend and moves on
+  /// to the next owner; a kNotOwner answer, or kNotFound from a shard
+  /// that drained the room, moves on without ejecting anyone, briefly
+  /// retrying the refreshed table before giving up. Always returns a
+  /// response; when every owner failed, status kUnavailable.
   FriendResponse Route(const FriendRequest& request);
 
-  /// Switches to partitioned serving over rooms [0, num_rooms): computes
-  /// a balanced, hash-affine assignment of every room to 1 +
+  /// Partitions rooms [0, num_rooms) over the fleet: computes a
+  /// balanced, hash-affine assignment of every room to 1 +
   /// replication_factor distinct backends and pushes kRoomAssign grants
   /// (empty state: shards build fresh rooms) to each owner. Every
-  /// backend must be running with shard control enabled
-  /// (tools/serve_shard --partitioned). Fails fast on the first grant a
-  /// backend rejects.
+  /// backend must serve with room control attached, as every
+  /// tools/serve_shard does. Once-only (and exclusive with
+  /// RecoverPartition); until one of them runs, every room is outside
+  /// the partition. Fails fast on the first grant a backend rejects.
   Status EnablePartition(int num_rooms);
 
-  /// Adds a backend to the live fleet: extends the hash ring, and in
-  /// partitioned mode rebalances — rooms whose primary moves are
+  /// Adds a backend to the live fleet: extends the hash ring and, once
+  /// the partition exists, rebalances — rooms whose primary moves are
   /// migrated with a release -> state -> assign handoff so the new owner
   /// resumes from the old owner's exact snapshot + trajectory window.
   /// Returns the new backend's index.
@@ -129,8 +122,12 @@ class ShardRouter {
   /// with copies on ejected backends get standbys promoted and fresh
   /// copies granted elsewhere (a room whose every copy died is rebuilt
   /// from scratch — state is lost, which replication_factor >= 1
-  /// prevents). Returns the number of rooms whose owner set changed.
-  /// The background prober calls this after each probe sweep.
+  /// prevents). When the promotions leave the healthy backends' primary
+  /// counts more than one room apart, it then rebalances as
+  /// AddBackendLive does, live primaries handing their state over.
+  /// Returns the number of owner-set changes it made (0, without any
+  /// control traffic, when every owner is healthy). The background
+  /// prober calls this after each probe sweep.
   int RepairPartition();
 
   /// Cold-restart recovery (docs/durability.md): instead of granting
@@ -152,7 +149,6 @@ class ShardRouter {
     std::vector<int> copies;
     uint64_t epoch = 0;
   };
-  bool partitioned() const;
   std::unordered_map<int, RoomAssignment> AssignmentSnapshot() const;
 
   /// Pings every backend once (over an existing mux link or a fresh
@@ -198,9 +194,9 @@ class ShardRouter {
     Clock::time_point ejected_until = Clock::time_point::min();
   };
 
-  /// Backends in ring order starting at the room's home shard,
-  /// deduplicated; the retry sequence for that room.
-  std::vector<int> RingOrder(int room) const;
+  /// Backends in ring order starting at the room's hash point,
+  /// deduplicated: the placement preference for that room. Caller holds
+  /// topology_mutex_.
   std::vector<int> RingOrderLocked(int room) const;
   void RebuildRingLocked();
 
@@ -246,11 +242,11 @@ class ShardRouter {
   /// topology_mutex_ when the fleet grows.
   std::vector<std::pair<uint64_t, int>> ring_;
 
-  /// Partitioned-mode ownership table; guarded by partition_mutex_.
-  /// Control-plane I/O never runs under this mutex, so routing reads
-  /// stay wait-free during migrations.
+  /// The ownership table; guarded by partition_mutex_. Control-plane
+  /// I/O never runs under this mutex, so routing reads stay wait-free
+  /// during migrations. partition_rooms_ is 0 until EnablePartition or
+  /// RecoverPartition runs.
   mutable std::mutex partition_mutex_;
-  bool partitioned_ = false;
   int partition_rooms_ = 0;
   uint64_t next_epoch_ = 0;
   std::unordered_map<int, RoomAssignment> assignment_;

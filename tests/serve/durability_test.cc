@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "baselines/nearest_recommender.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "partition_fleet.h"
 #include "serve/journal.h"
 #include "serve/net_server.h"
 #include "serve/room.h"
@@ -23,32 +23,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-Dataset SmallDataset(int num_users = 16, int num_steps = 8) {
-  DatasetConfig config;
-  config.num_users = num_users;
-  config.num_steps = num_steps;
-  config.num_sessions = 2;
-  config.seed = 654;
-  return GenerateTimikLike(config);
-}
-
-RoomFactory FactoryFor(const Dataset* dataset) {
-  return [dataset](int r) -> Result<std::unique_ptr<Room>> {
-    Room::Options options;
-    options.id = r;
-    options.mode = Room::Mode::kLive;
-    options.seed = 900 + r;
-    return Room::Create(options, dataset);
-  };
-}
-
-ServerOptions TestServerOptions() {
-  ServerOptions options;
-  options.num_threads = 2;
-  options.default_deadline_ms = -1.0;
-  return options;
-}
-
 /// Fresh per-test scratch directory under the gtest temp root.
 std::string ScratchDir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / ("durability_" + name);
@@ -59,15 +33,6 @@ std::string ScratchDir(const std::string& name) {
 
 std::string JournalPath(const std::string& dir) {
   return dir + "/journal.wal";
-}
-
-void ExpectSamePositions(const std::vector<Vec2>& want,
-                         const std::vector<Vec2>& got) {
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].x, got[i].x) << "user " << i;  // bit-exact, not near
-    EXPECT_EQ(want[i].y, got[i].y) << "user " << i;
-  }
 }
 
 JournalRecord SampleTick(int room, int tick) {
@@ -391,8 +356,8 @@ TEST(CheckpointTest, ListingSkipsTempLeftoversOfInterruptedWrites) {
 // ---------------------------------------------------------------------------
 // DurabilityManager + ShardControl: the full crash/recover cycle.
 
-/// One durable partitioned shard, restartable in place: the shape of
-/// tools/serve_shard --partitioned --durable_dir, addressable from a
+/// One durable shard, restartable in place: the shape of
+/// tools/serve_shard --durable_dir, addressable from a
 /// unit test. Destroying it and constructing a new one over the same
 /// directory is the crash + cold restart.
 struct DurableShard {

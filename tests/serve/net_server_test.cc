@@ -7,7 +7,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -337,6 +342,81 @@ TEST(NetServerTest, ConcurrentClientsAllComplete) {
   EXPECT_EQ(completions.load(), kClients * kPerClient);
   EXPECT_EQ(shard.net->connections_accepted(), kClients);
   EXPECT_EQ(shard.net->frames_rejected(), 0);
+}
+
+TEST(NetServerTest, DialBurstWhileTheReactorStallsConnectsAtOnce) {
+  // A dial the kernel's accept queue cannot hold has its SYN dropped and
+  // waits out a 1 s retransmit. A handler that stalls the reactor for
+  // 400 ms stands in for a reactor that falls behind a C10k dial: every
+  // dial that lands meanwhile must complete its handshake within 500 ms.
+  constexpr int kDials = 300;
+  int somaxconn = 0;
+  std::ifstream("/proc/sys/net/core/somaxconn") >> somaxconn;
+  if (somaxconn > 0 && somaxconn <= kDials)
+    GTEST_SKIP() << "net.core.somaxconn=" << somaxconn
+                 << " caps the accept queue below the burst";
+
+  std::atomic<bool> stalled{false};
+  NetServerOptions options;
+  options.max_connections = 2 * kDials;
+  NetServer net(
+      [&stalled](const FriendRequest&,
+                 std::function<void(const FriendResponse&)> done) {
+        stalled.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        done(FriendResponse{});
+      },
+      options);
+  ASSERT_TRUE(net.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::thread caller([&client] {
+    (void)client.value()->Call({.room = 0, .user = 0, .deadline_ms = -1.0});
+  });
+  while (!stalled.load()) std::this_thread::yield();
+
+  const auto start = std::chrono::steady_clock::now();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(net.port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::vector<pollfd> pending;
+  for (int i = 0; i < kDials; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    ASSERT_GE(fd, 0) << std::strerror(errno);
+    const int rc =
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+    ASSERT_TRUE(rc == 0 || errno == EINPROGRESS) << std::strerror(errno);
+    pending.push_back({fd, POLLOUT, 0});
+  }
+  std::vector<int> dialed;
+  for (const pollfd& dial : pending) dialed.push_back(dial.fd);
+
+  int connected = 0;
+  while (!pending.empty()) {
+    const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - start);
+    const int budget_ms = 500 - static_cast<int>(waited.count());
+    if (budget_ms <= 0 ||
+        ::poll(pending.data(), pending.size(), budget_ms) <= 0)
+      break;
+    std::vector<pollfd> still;
+    for (const pollfd& dial : pending) {
+      if (dial.revents == 0) {
+        still.push_back({dial.fd, POLLOUT, 0});
+        continue;
+      }
+      int error = 0;
+      socklen_t len = sizeof(error);
+      ::getsockopt(dial.fd, SOL_SOCKET, SO_ERROR, &error, &len);
+      if (error == 0) ++connected;
+    }
+    pending = std::move(still);
+  }
+  EXPECT_EQ(connected, kDials);
+  for (const int fd : dialed) ::close(fd);
+  caller.join();
+  net.Shutdown();
 }
 
 }  // namespace

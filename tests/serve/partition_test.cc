@@ -1,15 +1,17 @@
 #include "serve/shard_control.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/nearest_recommender.h"
 #include "gtest/gtest.h"
+#include "partition_fleet.h"
 #include "serve/net_client.h"
 #include "serve/net_server.h"
 #include "serve/room.h"
@@ -19,45 +21,6 @@
 namespace after {
 namespace serve {
 namespace {
-
-Dataset SmallDataset(int num_users = 16, int num_steps = 8) {
-  DatasetConfig config;
-  config.num_users = num_users;
-  config.num_steps = num_steps;
-  config.num_sessions = 2;
-  config.seed = 654;
-  return GenerateTimikLike(config);
-}
-
-/// The same deterministic per-room factory every partitioned shard in a
-/// fleet uses (tools/serve_shard --partitioned): identical seeds mean a
-/// fresh replica of room r is bit-exact with any other shard's fresh
-/// replica of room r until their tick counts diverge.
-RoomFactory FactoryFor(const Dataset* dataset) {
-  return [dataset](int r) -> Result<std::unique_ptr<Room>> {
-    Room::Options options;
-    options.id = r;
-    options.mode = Room::Mode::kLive;
-    options.seed = 900 + r;
-    return Room::Create(options, dataset);
-  };
-}
-
-ServerOptions TestServerOptions() {
-  ServerOptions options;
-  options.num_threads = 2;
-  options.default_deadline_ms = -1.0;
-  return options;
-}
-
-void ExpectSamePositions(const std::vector<Vec2>& want,
-                         const std::vector<Vec2>& got) {
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].x, got[i].x) << "user " << i;  // bit-exact, not near
-    EXPECT_EQ(want[i].y, got[i].y) << "user " << i;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Room migration blob.
@@ -233,69 +196,6 @@ TEST(ShardControlTest, CorruptMigrationBlobLeavesShardUnchanged) {
 // ---------------------------------------------------------------------------
 // Partitioned fleet: router-driven ownership over real TCP shards.
 
-/// One partitioned shard worker: starts owning nothing; the router
-/// grants rooms over the wire. The shape of tools/serve_shard
-/// --partitioned, addressable from a unit test.
-struct PartitionShard {
-  explicit PartitionShard(const Dataset& dataset)
-      : server({}, [] { return std::make_unique<NearestRecommender>(5); },
-               TestServerOptions()),
-        control(&server, FactoryFor(&dataset)) {
-    net = std::make_unique<NetServer>(NetServer::HandlerFor(&server),
-                                      NetServerOptions{});
-    net->set_room_control(NetServer::ControlFor(&control));
-    const Status started = net->Start();
-    EXPECT_TRUE(started.ok()) << started.ToString();
-  }
-  ~PartitionShard() { net->Shutdown(); }
-
-  BackendAddress address() const { return {"127.0.0.1", net->port()}; }
-
-  RecommendationServer server;
-  ShardControl control;
-  std::unique_ptr<NetServer> net;
-};
-
-struct PartitionFleet {
-  PartitionFleet(int num_shards, int rooms, int replication,
-                 RouterOptions options = [] {
-                   RouterOptions defaults;
-                   defaults.ejection_ms = 200.0;
-                   return defaults;
-                 }())
-      : dataset(SmallDataset()), num_rooms(rooms) {
-    std::vector<BackendAddress> addresses;
-    for (int s = 0; s < num_shards; ++s) {
-      shards.push_back(std::make_unique<PartitionShard>(dataset));
-      addresses.push_back(shards.back()->address());
-    }
-    options.replication_factor = replication;
-    router = std::make_unique<ShardRouter>(addresses, options);
-    const Status enabled = router->EnablePartition(rooms);
-    EXPECT_TRUE(enabled.ok()) << enabled.ToString();
-  }
-  ~PartitionFleet() { router->Shutdown(); }
-
-  FriendResponse Route(int room, int user) {
-    return router->Route({.room = room, .user = user, .deadline_ms = -1.0});
-  }
-
-  /// Primary-room count per backend index, from the router's table.
-  std::unordered_map<int, int> PrimaryCounts() const {
-    std::unordered_map<int, int> counts;
-    for (const auto& [room, assignment] : router->AssignmentSnapshot()) {
-      EXPECT_FALSE(assignment.copies.empty()) << "room " << room;
-      if (!assignment.copies.empty()) counts[assignment.copies[0]]++;
-    }
-    return counts;
-  }
-
-  Dataset dataset;
-  int num_rooms;
-  std::vector<std::unique_ptr<PartitionShard>> shards;
-  std::unique_ptr<ShardRouter> router;
-};
-
 TEST(PartitionTest, EveryRoomIsServedAndOwnershipIsBalanced) {
   PartitionFleet fleet(/*num_shards=*/3, /*rooms=*/9, /*replication=*/0);
 
@@ -447,6 +347,72 @@ TEST(PartitionTest, KilledPrimaryFailsOverToABitExactStandby) {
   const FriendResponse response = fleet.Route(victim_room, 1);
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_GE(fleet.router->metrics().repairs.load(), 1);
+}
+
+TEST(PartitionTest, RepairRebalancesTheSurvivors) {
+  // Repair promotes a dead primary's standbys where they stand. Kill the
+  // shard whose primaries' standbys sit most lopsidedly on the other
+  // two: without a rebalance, one survivor would end up with most of
+  // the primaries.
+  // The ring hashes the shards' ephemeral ports, so the layout changes
+  // from run to run, and in about one in three every shard's standbys
+  // split evenly. Build fleets until one is lopsided.
+  std::unique_ptr<PartitionFleet> owned;
+  std::unordered_map<int, ShardRouter::RoomAssignment> before;
+  int victim = 0, worst_skew = 0;
+  for (int attempt = 0; attempt < 20 && worst_skew == 0; ++attempt) {
+    owned = std::make_unique<PartitionFleet>(/*num_shards=*/3, /*rooms=*/12,
+                                             /*replication=*/1);
+    before = owned->router->AssignmentSnapshot();
+    for (int s = 0; s < 3; ++s) {
+      std::unordered_map<int, int> standbys;  // backend -> standby count
+      for (const auto& [room, assignment] : before)
+        if (assignment.copies[0] == s) ++standbys[assignment.copies[1]];
+      const int skew =
+          std::abs(standbys[(s + 1) % 3] - standbys[(s + 2) % 3]);
+      if (skew > worst_skew) {
+        worst_skew = skew;
+        victim = s;
+      }
+    }
+  }
+  ASSERT_GT(worst_skew, 0) << "no lopsided layout in 20 fleets";
+  PartitionFleet& fleet = *owned;
+  // Tick both copies of every room in lockstep, so whichever replica
+  // serves a room after the repair must resume at tick 3.
+  for (const auto& [room, assignment] : before)
+    for (const int backend : assignment.copies) {
+      auto hosted = fleet.shards[backend]->server.FindRoom(room);
+      ASSERT_NE(hosted, nullptr) << "room " << room;
+      for (int i = 0; i < 3; ++i) ASSERT_TRUE(hosted->Tick().ok());
+    }
+
+  fleet.shards[victim]->net->Shutdown();
+  fleet.router->ProbeAll();
+  EXPECT_GT(fleet.router->RepairPartition(), 0);
+
+  const auto counts = fleet.PrimaryCounts();
+  EXPECT_EQ(counts.count(victim), 0u);
+  int fewest = fleet.num_rooms, most = 0;
+  for (int s = 0; s < 3; ++s) {
+    if (s == victim) continue;
+    const int primaries = counts.count(s) > 0 ? counts.at(s) : 0;
+    fewest = std::min(fewest, primaries);
+    most = std::max(most, primaries);
+  }
+  EXPECT_LE(most - fewest, 1) << "survivors hold " << fewest << ".." << most
+                              << " primaries (victim " << victim
+                              << ", standby skew " << worst_skew << ")";
+  for (const auto& [room, assignment] : fleet.router->AssignmentSnapshot()) {
+    auto hosted = fleet.shards[assignment.copies[0]]->server.FindRoom(room);
+    ASSERT_NE(hosted, nullptr) << "room " << room;
+    EXPECT_EQ(hosted->tick(), 3) << "room " << room;
+    const FriendResponse response = fleet.Route(room, 2);
+    EXPECT_TRUE(response.status.ok())
+        << "room " << room << ": " << response.status.ToString();
+  }
+  // Every owner is healthy again, so the next sweep changes nothing.
+  EXPECT_EQ(fleet.router->RepairPartition(), 0);
 }
 
 TEST(PartitionTest, ConcurrentRoutingSurvivesKillAndGrowth) {

@@ -1,92 +1,22 @@
 #include "serve/router.h"
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "baselines/nearest_recommender.h"
 #include "gtest/gtest.h"
+#include "partition_fleet.h"
 #include "serve/net_server.h"
 #include "serve/server.h"
 
 namespace after {
 namespace serve {
 namespace {
-
-Dataset SmallDataset(int num_users = 16, int num_steps = 8) {
-  DatasetConfig config;
-  config.num_users = num_users;
-  config.num_steps = num_steps;
-  config.num_sessions = 2;
-  config.seed = 654;
-  return GenerateTimikLike(config);
-}
-
-std::vector<std::unique_ptr<Room>> MakeRooms(const Dataset& dataset,
-                                             int count) {
-  std::vector<std::unique_ptr<Room>> rooms;
-  for (int r = 0; r < count; ++r) {
-    Room::Options options;
-    options.id = r;
-    options.mode = Room::Mode::kLive;
-    // Same seeds on every shard replica: the fleet invariant that makes
-    // failover safe (any shard can answer any room).
-    options.seed = 50 + r;
-    rooms.push_back(Room::Create(options, &dataset).value());
-  }
-  return rooms;
-}
-
-/// One in-process shard worker: full room set + TCP front, exactly the
-/// shape of tools/serve_shard but addressable from a unit test.
-struct TestShard {
-  TestShard(const Dataset& dataset, int rooms)
-      : server(MakeRooms(dataset, rooms),
-               [] { return std::make_unique<NearestRecommender>(5); },
-               [] {
-                 ServerOptions options;
-                 options.num_threads = 2;
-                 options.default_deadline_ms = -1.0;
-                 return options;
-               }()) {
-    net = std::make_unique<NetServer>(NetServer::HandlerFor(&server),
-                                      NetServerOptions{});
-    const Status started = net->Start();
-    EXPECT_TRUE(started.ok()) << started.ToString();
-  }
-  ~TestShard() { net->Shutdown(); }
-
-  BackendAddress address() const { return {"127.0.0.1", net->port()}; }
-  int64_t answered() { return server.metrics().responses_ok.load(); }
-
-  RecommendationServer server;
-  std::unique_ptr<NetServer> net;
-};
-
-/// A fleet of in-process shards plus a router over them.
-struct TestFleet {
-  TestFleet(int num_shards, int rooms, RouterOptions options = [] {
-    RouterOptions defaults;
-    defaults.ejection_ms = 200.0;
-    return defaults;
-  }())
-      : dataset(SmallDataset()) {
-    std::vector<BackendAddress> addresses;
-    for (int s = 0; s < num_shards; ++s) {
-      shards.push_back(std::make_unique<TestShard>(dataset, rooms));
-      addresses.push_back(shards.back()->address());
-    }
-    router = std::make_unique<ShardRouter>(addresses, options);
-  }
-  ~TestFleet() { router->Shutdown(); }
-
-  Dataset dataset;
-  std::vector<std::unique_ptr<TestShard>> shards;
-  std::unique_ptr<ShardRouter> router;
-};
 
 std::vector<BackendAddress> FakeBackends(int count) {
   std::vector<BackendAddress> backends;
@@ -127,93 +57,105 @@ TEST(RouterTest, AddingABackendMovesOnlyAFractionOfRooms) {
   EXPECT_LT(moved, kRooms / 2);     // but nowhere near a full reshuffle
 }
 
-TEST(RouterTest, RoutesToTheHomeShard) {
-  TestFleet fleet(/*num_shards=*/2, /*rooms=*/4);
+TEST(RouterTest, RoutesToThePrimary) {
+  PartitionFleet fleet(/*num_shards=*/2, /*rooms=*/4, /*replication=*/1);
+  const auto assignment = fleet.router->AssignmentSnapshot();
   for (int room = 0; room < 4; ++room) {
-    const int home = fleet.router->ShardFor(room);
-    const int64_t before = fleet.shards[home]->answered();
-    const FriendResponse response =
-        fleet.router->Route({.room = room, .user = 1, .deadline_ms = -1.0});
+    const int primary = assignment.at(room).copies[0];
+    const int64_t before = fleet.shards[primary]->answered();
+    const FriendResponse response = fleet.Route(room, 1);
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(fleet.shards[home]->answered(), before + 1)
-        << "room " << room << " not served by its home shard " << home;
+    EXPECT_EQ(fleet.shards[primary]->answered(), before + 1)
+        << "room " << room << " not served by its primary " << primary;
+  }
+  EXPECT_EQ(fleet.router->metrics().retried.load(), 0);
+  EXPECT_EQ(fleet.router->metrics().exhausted.load(), 0);
+}
+
+TEST(RouterTest, RoomOutsideThePartitionIsNotFoundWithoutABackendHop) {
+  PartitionFleet fleet(/*num_shards=*/2, /*rooms=*/4, /*replication=*/1);
+  std::vector<int64_t> submitted, not_owner;
+  for (auto& shard : fleet.shards) {
+    submitted.push_back(shard->server.metrics().requests_submitted.load());
+    not_owner.push_back(shard->net->not_owner_replies());
+  }
+  for (const int room : {fleet.num_rooms, -1}) {
+    const FriendResponse response = fleet.Route(room, 1);
+    EXPECT_EQ(response.status.code(), StatusCode::kNotFound)
+        << "room " << room << ": " << response.status.ToString();
+  }
+  for (size_t s = 0; s < fleet.shards.size(); ++s) {
+    EXPECT_EQ(fleet.shards[s]->server.metrics().requests_submitted.load(),
+              submitted[s])
+        << "shard " << s;
+    EXPECT_EQ(fleet.shards[s]->net->not_owner_replies(), not_owner[s])
+        << "shard " << s;
   }
   EXPECT_EQ(fleet.router->metrics().retried.load(), 0);
   EXPECT_EQ(fleet.router->metrics().exhausted.load(), 0);
 }
 
 TEST(RouterTest, MuxLinksAreReusedAcrossCalls) {
-  TestFleet fleet(/*num_shards=*/1, /*rooms=*/2);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(fleet.router
-                    ->Route({.room = i % 2, .user = i, .deadline_ms = -1.0})
-                    .status.ok());
-  }
+  PartitionFleet fleet(/*num_shards=*/1, /*rooms=*/2, /*replication=*/0);
+  for (int i = 0; i < 10; ++i)
+    ASSERT_TRUE(fleet.Route(i % 2, i).status.ok());
   EXPECT_GE(fleet.router->metrics().link_reuse.load(), 8);
   EXPECT_LE(fleet.router->metrics().connects.load(), 2);
 }
 
 TEST(RouterTest, FailoverOnADeadBackendLosesNothing) {
-  TestFleet fleet(/*num_shards=*/2, /*rooms=*/4);
-  // Pick a room homed on the shard we are about to kill, and warm a
-  // mux link to it so the failure is discovered mid-call.
+  PartitionFleet fleet(/*num_shards=*/2, /*rooms=*/4, /*replication=*/1);
+  // Kill room 0's primary after warming a mux link to it, so the failure
+  // is discovered mid-call. No repair runs: the standby must answer.
   const int victim_room = 0;
-  const int victim = fleet.router->ShardFor(victim_room);
-  const int survivor = 1 - victim;
-  ASSERT_TRUE(fleet.router
-                  ->Route({.room = victim_room, .user = 1,
-                           .deadline_ms = -1.0})
-                  .status.ok());
+  const auto assignment = fleet.router->AssignmentSnapshot();
+  const int victim = assignment.at(victim_room).copies[0];
+  const int standby = assignment.at(victim_room).copies[1];
+  ASSERT_TRUE(fleet.Route(victim_room, 1).status.ok());
 
   fleet.shards[victim]->net->Shutdown();
 
-  const int64_t survivor_before = fleet.shards[survivor]->answered();
-  const FriendResponse response = fleet.router->Route(
-      {.room = victim_room, .user = 2, .deadline_ms = -1.0});
+  const int64_t standby_before = fleet.shards[standby]->answered();
+  const FriendResponse response = fleet.Route(victim_room, 2);
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-  EXPECT_EQ(fleet.shards[survivor]->answered(), survivor_before + 1);
+  EXPECT_EQ(fleet.shards[standby]->answered(), standby_before + 1);
   EXPECT_GE(fleet.router->metrics().retried.load(), 1);
   EXPECT_GE(fleet.router->metrics().ejections.load(), 1);
   EXPECT_FALSE(fleet.router->backend_healthy(victim));
   EXPECT_EQ(fleet.router->metrics().exhausted.load(), 0);
 
   // While ejected, requests for the victim's rooms go straight to the
-  // survivor without paying a connect attempt to the dead backend.
+  // standby without paying a connect attempt to the dead backend.
   const int64_t retried_before = fleet.router->metrics().retried.load();
-  ASSERT_TRUE(fleet.router
-                  ->Route({.room = victim_room, .user = 3,
-                           .deadline_ms = -1.0})
-                  .status.ok());
+  ASSERT_TRUE(fleet.Route(victim_room, 3).status.ok());
   EXPECT_EQ(fleet.router->metrics().retried.load(), retried_before);
 }
 
 TEST(RouterTest, AllBackendsDeadYieldsUnavailableNotAHang) {
   RouterOptions options;
-  options.max_attempts = 2;
   options.client.connect_timeout_ms = 200.0;
-  TestFleet fleet(/*num_shards=*/2, /*rooms=*/2, options);
+  PartitionFleet fleet(/*num_shards=*/2, /*rooms=*/2, /*replication=*/1,
+                       options);
   fleet.shards[0]->net->Shutdown();
   fleet.shards[1]->net->Shutdown();
-  const FriendResponse response =
-      fleet.router->Route({.room = 0, .user = 1, .deadline_ms = -1.0});
+  const FriendResponse response = fleet.Route(0, 1);
   EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
   EXPECT_GE(fleet.router->metrics().exhausted.load(), 1);
 }
 
 TEST(RouterTest, ServerStatusesPassThroughWithoutRetry) {
-  TestFleet fleet(/*num_shards=*/2, /*rooms=*/2);
+  PartitionFleet fleet(/*num_shards=*/2, /*rooms=*/2, /*replication=*/1);
   // A degradation decision (here: invalid user) is the server's answer,
   // not a transport failure — retrying it on another shard would just
   // repeat the work and hide the error.
-  const FriendResponse response =
-      fleet.router->Route({.room = 0, .user = 999, .deadline_ms = -1.0});
+  const FriendResponse response = fleet.Route(0, 999);
   EXPECT_EQ(response.status.code(), StatusCode::kInvalidData);
   EXPECT_EQ(fleet.router->metrics().retried.load(), 0);
   EXPECT_EQ(fleet.router->metrics().ejections.load(), 0);
 }
 
 TEST(RouterTest, ProbeAllSeesDeadAndAliveBackends) {
-  TestFleet fleet(/*num_shards=*/2, /*rooms=*/2);
+  PartitionFleet fleet(/*num_shards=*/2, /*rooms=*/2, /*replication=*/0);
   fleet.router->ProbeAll();
   EXPECT_TRUE(fleet.router->backend_healthy(0));
   EXPECT_TRUE(fleet.router->backend_healthy(1));
@@ -226,11 +168,13 @@ TEST(RouterTest, ProbeAllSeesDeadAndAliveBackends) {
 TEST(RouterTest, ConcurrentClientsSurviveAShardDeath) {
   // The TSan target: many threads in Route() while a backend dies and
   // gets ejected under them. Every request must come back answered —
-  // failover means no thread observes a lost request.
+  // with two shards and one standby per room, shard 1 holds a copy of
+  // every room, so no thread may observe a lost request.
   RouterOptions options;
   options.ejection_ms = 100.0;
   options.client.connect_timeout_ms = 500.0;
-  TestFleet fleet(/*num_shards=*/2, /*rooms=*/4, options);
+  PartitionFleet fleet(/*num_shards=*/2, /*rooms=*/4, /*replication=*/1,
+                       options);
 
   const int kThreads = 4, kPerThread = 50;
   std::atomic<int> ok{0}, unavailable{0}, other{0};
@@ -242,9 +186,8 @@ TEST(RouterTest, ConcurrentClientsSurviveAShardDeath) {
   for (int c = 0; c < kThreads; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kPerThread; ++i) {
-        const FriendResponse response = fleet.router->Route(
-            {.room = (c + i) % 4, .user = (3 * c + i) % 16,
-             .deadline_ms = -1.0});
+        const FriendResponse response =
+            fleet.Route((c + i) % 4, (3 * c + i) % 16);
         if (response.status.ok())
           ok.fetch_add(1);
         else if (response.status.code() == StatusCode::kUnavailable)
@@ -257,8 +200,6 @@ TEST(RouterTest, ConcurrentClientsSurviveAShardDeath) {
   for (auto& client : clients) client.join();
   killer.join();
 
-  // Shard 1 stays up the whole time, so failover answers everything:
-  // nothing may be lost and nothing may exhaust its attempts.
   EXPECT_EQ(ok.load(), kThreads * kPerThread);
   EXPECT_EQ(unavailable.load(), 0);
   EXPECT_EQ(other.load(), 0);

@@ -4,23 +4,19 @@
 // bench/net_throughput at the router (docs/serving.md has the 3-shard
 // walkthrough).
 //
-// Two fleet layouts (docs/serving.md):
-//  - Default: the shard instantiates the *full* room set with the same
-//    seeds, so any shard can answer any room; the router's consistent
-//    hashing merely keeps each room's traffic (and therefore its
-//    simulation state and snapshot cache) on one home shard.
-//  - --partitioned: the shard starts owning *nothing* and hosts only
-//    the rooms the router grants it over the wire (kRoomAssign /
-//    kRoomRelease, serve/shard_control.h); requests for unowned rooms
-//    are answered kNotOwner so the router re-routes them. Memory and
-//    tick cost then scale with the shard's share, not the fleet's size.
+// The shard starts owning *nothing* and hosts only the rooms the router
+// grants it over the wire (kRoomAssign / kRoomRelease,
+// serve/shard_control.h); requests for unowned rooms are answered
+// kNotOwner so the router re-routes them. Memory and tick cost scale
+// with the shard's share, not the fleet's size. A lone serve_shard
+// serves nothing until a router grants it rooms.
 //
 // Usage:
 //   serve_shard --port=7701                    # fixed port
 //   serve_shard --port=0 --port_file=p.txt     # ephemeral; port written
 //                                              # to the file for scripts
-// Flags: --rooms=N --users=N --threads=N --queue=N --deadline_ms=F
-//        --tick_ms=F --seed=N --batch --partitioned
+// Flags: --users=N --threads=N --queue=N --deadline_ms=F
+//        --tick_ms=F --seed=N --batch
 //        --weights=PATH (serve a trained, frozen POSHGNN from a model
 //                        artifact, docs/model_artifacts.md, instead of
 //                        the untrained seed-42 one perfbench serves)
@@ -34,7 +30,7 @@
 //                            and each request's candidate set is capped
 //                            at its top-N recent contacts; 0 = off)
 //
-// Durable rooms (docs/durability.md, requires --partitioned):
+// Durable rooms (docs/durability.md):
 //   --durable_dir=PATH          journal + checkpoints live here; at boot
 //                               the shard replays them and re-owns its
 //                               rooms (the router reconciles via
@@ -68,19 +64,18 @@ volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
 
 int Main(int argc, char** argv) {
-  int port = 0, rooms = 2, users = 60, threads = 2, queue = 1024;
+  int port = 0, users = 60, threads = 2, queue = 1024;
   int seed = 4242, checkpoint_every_ticks = 256, max_connections = 0;
   int max_candidates = 0;
   double deadline_ms = 1000.0, tick_ms = 10.0, max_seconds = 0.0;
   double idle_timeout_ms = 0.0;
-  bool batch = false, partitioned = false, journal_fsync = false;
+  bool batch = false, journal_fsync = false;
   std::string port_file, weights, durable_dir;
   for (int i = 1; i < argc; ++i) {
     int value = 0;
     double fvalue = 0.0;
     char buffer[256] = {};
     if (std::sscanf(argv[i], "--port=%d", &value) == 1) port = value;
-    else if (std::sscanf(argv[i], "--rooms=%d", &value) == 1) rooms = value;
     else if (std::sscanf(argv[i], "--users=%d", &value) == 1) users = value;
     else if (std::sscanf(argv[i], "--threads=%d", &value) == 1)
       threads = value;
@@ -109,7 +104,6 @@ int Main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--journal_fsync") == 0)
       journal_fsync = true;
     else if (std::strcmp(argv[i], "--batch") == 0) batch = true;
-    else if (std::strcmp(argv[i], "--partitioned") == 0) partitioned = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 1;
@@ -145,9 +139,7 @@ int Main(int argc, char** argv) {
   const Dataset dataset = GenerateTimikLike(config);
 
   // Seeded by room id only: every shard builds the same crowd for a
-  // given room, so failover / standby answers come from the same
-  // statistical world. The partitioned path reuses the exact recipe
-  // through the room factory below.
+  // given room, so a standby answers from the same world as its primary.
   const auto make_room =
       [&dataset, max_candidates](int r) -> Result<std::unique_ptr<serve::Room>> {
     serve::Room::Options room_options;
@@ -158,19 +150,6 @@ int Main(int argc, char** argv) {
     return serve::Room::Create(room_options, &dataset);
   };
 
-  std::vector<std::unique_ptr<serve::Room>> room_list;
-  if (!partitioned) {
-    for (int r = 0; r < rooms; ++r) {
-      auto created = make_room(r);
-      if (!created.ok()) {
-        std::fprintf(stderr, "room %d: %s\n", r,
-                     created.status().ToString().c_str());
-        return 1;
-      }
-      room_list.push_back(std::move(created).value());
-    }
-  }
-
   serve::ServerOptions server_options;
   server_options.num_threads = threads;
   server_options.queue_capacity = queue;
@@ -179,8 +158,7 @@ int Main(int argc, char** argv) {
   server_options.max_candidates = max_candidates;
   // The server calls its factory once, at construction.
   serve::RecommendationServer server(
-      std::move(room_list), [&primary] { return std::move(primary); },
-      server_options);
+      {}, [&primary] { return std::move(primary); }, server_options);
   serve::ShardControl control(&server, make_room);
 
   // Durable rooms: open the journal + checkpoint dir, recover whatever
@@ -188,12 +166,6 @@ int Main(int argc, char** argv) {
   // subsystem into the tick and control planes.
   std::unique_ptr<serve::DurabilityManager> durability;
   if (!durable_dir.empty()) {
-    if (!partitioned) {
-      std::fprintf(stderr,
-                   "--durable_dir requires --partitioned (durability is "
-                   "scoped to router-granted rooms)\n");
-      return 1;
-    }
     serve::DurabilityManager::Options durable_options;
     durable_options.dir = durable_dir;
     durable_options.checkpoint_every_ticks = checkpoint_every_ticks;
@@ -223,8 +195,7 @@ int Main(int argc, char** argv) {
   if (max_connections > 0) net_options.max_connections = max_connections;
   net_options.idle_timeout_ms = idle_timeout_ms;
   serve::NetServer net(serve::NetServer::HandlerFor(&server), net_options);
-  if (partitioned)
-    net.set_room_control(serve::NetServer::ControlFor(&control));
+  net.set_room_control(serve::NetServer::ControlFor(&control));
   const Status started = net.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
@@ -236,19 +207,10 @@ int Main(int argc, char** argv) {
     std::ofstream out(port_file);
     out << net.port() << "\n";
   }
-  if (partitioned)
-    std::printf("[serve_shard] listening on %s:%d (partitioned: rooms "
-                "granted by router, %d users each, %d threads, "
-                "primary=%s%s)\n",
-                net.host().c_str(), net.port(), users, threads,
-                primary_desc.c_str(),
-                batch ? ", in-tick batching" : "");
-  else
-    std::printf("[serve_shard] listening on %s:%d (%d rooms x %d users, "
-                "%d threads, primary=%s%s)\n",
-                net.host().c_str(), net.port(), rooms, users, threads,
-                primary_desc.c_str(),
-                batch ? ", in-tick batching" : "");
+  std::printf("[serve_shard] listening on %s:%d (rooms granted by "
+              "router, %d users each, %d threads, primary=%s%s)\n",
+              net.host().c_str(), net.port(), users, threads,
+              primary_desc.c_str(), batch ? ", in-tick batching" : "");
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);

@@ -1,23 +1,24 @@
 // The fleet's single front door: listens on one port speaking the wire
-// protocol (serve/wire.h) and routes every request to a backend
-// tools/serve_shard worker by consistent hashing on the room id
-// (serve/router.h). Transport failures eject the backend and retry the
-// next shard on the ring, so killing a worker mid-run degrades to
-// retried requests, not lost ones.
+// protocol (serve/wire.h), grants rooms to the tools/serve_shard
+// backends, and routes every request to its room's owners
+// (serve/router.h). A transport failure ejects the backend and tries
+// the room's standby, so killing a worker mid-run degrades to retried
+// requests, not lost ones, while the prober's repair promotes standbys
+// and rebalances the survivors.
 //
 // Usage:
-//   shard_router --port=7700 --backend=127.0.0.1:7701 \
-//                --backend=127.0.0.1:7702
+//   shard_router --port=7700 --partition_rooms=8
+//                --backend=127.0.0.1:7701 --backend=127.0.0.1:7702
 // Flags: --port=N --port_file=PATH --backend=HOST:PORT (repeatable)
 //        --threads=N --queue=N (router-side worker pool + admission
 //        bound; overload sheds with kResourceExhausted at the router)
-//        --max_attempts=N --ejection_ms=F --health_ms=F
-//        --partition_rooms=N (switch to partitioned serving: grant
-//        rooms [0,N) to backends started with serve_shard --partitioned)
-//        --recover_rooms=N (like --partition_rooms, but cold-restart
-//        recovery: ask every backend to replay its durable state first
-//        and reconcile the survivors; docs/durability.md)
-//        --replication=N (warm standby copies per room, partitioned only)
+//        --ejection_ms=F --health_ms=F
+//        exactly one of:
+//        --partition_rooms=N (grant rooms [0,N) fresh to the backends)
+//        --recover_rooms=N (cold-restart recovery: ask every backend to
+//        replay its durable state first, reconcile the survivors, then
+//        serve rooms [0,N); docs/durability.md)
+//        --replication=N (warm standby copies per room)
 //        --max_connections=N (reactor connection cap; accepts beyond it
 //        are shed at the socket — raise RLIMIT_NOFILE with it for C10k)
 //        --idle_timeout_ms=F (reap connections silent this long; 0 =
@@ -56,7 +57,7 @@ bool ParseBackend(const std::string& spec, serve::BackendAddress* out) {
 }
 
 int Main(int argc, char** argv) {
-  int port = 0, threads = 4, queue = 1024, max_attempts = 3;
+  int port = 0, threads = 4, queue = 1024;
   int partition_rooms = 0, recover_rooms = 0, replication = 0;
   int max_connections = 0;
   double ejection_ms = 1000.0, health_ms = 250.0, max_seconds = 0.0;
@@ -71,8 +72,6 @@ int Main(int argc, char** argv) {
     else if (std::sscanf(argv[i], "--threads=%d", &value) == 1)
       threads = value;
     else if (std::sscanf(argv[i], "--queue=%d", &value) == 1) queue = value;
-    else if (std::sscanf(argv[i], "--max_attempts=%d", &value) == 1)
-      max_attempts = value;
     else if (std::sscanf(argv[i], "--partition_rooms=%d", &value) == 1)
       partition_rooms = value;
     else if (std::sscanf(argv[i], "--recover_rooms=%d", &value) == 1)
@@ -108,21 +107,19 @@ int Main(int argc, char** argv) {
                  "shard_router: need at least one --backend=HOST:PORT\n");
     return 1;
   }
+  if ((partition_rooms > 0) == (recover_rooms > 0)) {
+    std::fprintf(stderr,
+                 "shard_router: need exactly one of --partition_rooms=N "
+                 "(fresh grant) and --recover_rooms=N (durable recovery)\n");
+    return 1;
+  }
 
   serve::RouterOptions router_options;
-  router_options.max_attempts = max_attempts;
   router_options.ejection_ms = ejection_ms;
   router_options.health_check_interval_ms = health_ms;
   router_options.replication_factor = replication;
   serve::ShardRouter router(backends, router_options);
 
-  if (partition_rooms > 0 && recover_rooms > 0) {
-    std::fprintf(stderr,
-                 "--partition_rooms and --recover_rooms are exclusive "
-                 "(fresh grant vs. durable recovery)\n");
-    router.Shutdown();
-    return 1;
-  }
   if (partition_rooms > 0) {
     const Status enabled = router.EnablePartition(partition_rooms);
     if (!enabled.ok()) {
@@ -131,8 +128,7 @@ int Main(int argc, char** argv) {
       router.Shutdown();
       return 1;
     }
-  }
-  if (recover_rooms > 0) {
+  } else {
     const Status recovered = router.RecoverPartition(recover_rooms);
     if (!recovered.ok()) {
       std::fprintf(stderr, "RecoverPartition(%d): %s\n", recover_rooms,
@@ -188,13 +184,9 @@ int Main(int argc, char** argv) {
               net.host().c_str(), net.port(), backends.size());
   for (const auto& backend : backends)
     std::printf(" %s", backend.ToString().c_str());
-  if (partition_rooms > 0)
-    std::printf(" (partitioned: %d rooms, replication=%d)", partition_rooms,
-                replication);
-  if (recover_rooms > 0)
-    std::printf(" (partitioned via recovery: %d rooms, replication=%d)",
-                recover_rooms, replication);
-  std::printf("\n");
+  std::printf(" (%d rooms%s, replication=%d)\n",
+              partition_rooms > 0 ? partition_rooms : recover_rooms,
+              partition_rooms > 0 ? "" : " via recovery", replication);
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);
