@@ -9,8 +9,7 @@
 //   serve_throughput                       # sweep rooms x threads
 //   serve_throughput --rooms=8 --threads=8 # one config + a 1-thread
 //                                          # capacity baseline
-//   serve_throughput --weights=w.after --batch   # trained + in-tick
-//                                          # batching (defaults 1x1)
+//   serve_throughput --weights=w.after     # trained (defaults 1x1)
 // Flags: --rooms=N --threads=N --clients=N (default 2x threads)
 //        --users=N (room population, default 60)
 //        --requests=N (total per config, default 600)
@@ -21,9 +20,6 @@
 //                        untrained seed-42 one perfbench serves; either
 //                        way one frozen primary is shared lock-free by
 //                        all workers)
-//        --batch        (in-tick request batching: coalesce each room's
-//                        queued requests into one inference job per
-//                        snapshot; see docs/serving.md)
 //        --json=PATH    (single-config mode only: write the target
 //                        config's stats as a BENCH_serve.json-style
 //                        summary for scripts/bench_compare.py)
@@ -31,7 +27,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -52,18 +47,12 @@ struct RunStats {
   double throughput = 0.0;  // OK responses per second
   double p50 = 0.0, p95 = 0.0, p99 = 0.0;
   long long ok = 0, shed = 0, timeouts = 0, fallbacks = 0;
-  long long batches = 0, coalesced = 0;
   int max_depth = 0;
 };
 
-struct PrimarySpec {
-  /// Non-null when serving trained weights: each server's factory call
-  /// builds its frozen primary from this artifact.
-  const ModelArtifact* artifact = nullptr;
-  bool batch = false;
-};
-
-RunStats RunConfig(const Dataset& dataset, const PrimarySpec& primary,
+/// `artifact` is non-null when serving trained weights: each server's
+/// factory call builds its frozen primary from it.
+RunStats RunConfig(const Dataset& dataset, const ModelArtifact* artifact,
                    int num_rooms, int threads, int clients,
                    int total_requests, double deadline_ms) {
   std::vector<std::unique_ptr<serve::Room>> rooms;
@@ -88,10 +77,8 @@ RunStats RunConfig(const Dataset& dataset, const PrimarySpec& primary,
   // this capacity guarantees the generator itself never sheds.
   server_options.queue_capacity = std::max(1024, clients * 4);
   server_options.default_deadline_ms = deadline_ms;
-  server_options.batch_requests = primary.batch;
   serve::RecommenderFactory factory;
-  if (primary.artifact != nullptr) {
-    const ModelArtifact* artifact = primary.artifact;
+  if (artifact != nullptr) {
     factory = [artifact]() -> std::unique_ptr<Recommender> {
       auto frozen = FrozenPoshgnn::FromArtifact(*artifact);
       if (!frozen.ok()) {
@@ -151,8 +138,6 @@ RunStats RunConfig(const Dataset& dataset, const PrimarySpec& primary,
   stats.p50 = m.latency.PercentileMs(0.50);
   stats.p95 = m.latency.PercentileMs(0.95);
   stats.p99 = m.latency.PercentileMs(0.99);
-  stats.batches = m.batches.load();
-  stats.coalesced = m.coalesced.load();
   stats.max_depth = m.max_queue_depth.load();
   stats.throughput = elapsed_s > 0.0 ? stats.ok / elapsed_s : 0.0;
   return stats;
@@ -176,7 +161,6 @@ int Main(int argc, char** argv) {
   int users = 60, requests = 600;
   double deadline_ms = 1000.0;
   std::string weights, json_path;
-  bool batch = false;
   for (int i = 1; i < argc; ++i) {
     int value = 0;
     double fvalue = 0.0;
@@ -195,17 +179,14 @@ int Main(int argc, char** argv) {
       weights = buffer;
     else if (std::sscanf(argv[i], "--json=%255s", buffer) == 1)
       json_path = buffer;
-    else if (std::strcmp(argv[i], "--batch") == 0)
-      batch = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 1;
     }
   }
 
-  PrimarySpec primary;
-  primary.batch = batch;
   ModelArtifact artifact;
+  const ModelArtifact* served = nullptr;
   if (!weights.empty()) {
     auto loaded = ModelArtifact::Load(weights);
     if (!loaded.ok()) {
@@ -214,13 +195,12 @@ int Main(int argc, char** argv) {
       return 1;
     }
     artifact = std::move(loaded).value();
-    primary.artifact = &artifact;
+    served = &artifact;
   }
-  // The trained/batched modes exist to measure the serving acceptance
-  // config, so default them to one room at the 1-thread capacity
-  // baseline rather than the full sweep.
-  if ((primary.artifact != nullptr || batch) && rooms <= 0 && threads <= 0)
-    rooms = threads = 1;
+  // The trained mode exists to measure the serving acceptance config,
+  // so default it to one room at the 1-thread capacity baseline rather
+  // than the full sweep.
+  if (served != nullptr && rooms <= 0 && threads <= 0) rooms = threads = 1;
 
   DatasetConfig config;
   config.num_users = users;
@@ -230,13 +210,12 @@ int Main(int argc, char** argv) {
   std::printf("[serve_throughput] generating %d-user dataset...\n", users);
   const Dataset dataset = GenerateTimikLike(config);
   std::printf(
-      "[serve_throughput] primary=%s, batching=%s, "
-      "fallback=Nearest, deadline=%.0f ms, hw threads=%u\n",
-      primary.artifact != nullptr
+      "[serve_throughput] primary=%s, fallback=Nearest, deadline=%.0f ms, "
+      "hw threads=%u\n",
+      served != nullptr
           ? "POSHGNN(frozen trained artifact, shared lock-free)"
           : "POSHGNN(frozen untrained seed 42, shared lock-free)",
-      batch ? "in-tick" : "off", deadline_ms,
-      std::thread::hardware_concurrency());
+      deadline_ms, std::thread::hardware_concurrency());
 
   if (rooms > 0 || threads > 0) {
     if (rooms <= 0) rooms = 1;
@@ -245,17 +224,13 @@ int Main(int argc, char** argv) {
     // Baseline: what one worker thread sustains on the same shards.
     std::printf("[serve_throughput] measuring 1-thread capacity...\n");
     const RunStats baseline =
-        RunConfig(dataset, primary, rooms, 1, 1, requests / 2, deadline_ms);
+        RunConfig(dataset, served, rooms, 1, 1, requests / 2, deadline_ms);
     std::printf("[serve_throughput] running target config...\n");
-    const RunStats target = RunConfig(dataset, primary, rooms, threads,
+    const RunStats target = RunConfig(dataset, served, rooms, threads,
                                       clients, requests, deadline_ms);
     PrintHeader();
     PrintRow(rooms, 1, 1, baseline);
     PrintRow(rooms, threads, clients, target);
-    if (batch)
-      std::printf("batching: %lld jobs, %lld coalesced requests in the "
-                  "target config\n",
-                  target.batches, target.coalesced);
     std::printf(
         "verdict: %lld shed, %lld timeouts at %.1f req/s "
         "(1-thread capacity %.1f req/s, speedup %.2fx)\n",
@@ -278,8 +253,6 @@ int Main(int argc, char** argv) {
           << "  \"shed\": " << target.shed << ",\n"
           << "  \"timeouts\": " << target.timeouts << ",\n"
           << "  \"fallbacks\": " << target.fallbacks << ",\n"
-          << "  \"batches\": " << target.batches << ",\n"
-          << "  \"coalesced\": " << target.coalesced << ",\n"
           << "  \"qps\": " << target.throughput << ",\n"
           << "  \"p50_ms\": " << target.p50 << ",\n"
           << "  \"p95_ms\": " << target.p95 << ",\n"
@@ -302,7 +275,7 @@ int Main(int argc, char** argv) {
     for (int t : {1, 2, 4, 8}) {
       const int c = 2 * t;
       const RunStats stats =
-          RunConfig(dataset, primary, r, t, c, requests, deadline_ms);
+          RunConfig(dataset, served, r, t, c, requests, deadline_ms);
       PrintRow(r, t, c, stats);
     }
   }

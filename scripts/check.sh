@@ -6,6 +6,7 @@
 #   scripts/check.sh              # docs + format + release + asan + tsan
 #   scripts/check.sh release      # just one lane
 #   scripts/check.sh bench        # serving benchmarks, smoke config
+#   scripts/check.sh coverage     # line coverage of src/ under ctest
 #   scripts/check.sh --list       # print every lane + one-line purpose
 #   TSAN_FILTER=. scripts/check.sh tsan   # widen the tsan test filter
 #
@@ -83,6 +84,13 @@
 #            invalid run (exit 3: the host starved the load generator) is
 #            retried once, then reported as skipped. Not in the default
 #            set: CI runs it as a non-blocking job.
+#   coverage
+#            Debug build with `--coverage -O0` (the coverage preset,
+#            build-coverage/), the full ctest suite from zeroed
+#            counters, then scripts/coverage.py: per-file and total line
+#            coverage of src/**/*.cc, failing below the floor recorded
+#            in that script. Smoke benches stay out. Not in the default
+#            set: a -O0 build of everything takes minutes.
 #   world-sim
 #            macro-scenario smoke: a small Zipf-skewed partitioned
 #            fleet under a diurnal load curve with a flash-crowd
@@ -101,7 +109,7 @@ cd "$(dirname "$0")/.."
 # with a missing-preset error.
 LANE_ORDER=(docs format release asan ubsan tsan release-core release-serve
   asan-core asan-serve infer-native bench bench-regression
-  perfbench world-sim)
+  perfbench world-sim coverage)
 declare -A LANE_PURPOSE=(
   [docs]="markdown link integrity, subsystem + vocabulary coverage, shellcheck"
   [format]="clang-format --dry-run over tracked C++ sources"
@@ -118,6 +126,7 @@ declare -A LANE_PURPOSE=(
   [bench-regression]="baseline-config benches gated vs bench/baselines (blocking)"
   [perfbench]="repo benchmark: perfbench_test + every workload for 15 s (non-blocking in CI)"
   [world-sim]="macro-scenario smoke: Zipf fleet + flash crowd + reconnect storm"
+  [coverage]="line coverage of src/**/*.cc under ctest, gated on a recorded floor"
 )
 
 list_lanes() {
@@ -513,6 +522,16 @@ print("world-sim lane OK: zero lost requests, balance within gate,",
 PY
 }
 
+run_coverage_lane() {
+  cmake --preset coverage
+  cmake --build --preset coverage -j "${JOBS}"
+  # gcov counters accumulate across runs; zero them so the figure is
+  # this suite's alone.
+  find build-coverage -name '*.gcda' -delete
+  ctest --test-dir build-coverage --output-on-failure -j "${JOBS}"
+  python3 scripts/coverage.py --build build-coverage
+}
+
 run_lane() {
   local lane="$1"
   echo "==== lane: ${lane} ===================================="
@@ -523,6 +542,7 @@ run_lane() {
     bench-regression) run_bench_regression_lane; return ;;
     perfbench) run_perfbench_lane; return ;;
     world-sim) run_world_sim_lane; return ;;
+    coverage) run_coverage_lane; return ;;
     infer-native)
       # Opt-in -march=native build of the inference kernels must stay
       # compilable; only the after_infer library is needed to prove it.

@@ -150,8 +150,8 @@ Result<PoshgnnConfig> PoshgnnConfigFromArtifact(const ModelArtifact& artifact);
 /// h_{t-1} = 0 — which is what the mutable model computes on the first
 /// step after BeginSession(). That drops the temporal-continuity term, a
 /// deliberate serving trade-off documented in docs/serving.md:
-/// cross-tick smoothing is traded for lock-free sharing and in-tick
-/// batching.
+/// cross-tick smoothing is traded for one model shared lock-free by
+/// every room and worker.
 ///
 /// Inference runs on the fused float32 engine (src/infer/). Its
 /// selections equal the mutable model's session-start step, and every

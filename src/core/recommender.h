@@ -111,9 +111,8 @@ class Recommender {
   /// Answers many targets of the *same scene* in one call; returns one
   /// Recommend-shaped vector per context, in order. The default loops
   /// Recommend, and nothing in src/ overrides or calls it: the serving
-  /// runtime, batcher included, calls Recommend once per distinct
-  /// target. It stays for decorators that forward it (perfbench's
-  /// TracedRecommender).
+  /// runtime calls Recommend once per request. It stays for decorators
+  /// that forward it (perfbench's TracedRecommender).
   virtual std::vector<std::vector<bool>> RecommendBatch(
       const std::vector<StepContext>& contexts) {
     std::vector<std::vector<bool>> out;

@@ -121,16 +121,6 @@ std::string ServerMetrics::DebugString() const {
                   static_cast<long long>(data_loss_rooms.load()));
     out += line;
   }
-  if (batches.load() > 0) {
-    const long long jobs = static_cast<long long>(batches.load());
-    const long long reqs = static_cast<long long>(batched_requests.load());
-    std::snprintf(line, sizeof(line),
-                  "batch: %lld jobs | %lld requests (%.2f/job) | "
-                  "%lld coalesced\n",
-                  jobs, reqs, jobs > 0 ? static_cast<double>(reqs) / jobs : 0.0,
-                  static_cast<long long>(coalesced.load()));
-    out += line;
-  }
   std::snprintf(line, sizeof(line),
                 "latency ms: p50 %.3f | p95 %.3f | p99 %.3f (n=%lld)\n",
                 latency.PercentileMs(0.50), latency.PercentileMs(0.95),
@@ -148,9 +138,6 @@ void ServerMetrics::Reset() {
   fallbacks_deadline.store(0);
   fallbacks_misbehaved.store(0);
   errors.store(0);
-  batches.store(0);
-  batched_requests.store(0);
-  coalesced.store(0);
   ticks.store(0);
   delta_ticks.store(0);
   pruned_requests.store(0);

@@ -157,7 +157,6 @@ class ShardRouter {
   void ProbeAll();
 
   int num_backends() const;
-  BackendAddress backend(int index) const;
   bool backend_healthy(int index) const;
 
   /// Monotonic counters, one relaxed add per event (serve/metrics.h

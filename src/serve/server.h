@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/recommender.h"
-#include "serve/batcher.h"
 #include "serve/metrics.h"
 #include "serve/room.h"
 #include "serve/server_types.h"
@@ -32,16 +31,6 @@ struct ServerOptions {
   double default_deadline_ms = 50.0;
   /// Display budget of the NearestRecommender degradation fallback.
   int fallback_k = 10;
-  /// In-tick request batching (serve/batcher.h): park requests per room
-  /// and answer each room's whole queue in one drain against a single
-  /// snapshot, with duplicate targets sharing one forward pass.
-  /// Deadlines are still honored per request (expired entries are
-  /// answered kTimeout before model work, and entries whose deadline
-  /// passes during the batch get the fallback answer). Off by default:
-  /// one pool task per request remains the latency-optimal choice for
-  /// idle rooms; batching is the throughput choice under load. Both
-  /// answer through the same degradation ladder.
-  bool batch_requests = false;
   /// Temporal candidate pruning (docs/ticking.md): when > 0 and the
   /// room maintains a temporal index (Room::Options::temporal_index),
   /// each request's StepContext carries a blocklist keeping only the
@@ -55,16 +44,17 @@ struct ServerOptions {
 
 /// In-process online serving runtime: shards N conference rooms across a
 /// bounded worker pool and answers FriendRequests against each room's
-/// current snapshot.
+/// current snapshot. Every admitted request is one pool task, so any
+/// free worker takes the next request, whichever room it names.
 ///
-/// Degradation ladder (docs/serving.md), implemented once in
-/// ProcessBatch for both the per-request path (a batch of one) and the
-/// batcher's drains:
+/// Degradation ladder (docs/serving.md), run once per request in Answer:
 ///  1. queue full at admission            -> shed, kResourceExhausted
 ///  2. deadline expired while queued      -> kTimeout, no work done
 ///  3. primary misses deadline/misbehaves -> NearestRecommender answer,
 ///                                           OK with used_fallback=true
 ///  4. otherwise                          -> primary answer, OK
+/// Between steps 2 and 3, a room not hosted here answers kNotFound and a
+/// user outside the room kInvalidData.
 ///
 /// One primary serves everything: the constructor builds it once and
 /// every room and worker shares it lock-free, so it must report
@@ -111,7 +101,6 @@ class RecommendationServer {
   std::shared_ptr<Room> FindRoom(int id) const;
   bool HasRoom(int id) const;
   std::vector<int> RoomIds() const;
-  int num_rooms() const;
 
   ServerMetrics& metrics() { return metrics_; }
 
@@ -130,16 +119,10 @@ class RecommendationServer {
   void Shutdown();
 
  private:
-  /// Batched path (options_.batch_requests): Submit parks the request in
-  /// the TickBatcher; DrainRoom loops ProcessBatch over whatever queued.
-  void SubmitBatched(
-      const FriendRequest& request, const Deadline& deadline,
-      std::shared_ptr<std::function<void(const FriendResponse&)>> done);
-  void DrainRoom(int room);
-  /// The degradation ladder for requests that all name `room`: answers
-  /// every one of them exactly once, calling the primary once per
-  /// distinct target.
-  void ProcessBatch(int room, std::vector<TickBatcher::Pending> batch);
+  /// Ladder steps 2-4 for one admitted request: answers it exactly once
+  /// through `done`, on the calling worker.
+  void Answer(const FriendRequest& request, const Deadline& deadline,
+              const std::function<void(const FriendResponse&)>& done);
 
   ServerOptions options_;
   /// Hosted rooms keyed by id. shared_ptr so RemoveRoom can unhost while
@@ -152,8 +135,6 @@ class RecommendationServer {
   ServerMetrics metrics_;
   DurabilityManager* durability_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;
-  /// Present iff options_.batch_requests.
-  std::unique_ptr<TickBatcher> batcher_;
 };
 
 }  // namespace serve

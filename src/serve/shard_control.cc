@@ -239,10 +239,5 @@ Result<std::vector<wire::RecoveredRoom>> ShardControl::RecoverFromDurable() {
   return report_;
 }
 
-std::vector<wire::RecoveredRoom> ShardControl::RecoverReport() const {
-  std::lock_guard<std::mutex> recover_lock(recover_mutex_);
-  return report_;
-}
-
 }  // namespace serve
 }  // namespace after

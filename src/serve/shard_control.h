@@ -85,10 +85,6 @@ class ShardControl {
   /// nothing durable exists.
   Result<std::vector<wire::RecoveredRoom>> RecoverFromDurable();
 
-  /// The report of the recovery that already ran (empty before/without
-  /// one) — what a kRoomRecover query answers with.
-  std::vector<wire::RecoveredRoom> RecoverReport() const;
-
  private:
   /// Count a non-fatal durable-ledger failure: serving continues, only
   /// recoverability degraded.
@@ -105,7 +101,7 @@ class ShardControl {
   std::unordered_map<int, uint64_t> last_epoch_;
   /// Recovery runs once; serialized separately from mutex_ so the slow
   /// rebuild never blocks Owns() on the request path.
-  mutable std::mutex recover_mutex_;
+  std::mutex recover_mutex_;
   bool recovered_ = false;
   std::vector<wire::RecoveredRoom> report_;
 };

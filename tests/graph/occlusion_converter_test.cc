@@ -219,8 +219,11 @@ TEST(ComputeVisibilityTest, VisibleSetConsistentWithOcclusionGraph) {
       if (!conflict) rendered[w] = true;
     }
     const auto visible = ComputeVisibility(positions, target, kBody, rendered);
-    for (int w = 1; w < 10; ++w)
-      if (rendered[w]) EXPECT_TRUE(visible[w]) << "trial " << trial;
+    for (int w = 1; w < 10; ++w) {
+      if (rendered[w]) {
+        EXPECT_TRUE(visible[w]) << "trial " << trial;
+      }
+    }
   }
 }
 

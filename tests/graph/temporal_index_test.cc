@@ -118,10 +118,12 @@ TEST(TemporalIndexTest, UpdateMatchesExhaustiveReference) {
 
     const auto view = index.PublishView();
     for (int t = 0; t < n; ++t)
-      for (int c = 0; c < n; ++c)
-        if (t != c)
+      for (int c = 0; c < n; ++c) {
+        if (t != c) {
           ASSERT_EQ(view->score(t, c), reference[t][c])
               << "pair (" << t << "," << c << ") at tick " << tick;
+        }
+      }
   }
 }
 

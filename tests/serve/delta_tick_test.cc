@@ -248,13 +248,12 @@ TEST(DeltaTickTest, ServerPrunesToTemporalTopK) {
   EXPECT_GT(server.metrics().pruned_requests.load(), 0);
 }
 
-TEST(DeltaTickTest, BatchedRequestsGetPerTargetPruneMasks) {
+TEST(DeltaTickTest, ConcurrentRequestsGetPerTargetPruneMasks) {
   const Dataset dataset = SmallDataset();
   constexpr int kTopK = 4;
   ServerOptions options;
   options.num_threads = 2;
   options.default_deadline_ms = -1.0;
-  options.batch_requests = true;
   options.max_candidates = kTopK;
   RecommendationServer server(
       MakeTemporalRooms(&dataset),
@@ -282,8 +281,8 @@ TEST(DeltaTickTest, BatchedRequestsGetPerTargetPruneMasks) {
   for (size_t i = 0; i < users.size(); ++i) {
     ASSERT_TRUE(responses[i].status.ok()) << "user " << users[i];
     EXPECT_FALSE(responses[i].used_fallback);
-    // Distinct per-target masks prove the batcher attached each
-    // context's own blocklist rather than sharing one.
+    // Distinct per-target masks prove each request's context carried
+    // its own target's blocklist rather than a shared one.
     EXPECT_EQ(responses[i].recommended,
               ExpectedTopK(*snapshot, users[i], kTopK))
         << "user " << users[i];

@@ -466,6 +466,24 @@ TEST(DurabilityManagerTest, MigratedInStateIsCheckpointedOnArrival) {
   EXPECT_EQ(restarted.server.FindRoom(5)->ExportState(), blob);
 }
 
+TEST(DurabilityManagerTest, LedgerFailureCountsAnErrorAndKeepsTheGrant) {
+  const std::string dir = ScratchDir("ledger_failure");
+  const Dataset dataset = SmallDataset();
+  auto donor = FactoryFor(&dataset)(5).value();
+  ASSERT_TRUE(donor->Tick().ok());
+  DurableShard shard(dataset, dir);
+  // With its directory gone, the arrival checkpoint of a migrated room
+  // cannot be written. The grant still takes effect; only its durable
+  // trace is lost, and that is counted.
+  fs::remove_all(dir);
+  ASSERT_TRUE(shard.control.Assign(5, 9, donor->ExportState(),
+                                   /*primary=*/true)
+                  .ok());
+  EXPECT_TRUE(shard.server.HasRoom(5));
+  EXPECT_EQ(shard.server.metrics().errors.load(), 1);
+  EXPECT_TRUE(shard.server.Handle({.room = 5, .user = 1}).status.ok());
+}
+
 TEST(DurabilityManagerTest, ReleasedRoomsStayDead) {
   const std::string dir = ScratchDir("recover_release");
   const Dataset dataset = SmallDataset();

@@ -50,7 +50,6 @@ TEST(InferEngineServeTest, FusedEngineSharedAcrossConcurrentRooms) {
   ServerOptions options;
   options.num_threads = 4;
   options.queue_capacity = 256;
-  options.batch_requests = true;
   options.default_deadline_ms = -1.0;
   RecommendationServer server(
       MakeRooms(dataset, 4),

@@ -105,9 +105,6 @@ TEST(MetricsDumpTest, ServerMetricsPrintsEveryCounterUnderItsLabel) {
   metrics.rooms_recovered.store(119);
   metrics.records_replayed.store(120);
   metrics.data_loss_rooms.store(121);
-  metrics.batches.store(122);
-  metrics.batched_requests.store(305);
-  metrics.coalesced.store(123);
   for (double ms : {1.0, 2.0, 40.0}) metrics.latency.RecordMs(ms);
 
   ExpectAll(metrics.DebugString(),
@@ -119,7 +116,6 @@ TEST(MetricsDumpTest, ServerMetricsPrintsEveryCounterUnderItsLabel) {
              "durability: 116 checkpoints | 117 journal records (118 bytes) "
              "| 119 rooms recovered (120 records replayed) | 121 data-loss "
              "rooms\n",
-             "batch: 122 jobs | 305 requests (2.50/job) | 123 coalesced\n",
              "latency ms: p50 " + Ms(metrics.latency.PercentileMs(0.50)) +
                  " | p95 " + Ms(metrics.latency.PercentileMs(0.95)) +
                  " | p99 " + Ms(metrics.latency.PercentileMs(0.99)) +
@@ -129,16 +125,14 @@ TEST(MetricsDumpTest, ServerMetricsPrintsEveryCounterUnderItsLabel) {
 TEST(MetricsDumpTest, ServerMetricsOmitsIdleSubsystemsAndResetClears) {
   ServerMetrics metrics;
   const std::string idle = metrics.DebugString();
-  for (const char* label : {"pruned:", "partition:", "durability:", "batch:"})
+  for (const char* label : {"pruned:", "partition:", "durability:"})
     EXPECT_EQ(idle.find(label), std::string::npos) << label;
   // One counter of each conditional line is enough to print it.
   metrics.pruned_requests.store(1);
   metrics.rooms_released.store(2);
   metrics.data_loss_rooms.store(3);
-  metrics.batches.store(4);
   ExpectAll(metrics.DebugString(),
-            {"pruned: 1 requests", "| 2 released",
-             "| 3 data-loss rooms", "batch: 4 jobs"});
+            {"pruned: 1 requests", "| 2 released", "| 3 data-loss rooms"});
   metrics.latency.RecordMs(5.0);
   metrics.Reset();
   EXPECT_EQ(metrics.DebugString(), idle);

@@ -13,7 +13,9 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -342,6 +344,124 @@ TEST(NetServerTest, ConcurrentClientsAllComplete) {
   EXPECT_EQ(completions.load(), kClients * kPerClient);
   EXPECT_EQ(shard.net->connections_accepted(), kClients);
   EXPECT_EQ(shard.net->frames_rejected(), 0);
+}
+
+/// A connection's parked requests and their completions, held by a test
+/// handler that decides when (and whether) each one is answered.
+struct Parked {
+  std::mutex mutex;
+  std::vector<FriendRequest> requests;
+  std::vector<std::function<void(const FriendResponse&)>> done;
+};
+
+TEST(NetClientTest, PipelinedBurstComesBackIndexAligned) {
+  // The handler parks the whole burst, then answers it last request
+  // first from another thread, through the in-process server, so every
+  // response leaves the shard out of order. One request names a user
+  // the room does not have.
+  constexpr int kBurst = 10, kBadSlot = 6;
+  const Dataset dataset = SmallDataset();
+  RecommendationServer server(
+      MakeRooms(dataset, 2),
+      [] { return std::make_unique<NearestRecommender>(5); },
+      NoDeadlineOptions());
+  Parked parked;
+  std::thread answerer;
+  NetServer net(
+      [&](const FriendRequest& request,
+          std::function<void(const FriendResponse&)> done) {
+        std::lock_guard<std::mutex> lock(parked.mutex);
+        parked.requests.push_back(request);
+        parked.done.push_back(std::move(done));
+        if (static_cast<int>(parked.requests.size()) < kBurst) return;
+        answerer = std::thread([&] {
+          for (int i = kBurst - 1; i >= 0; --i)
+            parked.done[i](server.Handle(parked.requests[i]));
+        });
+      },
+      NetServerOptions{});
+  ASSERT_TRUE(net.Start().ok());
+
+  std::vector<FriendRequest> burst;
+  for (int i = 0; i < kBurst; ++i)
+    burst.push_back({.room = i % 2,
+                     .user = i == kBadSlot ? 999 : i,
+                     .deadline_ms = -1.0});
+  auto client = NetClient::Connect("127.0.0.1", net.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::vector<Result<FriendResponse>> results =
+      client.value()->CallPipelined(burst);
+  net.Shutdown();
+  if (answerer.joinable()) answerer.join();
+
+  ASSERT_EQ(results.size(), burst.size());
+  for (int i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(results[i].ok()) << "slot " << i << ": "
+                                 << results[i].status().ToString();
+    const FriendResponse& got = results[i].value();
+    if (i == kBadSlot) {
+      EXPECT_EQ(got.status.code(), StatusCode::kInvalidData) << "slot " << i;
+      continue;
+    }
+    ASSERT_TRUE(got.status.ok()) << "slot " << i << ": "
+                                 << got.status.ToString();
+    // Every slot holds its own request's answer: the targets differ, so
+    // a response filed under the wrong index would not match.
+    EXPECT_EQ(got.recommended, server.Handle(burst[i]).recommended)
+        << "slot " << i;
+  }
+  EXPECT_FALSE(client.value()->broken());
+}
+
+TEST(NetClientTest, PeerClosingMidCollectFailsTheUnansweredSlots) {
+  // The handler answers users 0-2 at once and parks the rest; once the
+  // whole burst has arrived, another thread shuts the server down, so
+  // the client reads three responses and then the peer's close.
+  constexpr int kBurst = 8, kAnswered = 3;
+  Parked parked;
+  std::promise<void> all_arrived;
+  NetServer net(
+      [&](const FriendRequest& request,
+          std::function<void(const FriendResponse&)> done) {
+        if (request.user < kAnswered) {
+          FriendResponse response;
+          response.tick = 1000 + request.user;
+          done(response);
+        } else {
+          std::lock_guard<std::mutex> lock(parked.mutex);
+          parked.done.push_back(std::move(done));
+        }
+        if (request.user == kBurst - 1) all_arrived.set_value();
+      },
+      NetServerOptions{});
+  ASSERT_TRUE(net.Start().ok());
+  std::vector<FriendRequest> burst;
+  for (int i = 0; i < kBurst; ++i)
+    burst.push_back({.room = 0, .user = i, .deadline_ms = -1.0});
+  auto client = NetClient::Connect("127.0.0.1", net.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::thread closer([&net, arrived = all_arrived.get_future()] {
+    arrived.wait_for(std::chrono::seconds(5));  // bounded: never hang
+    net.Shutdown();
+  });
+  const std::vector<Result<FriendResponse>> results =
+      client.value()->CallPipelined(burst);
+  closer.join();
+
+  ASSERT_EQ(results.size(), burst.size());
+  for (int i = 0; i < kBurst; ++i) {
+    if (i < kAnswered) {
+      ASSERT_TRUE(results[i].ok()) << "slot " << i << ": "
+                                   << results[i].status().ToString();
+      EXPECT_EQ(results[i].value().tick, 1000 + i);
+    } else {
+      EXPECT_EQ(results[i].status().code(), StatusCode::kUnavailable)
+          << "slot " << i;
+    }
+  }
+  EXPECT_TRUE(client.value()->broken());
+  // A broken client fails fast instead of writing to a dead socket.
+  EXPECT_EQ(client.value()->Ping().code(), StatusCode::kUnavailable);
 }
 
 TEST(NetServerTest, DialBurstWhileTheReactorStallsConnectsAtOnce) {

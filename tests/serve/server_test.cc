@@ -66,6 +66,39 @@ class MisbehavingRecommender : public Recommender {
   std::vector<bool> Recommend(const StepContext&) override { return {}; }
 };
 
+/// Thread-safe primary that blocks every inference call until Release()
+/// and counts the calls that entered, so a test can hold workers inside
+/// the model and see how many of them got there.
+class GatedRecommender : public Recommender {
+ public:
+  std::string name() const override { return "Gated"; }
+  bool thread_safe() const override { return true; }
+  std::vector<bool> Recommend(const StepContext& context) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++entries_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !gated_; });
+    return std::vector<bool>(context.positions->size(), false);
+  }
+  /// True once `count` calls have entered; false after `timeout`.
+  bool WaitForEntries(int count, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout,
+                        [this, count] { return entries_ >= count; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    gated_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int entries_ = 0;
+  bool gated_ = true;
+};
+
 TEST(ServerTest, AnswersRequestsAgainstTheSnapshot) {
   const Dataset dataset = SmallDataset();
   ServerOptions options;
@@ -100,8 +133,10 @@ TEST(ServerTest, BadRoomAndUserAreErrors) {
       MakeRooms(dataset, 1),
       [] { return std::make_unique<NearestRecommender>(5); }, options);
 
+  EXPECT_FALSE(server.HasRoom(7));
   EXPECT_EQ(server.Handle({.room = 7, .user = 0}).status.code(),
             StatusCode::kNotFound);
+  EXPECT_TRUE(server.HasRoom(0));
   EXPECT_EQ(server.Handle({.room = 0, .user = 999}).status.code(),
             StatusCode::kInvalidData);
   EXPECT_EQ(server.metrics().errors.load(), 2);
@@ -240,34 +275,70 @@ TEST(ServerDeathTest, StatefulPrimaryAbortsConstruction) {
 
 TEST(ServerTest, PerRoomCountersNoteOnlyHostedRooms) {
   const Dataset dataset = SmallDataset();
-  for (const bool batch : {false, true}) {
-    SCOPED_TRACE(batch ? "batched" : "per-request");
-    ServerOptions options;
-    options.default_deadline_ms = -1.0;
-    options.batch_requests = batch;
-    RecommendationServer server(
-        MakeRooms(dataset, 2),
-        [] { return std::make_unique<NearestRecommender>(5); }, options);
+  ServerOptions options;
+  options.default_deadline_ms = -1.0;
+  RecommendationServer server(
+      MakeRooms(dataset, 2),
+      [] { return std::make_unique<NearestRecommender>(5); }, options);
 
-    // Room ids straight off an untrusted wire: every one is answered
-    // kNotFound and none of them grows the per-room map.
-    for (int room = 1000; room < 2000; ++room)
-      ASSERT_EQ(server.Handle({.room = room, .user = 0}).status.code(),
-                StatusCode::kNotFound);
-    EXPECT_TRUE(server.metrics().room_requests.Snapshot().empty());
-    EXPECT_EQ(server.metrics().errors.load(), 1000);
+  // Room ids straight off an untrusted wire: every one is answered
+  // kNotFound and none of them grows the per-room map.
+  for (int room = 1000; room < 2000; ++room)
+    ASSERT_EQ(server.Handle({.room = room, .user = 0}).status.code(),
+              StatusCode::kNotFound);
+  EXPECT_TRUE(server.metrics().room_requests.Snapshot().empty());
+  EXPECT_EQ(server.metrics().errors.load(), 1000);
 
-    // Hosted rooms count every answered request, errors included.
-    for (int user = 0; user < 6; ++user)
-      ASSERT_TRUE(server.Handle({.room = user % 2, .user = user}).status.ok());
-    EXPECT_EQ(server.Handle({.room = 0, .user = 999}).status.code(),
-              StatusCode::kInvalidData);
-    const std::unordered_map<int, int64_t> counts =
-        server.metrics().room_requests.Snapshot();
-    EXPECT_EQ(counts.size(), 2u);
-    EXPECT_EQ(counts.at(0), 4);
-    EXPECT_EQ(counts.at(1), 3);
+  // Hosted rooms count every answered request, errors included.
+  for (int user = 0; user < 6; ++user)
+    ASSERT_TRUE(server.Handle({.room = user % 2, .user = user}).status.ok());
+  EXPECT_EQ(server.Handle({.room = 0, .user = 999}).status.code(),
+            StatusCode::kInvalidData);
+  const std::unordered_map<int, int64_t> counts =
+      server.metrics().room_requests.Snapshot();
+  EXPECT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts.at(0), 4);
+  EXPECT_EQ(counts.at(1), 3);
+}
+
+TEST(ServerTest, OneRoomRunsOnEveryFreeWorker) {
+  const Dataset dataset = SmallDataset();
+  ServerOptions options;
+  options.num_threads = 2;
+  options.default_deadline_ms = -1.0;
+  auto owned = std::make_unique<GatedRecommender>();
+  GatedRecommender* gate = owned.get();  // the server owns it
+  RecommendationServer server(
+      MakeRooms(dataset, 1), [&owned] { return std::move(owned); }, options);
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  int done = 0;
+  int ok = 0;
+  const auto record = [&](const FriendResponse& response) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (response.status.ok()) ++ok;
+    ++done;
+    cv.notify_one();
+  };
+
+  // Two requests for the same room are two pool tasks, so both workers
+  // enter the model while the gate is shut. A scheduler that ran a
+  // room's requests on one worker would hold the second one back until
+  // the first returned, and the bounded wait below would fail.
+  server.Submit({.room = 0, .user = 1}, record);
+  server.Submit({.room = 0, .user = 2}, record);
+  const bool both_entered =
+      gate->WaitForEntries(2, std::chrono::milliseconds(5000));
+  gate->Release();  // either way, so a failing run still drains
+  EXPECT_TRUE(both_entered) << "the second request never reached the model";
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return done == 2; });
   }
+  server.Shutdown();
+  EXPECT_EQ(ok, 2);
+  EXPECT_EQ(server.metrics().queue_depth.load(), 0);
 }
 
 TEST(ServerTest, ConcurrentLoadCompletesEveryAdmittedRequest) {

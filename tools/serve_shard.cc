@@ -16,7 +16,7 @@
 //   serve_shard --port=0 --port_file=p.txt     # ephemeral; port written
 //                                              # to the file for scripts
 // Flags: --users=N --threads=N --queue=N --deadline_ms=F
-//        --tick_ms=F --seed=N --batch
+//        --tick_ms=F --seed=N
 //        --weights=PATH (serve a trained, frozen POSHGNN from a model
 //                        artifact, docs/model_artifacts.md, instead of
 //                        the untrained seed-42 one perfbench serves)
@@ -69,7 +69,7 @@ int Main(int argc, char** argv) {
   int max_candidates = 0;
   double deadline_ms = 1000.0, tick_ms = 10.0, max_seconds = 0.0;
   double idle_timeout_ms = 0.0;
-  bool batch = false, journal_fsync = false;
+  bool journal_fsync = false;
   std::string port_file, weights, durable_dir;
   for (int i = 1; i < argc; ++i) {
     int value = 0;
@@ -103,7 +103,6 @@ int Main(int argc, char** argv) {
       checkpoint_every_ticks = value;
     else if (std::strcmp(argv[i], "--journal_fsync") == 0)
       journal_fsync = true;
-    else if (std::strcmp(argv[i], "--batch") == 0) batch = true;
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 1;
@@ -154,7 +153,6 @@ int Main(int argc, char** argv) {
   server_options.num_threads = threads;
   server_options.queue_capacity = queue;
   server_options.default_deadline_ms = deadline_ms;
-  server_options.batch_requests = batch;
   server_options.max_candidates = max_candidates;
   // The server calls its factory once, at construction.
   serve::RecommendationServer server(
@@ -208,9 +206,9 @@ int Main(int argc, char** argv) {
     out << net.port() << "\n";
   }
   std::printf("[serve_shard] listening on %s:%d (rooms granted by "
-              "router, %d users each, %d threads, primary=%s%s)\n",
+              "router, %d users each, %d threads, primary=%s)\n",
               net.host().c_str(), net.port(), users, threads,
-              primary_desc.c_str(), batch ? ", in-tick batching" : "");
+              primary_desc.c_str());
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);
