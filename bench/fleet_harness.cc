@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
+#include <unordered_map>
 #include <utility>
 
 #include "core/poshgnn.h"
@@ -148,6 +149,7 @@ std::string ShardDurableDir(const std::string& base, int shard) {
 std::unique_ptr<LocalFleet> StartLocalFleet(const FleetConfig& config,
                                             FleetRoomFactory room_factory) {
   auto fleet = std::make_unique<LocalFleet>();
+  fleet->config = config;
   fleet->room_factory = std::move(room_factory);
 
   std::vector<serve::BackendAddress> backends;
@@ -172,6 +174,92 @@ std::unique_ptr<LocalFleet> StartLocalFleet(const FleetConfig& config,
     return nullptr;
   StartTicker(fleet.get());
   return fleet;
+}
+
+namespace {
+
+/// The room's state on its primary in the router's table, or null.
+std::shared_ptr<serve::Room> PrimaryRoom(
+    LocalFleet* fleet,
+    const std::unordered_map<int, serve::ShardRouter::RoomAssignment>& table,
+    int room) {
+  const auto it = table.find(room);
+  if (it == table.end() || it->second.copies.empty()) return nullptr;
+  const int primary = it->second.copies[0];
+  if (primary < 0 || primary >= static_cast<int>(fleet->shards.size()))
+    return nullptr;
+  return fleet->shards[static_cast<size_t>(primary)]->FindRoom(room);
+}
+
+}  // namespace
+
+RestartReport ColdRestart(LocalFleet* fleet) {
+  RestartReport report;
+  const FleetConfig& config = fleet->config;
+  // The capture and the journal frontier agree only with the ticker
+  // stopped.
+  fleet->stop.store(true);
+  if (fleet->ticker.joinable()) fleet->ticker.join();
+  std::unordered_map<int, std::string> expected;
+  const auto before = fleet->router->AssignmentSnapshot();
+  for (const auto& entry : before)
+    if (auto room = PrimaryRoom(fleet, before, entry.first))
+      expected[entry.first] = room->ExportState();
+  report.expected = static_cast<long long>(expected.size());
+  const int router_port = fleet->router_net->port();
+  // The crash: everything dies; only the durable dirs survive.
+  fleet->router_net->Shutdown();
+  fleet->router_net.reset();
+  fleet->router_pool->Shutdown();
+  fleet->router_pool.reset();
+  fleet->router->Shutdown();
+  fleet->router.reset();
+  for (auto& net : fleet->shard_nets) net->Shutdown();
+  for (auto& shard : fleet->shards) shard->Shutdown();
+  {
+    std::lock_guard<std::mutex> lock(fleet->mutex);
+    fleet->shard_nets.clear();
+    fleet->controls.clear();
+    fleet->shards.clear();
+    fleet->durabilities.clear();
+  }
+  // Cold boot: same dirs, fresh shards (each replays its own journal and
+  // checkpoints in AddShard), then a fresh router reconciles the
+  // replicas' reports.
+  const std::vector<std::string> dirs = std::move(fleet->durable_dirs);
+  fleet->durable_dirs.clear();
+  std::vector<serve::BackendAddress> backends;
+  for (const std::string& dir : dirs) {
+    serve::BackendAddress address;
+    if (!AddShard(fleet, config.threads, dir, &address)) return report;
+    backends.push_back(address);
+  }
+  fleet->router = std::make_unique<serve::ShardRouter>(
+      backends, FleetRouterOptions(config.replication));
+  const Status recovered = fleet->router->RecoverPartition(config.rooms);
+  if (!recovered.ok()) {
+    std::fprintf(stderr, "RecoverPartition(%d): %s\n", config.rooms,
+                 recovered.ToString().c_str());
+    return report;
+  }
+  report.recovered = fleet->router->metrics().recovered_rooms.load();
+  report.discarded = fleet->router->metrics().discarded_replicas.load();
+  const auto after = fleet->router->AssignmentSnapshot();
+  for (const auto& entry : expected) {
+    const auto room = PrimaryRoom(fleet, after, entry.first);
+    if (room == nullptr)
+      ++report.lost;
+    else if (room->ExportState() != entry.second)
+      ++report.mismatched;
+  }
+  // Only once the front is back may ticking advance the recovered rooms.
+  if (!StartRouterFront(fleet, config.threads, router_port,
+                        config.front_max_connections))
+    return report;
+  fleet->stop.store(false);
+  StartTicker(fleet);
+  report.completed = true;
+  return report;
 }
 
 }  // namespace bench

@@ -1,18 +1,16 @@
 #ifndef AFTER_BENCH_FLEET_HARNESS_H_
 #define AFTER_BENCH_FLEET_HARNESS_H_
 
-// Self-contained serving fleet for the macro benchmarks: N shard
-// servers that own the rooms a router front grants them, all over real
-// loopback sockets in one process. Extracted from bench/net_throughput.cc so the
-// world-scale scenario driver (bench/world_sim.cc) shares one battle-
-// tested harness instead of growing a second, subtly different fleet.
+// Self-contained serving fleet for the macro driver (bench/world_sim.cc):
+// N shard servers that own the rooms a router front grants them, all
+// over real loopback sockets in one process.
 //
-// The harness is deliberately policy-free about room contents: callers
-// supply a FleetRoomFactory, so net_throughput builds uniform rooms
-// from one dataset while world_sim builds Zipf-skewed room sizes from a
-// per-size dataset pool. Everything else — room ownership,
-// replication standbys, durability replay, mid-run shard adds, and the
-// cold-restart drill's rebuild path — is common machinery.
+// The harness is deliberately policy-free about room contents: the
+// caller supplies a FleetRoomFactory (world_sim builds each room from a
+// per-size dataset pool, so a uniform plan and a Zipf-skewed one run on
+// the same fleet). Everything else — room ownership, replication
+// standbys, durability replay, mid-run shard adds, and the cold-restart
+// drill — is common machinery.
 
 #include <atomic>
 #include <functional>
@@ -43,8 +41,25 @@ namespace bench {
 using FleetRoomFactory =
     std::function<Result<std::unique_ptr<serve::Room>>(int room)>;
 
+struct FleetConfig {
+  int shards = 2;
+  /// Rooms 0..rooms-1 are granted across the shards.
+  int rooms = 2;
+  /// Worker threads per shard and for the router front pool.
+  int threads = 2;
+  /// Warm standbys per room.
+  int replication = 0;
+  /// Non-empty: every shard gets a durability subsystem under
+  /// base + "/shard-N".
+  std::string durable_base;
+  /// Connection cap for the router front.
+  int front_max_connections = 256;
+};
+
 /// Self-contained fleet: N shard servers plus a router front.
 struct LocalFleet {
+  /// The config it was started with (ColdRestart rebuilds from it).
+  FleetConfig config;
   /// Room recipe shared by every shard (see FleetRoomFactory).
   FleetRoomFactory room_factory;
   /// Guards the three shard vectors: AddShard (mid-run fleet growth)
@@ -95,25 +110,30 @@ void StartTicker(LocalFleet* fleet);
 /// Durable-dir layout helper: "" stays "", otherwise base + "/shard-N".
 std::string ShardDurableDir(const std::string& base, int shard);
 
-struct FleetConfig {
-  int shards = 2;
-  /// Rooms 0..rooms-1 are granted across the shards.
-  int rooms = 2;
-  /// Worker threads per shard and for the router front pool.
-  int threads = 2;
-  /// Warm standbys per room.
-  int replication = 0;
-  /// Non-empty: every shard gets a durability subsystem under
-  /// base + "/shard-N".
-  std::string durable_base;
-  /// Connection cap for the router front.
-  int front_max_connections = 256;
-};
-
 /// Builds and starts the whole fleet (shards, router, front, ticker).
 /// Null on failure (details on stderr).
 std::unique_ptr<LocalFleet> StartLocalFleet(const FleetConfig& config,
                                             FleetRoomFactory room_factory);
+
+/// What a cold restart found. `completed` is false when the rebuild
+/// itself failed (details on stderr); the counts cover the rooms it
+/// checked before that.
+struct RestartReport {
+  bool completed = false;
+  long long expected = 0;    // rooms with a live primary before the crash
+  long long recovered = 0;   // rooms the router's recovery phase won
+  long long discarded = 0;   // stale replicas it released
+  long long lost = 0;        // expected rooms with no primary after it
+  long long mismatched = 0;  // recovered rooms whose state differs
+};
+
+/// The cold-restart drill on a durable fleet: stops the ticker, captures
+/// every room's state from its primary, tears down every shard and the
+/// router, rebuilds them from the durable dirs alone, reconciles them
+/// through the router's recovery phase (kRoomRecover), and compares each
+/// recovered room with its pre-crash capture before ticking resumes. The
+/// new front listens on the old port, so reconnecting clients find it.
+RestartReport ColdRestart(LocalFleet* fleet);
 
 }  // namespace bench
 }  // namespace after

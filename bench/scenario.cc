@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <tuple>
 
 namespace after {
 namespace bench {
@@ -24,7 +26,56 @@ double HashToUnit(uint64_t x) {
   return static_cast<double>(MixBits(x) >> 11) * 0x1.0p-53;
 }
 
+/// Resolves kAtPeak and checks that every event can fire and can run on
+/// the configured fleet; on success `*events` is in firing order.
+Status ResolveEvents(const WorldConfig& config, const WorldPlan& plan,
+                     std::vector<ScenarioEvent>* events) {
+  int peak_start = 0;
+  for (int t = 0; t < plan.peak_slice; ++t)
+    peak_start += plan.slice_totals[static_cast<size_t>(t)];
+  bool restart = false, other = false;
+  for (ScenarioEvent event : config.events) {
+    const std::string name = EventKindName(event.kind);
+    if (event.at == kAtPeak) event.at = peak_start;
+    if (event.at < 0 || event.at >= config.total_requests)
+      return InvalidArgumentError(
+          "the " + name + " at request " + std::to_string(event.at) +
+          " can never fire: the plan has " +
+          std::to_string(config.total_requests) + " requests");
+    if (!config.self_contained)
+      return InvalidArgumentError("the " + name +
+                                  " needs the self-contained fleet");
+    if (event.kind == EventKind::kRestart && !config.durable)
+      return InvalidArgumentError("the restart needs a durable fleet");
+    if (event.kind == EventKind::kRestart)
+      restart = true;
+    else
+      other = true;
+    events->push_back(event);
+  }
+  if (restart && other)
+    return InvalidArgumentError(
+        "the restart cannot be combined with the kill or the add");
+  std::stable_sort(events->begin(), events->end(),
+                   [](const ScenarioEvent& a, const ScenarioEvent& b) {
+                     return std::tie(a.at, a.kind) < std::tie(b.at, b.kind);
+                   });
+  return OkStatus();
+}
+
 }  // namespace
+
+const char* EventKindName(EventKind kind) {
+  switch (kind) {
+    case EventKind::kKill:
+      return "kill";
+    case EventKind::kAdd:
+      return "add";
+    case EventKind::kRestart:
+      return "restart";
+  }
+  return "?";
+}
 
 void Fnv1a::Mix(uint64_t value) {
   for (int byte = 0; byte < 8; ++byte) {
@@ -107,7 +158,9 @@ std::vector<int> ReconnectStormWaves(int total_connections,
   return waves;
 }
 
-WorldPlan BuildWorldPlan(const WorldConfig& config) {
+Result<WorldPlan> BuildWorldPlan(const WorldConfig& config) {
+  if (config.rooms < 1 || config.slices < 1 || config.total_requests < 1)
+    return InvalidArgumentError("rooms, slices and requests must be >= 1");
   WorldPlan plan;
   plan.room_sizes = ZipfRoomSizes(config.rooms, config.max_room_users,
                                   config.min_room_users,
@@ -119,6 +172,8 @@ WorldPlan BuildWorldPlan(const WorldConfig& config) {
       std::max_element(plan.diurnal_weights.begin(),
                        plan.diurnal_weights.end()) -
       plan.diurnal_weights.begin());
+  const Status events = ResolveEvents(config, plan, &plan.events);
+  if (!events.ok()) return events;
   int flash_start = config.flash_start;
   int flash_end = config.flash_end;
   if (flash_start < 0 || flash_end < 0) {
@@ -190,6 +245,12 @@ WorldPlan BuildWorldPlan(const WorldConfig& config) {
       hasher.Mix(request.room);
       hasher.Mix(request.user);
     }
+  }
+  // Mixed in only when present, so an event-free plan keeps the
+  // fingerprint it had before plans carried events.
+  for (const ScenarioEvent& event : plan.events) {
+    hasher.Mix(static_cast<int>(event.kind));
+    hasher.Mix(event.at);
   }
   plan.fingerprint = hasher.digest();
   return plan;

@@ -8,10 +8,11 @@
 //
 // The generated artifact is a WorldPlan: Zipf-skewed room sizes, a
 // diurnal request curve over discrete time slices, flash-crowd weight
-// boosts, cross-room population churn, and the full base request
-// schedule (room, user) per slice. The plan depends only on
-// WorldConfig, and its FNV-1a fingerprint is the bit-reproducibility
-// gate: same config => same fingerprint, byte for byte.
+// boosts, cross-room population churn, the full base request schedule
+// (room, user) per slice, and the fleet drills as events at
+// answered-request indices. The plan depends only on WorldConfig, and
+// its FNV-1a fingerprint is the bit-reproducibility gate: same config
+// => same fingerprint, byte for byte.
 //
 // Co-evolution (SocialGraphEvolution) deliberately lives OUTSIDE the
 // fingerprint: it reacts to live server responses (which recommendation
@@ -24,10 +25,27 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/rng.h"
 
 namespace after {
 namespace bench {
+
+/// The fleet drills a plan can schedule (docs/world_sim.md): kill shard
+/// 0, add a shard live, or cold-restart the whole fleet from disk.
+enum class EventKind { kKill, kAdd, kRestart };
+
+const char* EventKindName(EventKind kind);
+
+/// `at` for an event that fires at the first request of the peak slice.
+constexpr int kAtPeak = -1;
+
+/// One scenario event, keyed on logical time: it fires once the clients
+/// have answered `at` requests, whatever the wall clock says.
+struct ScenarioEvent {
+  EventKind kind = EventKind::kKill;
+  int at = 0;
+};
 
 struct WorldConfig {
   int rooms = 12;
@@ -58,6 +76,13 @@ struct WorldConfig {
   /// unaffected — churn moves load, not dataset rows.
   double churn_fraction = 0.05;
   uint64_t seed = 1;
+  /// Fleet drills, in any order; `at` is an index below total_requests
+  /// or kAtPeak.
+  std::vector<ScenarioEvent> events;
+  /// The fleet the plan runs on. Only event validation reads these: every
+  /// drill needs the self-contained fleet, and a restart a durable one.
+  bool self_contained = true;
+  bool durable = false;
 };
 
 /// One scheduled request: room id plus a user index valid for that
@@ -80,8 +105,12 @@ struct WorldPlan {
   std::vector<std::vector<int>> populations;
   /// The full base request schedule, slice-major.
   std::vector<std::vector<SliceRequest>> schedule;
-  /// FNV-1a 64 over sizes, weights (quantised), totals, populations and
-  /// every scheduled (room, user) pair. The reproducibility gate.
+  /// The config's events with kAtPeak resolved, ordered by index (then
+  /// kind): the order in which they fire.
+  std::vector<ScenarioEvent> events;
+  /// FNV-1a 64 over sizes, weights (quantised), totals, populations,
+  /// every scheduled (room, user) pair and, when there are any, the
+  /// events. The reproducibility gate.
   uint64_t fingerprint = 0;
 };
 
@@ -104,8 +133,11 @@ std::vector<int> ReconnectStormWaves(int total_connections,
                                      int max_concurrent);
 
 /// Builds the whole plan (sizes, curve, churned populations, schedule,
-/// fingerprint) from the config alone.
-WorldPlan BuildWorldPlan(const WorldConfig& config);
+/// events, fingerprint) from the config alone. kInvalidArgument for a
+/// config with no rooms, slices or requests, or with an event that can
+/// never fire (an index at or past total_requests) or cannot run on the
+/// configured fleet.
+Result<WorldPlan> BuildWorldPlan(const WorldConfig& config);
 
 /// FNV-1a 64 streaming hasher — the fingerprint primitive.
 class Fnv1a {

@@ -16,7 +16,7 @@ so a malformed new baseline cannot land unvalidated (the
 bench-regression lane runs it before trusting the real comparison).
 
 Each pair is a baseline JSON (committed under bench/baselines/) and a
-fresh run of the same benchmark (serve_throughput --json / net_throughput
+fresh run of the same benchmark (serve_throughput --json / world_sim
 --json). The gate fails when:
 
   - a correctness key regresses: current lost != 0 or errors != 0;
@@ -40,7 +40,9 @@ the macro scenario driver on top of the defaults:
     absolute 0.25 slack floor;
   - storm_recovery_ms (outage -> first fully clean reconnect wave):
     a ceiling — baseline +25% with a 500 ms floor; a negative value
-    means the storm never recovered and always fails;
+    means the storm never recovered and always fails. Applied only when
+    the current summary armed a storm (storm_connections > 0): a
+    storm-free run reports -1;
   - storm_errors: must be 0.
 
 A world summary missing one of those keys is diagnosed by name (the
@@ -51,11 +53,17 @@ refresh them only when a deliberate change moves the numbers, with
 
     ./build/bench/serve_throughput --rooms=2 --threads=2 --clients=4 \
         --requests=4000 --users=24 --json=bench/baselines/BENCH_serve.json
-    ./build/bench/net_throughput --shards=3 --rooms=12 \
-        --users=24 --clients=4 --requests=8000 --kill_shard_ms=300 \
-        --json=bench/baselines/BENCH_net.json
+    ./build/bench/world_sim --shards=3 --rooms=12 --zipf=0 \
+        --min_room_users=24 --max_room_users=24 --slices=1 \
+        --flash_rooms=0 --churn=0 --clients=4 --requests=8000 \
+        --kill_at=2000 --json=bench/baselines/BENCH_net.json
+    ./build/bench/world_sim --shards=2 --rooms=8 --zipf=0 \
+        --min_room_users=24 --max_room_users=24 --slices=1 \
+        --flash_rooms=0 --churn=0 --clients=4 --requests=6000 \
+        --pipeline=8 --connections=10000 \
+        --json=bench/baselines/BENCH_net_c10k.json
     ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \
-        --requests=4000 --slices=6 --kill_at_peak --coevolve --seed=1 \
+        --requests=4000 --slices=6 --kill_at=peak --coevolve --seed=1 \
         --json=bench/baselines/BENCH_world.json
 
 and commit the result together with the change that justified it.
@@ -110,7 +118,7 @@ def world_checks(baseline, current, baseline_path, current_path):
     """Directional gates for world_sim summaries (--profile world)."""
     failures = check_numeric_keys(
         ("peak_p99_ms", "degraded_share", "primary_balance",
-         "storm_recovery_ms"),
+         "storm_connections", "storm_recovery_ms"),
         baseline, current, baseline_path, current_path,
         what="world-profile key")
     if failures:
@@ -144,11 +152,12 @@ def world_checks(baseline, current, baseline_path, current_path):
 
     base_rec, cur_rec = (baseline["storm_recovery_ms"],
                          current["storm_recovery_ms"])
-    if cur_rec < 0:
+    storm_armed = current["storm_connections"] > 0
+    if storm_armed and cur_rec < 0:
         failures.append(
             "storm never recovered (storm_recovery_ms < 0): no reconnect "
             "wave came back fully clean after the outage")
-    elif (base_rec >= 0
+    elif (storm_armed and base_rec >= 0
             and cur_rec > base_rec * (1.0 + MAX_REGRESSION)
             and cur_rec - base_rec > WORLD_RECOVERY_FLOOR_MS):
         failures.append(
@@ -221,7 +230,8 @@ def self_check():
                    "p50_ms": 1.0, "p99_ms": 10.0, "peak_p99_ms": 15.0,
                    "lost": 0, "errors": 0, "degraded": 0,
                    "degraded_share": 0.0, "primary_balance": 1.2,
-                   "storm_recovery_ms": 100.0, "storm_errors": 0}
+                   "storm_connections": 32, "storm_recovery_ms": 100.0,
+                   "storm_errors": 0}
 
     def run_pair(baseline_patch, current_patch, base=clean):
         baseline = dict(base, **baseline_patch)
@@ -270,6 +280,12 @@ def self_check():
         ("storm recovery ceiling detected", {"storm_recovery_ms": 1000.0},
          {"storm_recovery_ms": 5000.0}, "storm recovery slowed"),
         ("unrecovered storm detected", {},
+         {"storm_recovery_ms": -1.0}, "storm never recovered"),
+        ("storm-free world summary passes",
+         {"storm_connections": 0, "storm_recovery_ms": -1.0},
+         {"storm_connections": 0, "storm_recovery_ms": -1.0}, None),
+        ("armed storm with no recovery fails against a storm-free baseline",
+         {"storm_connections": 0, "storm_recovery_ms": -1.0},
          {"storm_recovery_ms": -1.0}, "storm never recovered"),
         ("storm errors detected", {}, {"storm_errors": 2},
          "storm_errors=2"),

@@ -30,20 +30,15 @@
 #            the same suites split by ctest regex (-E '^serve/' vs
 #            -R '^serve/') so CI can run both halves in parallel with
 #            per-lane build caches
-#   infer-native
-#            configure with -DAFTER_INFER_NATIVE=ON and build the
-#            after_infer library alone: proves the -march=native build of
-#            the inference kernels stays compilable (the runtime CPUID
-#            dispatch is what ships; this guards the opt-in native path)
 #   bench    smoke-config serving benchmarks: serve_throughput
-#            (in-process), net_throughput (TCP fleet with mid-run
-#            shard kill, then a kill plus a live shard add with
-#            migration, then a 500-connection idle swarm with pipelined
-#            clients; every fleet partitions its rooms),
-#            and tick_throughput (delta-vs-scratch room ticking plus
-#            the stale-cache recovery drill), writing
-#            build/BENCH_*.json and failing on malformed output. Not
-#            in the default set: CI runs it as a non-blocking job.
+#            (in-process), world_sim (a uniform one-slice plan on a
+#            partitioned TCP fleet that kills a shard and adds one live
+#            at answered-request indices, under a 500-connection idle
+#            swarm and 4-deep pipelined clients), and tick_throughput
+#            (delta-vs-scratch room ticking plus the stale-cache
+#            recovery drill), writing build/BENCH_*.json and failing on
+#            malformed output. Not in the default set: CI runs it as a
+#            non-blocking job.
 #   bench-regression
 #            first gates three same-run ratios of median CPU times over
 #            5 interleaved micro_kernels repetitions, each against a
@@ -56,21 +51,21 @@
 #            that rewrote every row), and the same build over a
 #            one-mover carry that changes no row (the slower variant
 #            is a carry that rewrites unchanged rows instead of
-#            sharing the graph). Then it runs the serve/net
-#            benches once each in the baseline config (both serve the
-#            frozen POSHGNN on the fused f32 engine), plus the C10k
-#            config (10k idle
-#            connections + pipelined bursts; the run itself fails on
-#            any unconnected swarm client or lost ping) and the
-#            tick_throughput baseline (512-user room, 5% movers, which
-#            must hold a >=2.5x delta-vs-scratch speedup), and gates all
-#            four runs against bench/baselines/*.json with
+#            sharing the graph). Then it runs serve_throughput and
+#            world_sim once each in the baseline config (both serve the
+#            frozen POSHGNN on the fused f32 engine; world_sim's uniform
+#            one-slice plan kills a shard under load), plus world_sim's
+#            C10k config (10k idle connections + pipelined bursts; the
+#            run itself fails on any unconnected swarm client or lost
+#            ping) and the tick_throughput baseline (512-user room, 5%
+#            movers, which must hold a >=2.5x delta-vs-scratch speedup),
+#            and gates all four runs against bench/baselines/*.json with
 #            scripts/bench_compare.py (>25% p99/throughput regression,
-#            lost/errors != 0, or degraded-share growth fails), then
-#            runs the world_sim macro-driver in its baseline config
-#            (Zipf fleet + diurnal curve + kill-at-peak reconnect
-#            storm + co-evolution) and gates it with
-#            `bench_compare.py --profile world` against
+#            lost/errors != 0, or degraded-share growth fails; the
+#            world_sim summaries also get the world profile's gates),
+#            then runs world_sim in its Zipf baseline config (diurnal
+#            curve + kill-at-peak reconnect storm + co-evolution) and
+#            gates it with `bench_compare.py --profile world` against
 #            bench/baselines/BENCH_world.json. This one IS blocking
 #            in CI.
 #   perfbench
@@ -108,8 +103,7 @@ cd "$(dirname "$0")/.."
 # name fails fast with the same list instead of dying inside cmake
 # with a missing-preset error.
 LANE_ORDER=(docs format release asan ubsan tsan release-core release-serve
-  asan-core asan-serve infer-native bench bench-regression
-  perfbench world-sim coverage)
+  asan-core asan-serve bench bench-regression perfbench world-sim coverage)
 declare -A LANE_PURPOSE=(
   [docs]="markdown link integrity, subsystem + vocabulary coverage, shellcheck"
   [format]="clang-format --dry-run over tracked C++ sources"
@@ -121,7 +115,6 @@ declare -A LANE_PURPOSE=(
   [release-serve]="release suite, serve/ tests only (CI cache-split half)"
   [asan-core]="asan suite minus serve/ (CI cache-split half)"
   [asan-serve]="asan suite, serve/ tests only (CI cache-split half)"
-  [infer-native]="proves the -march=native after_infer build stays compilable"
   [bench]="smoke-config serving + delta-tick benchmarks (non-blocking in CI)"
   [bench-regression]="baseline-config benches gated vs bench/baselines (blocking)"
   [perfbench]="repo benchmark: perfbench_test + every workload for 15 s (non-blocking in CI)"
@@ -222,7 +215,7 @@ run_docs_lane() {
   # contract, the slow-peer knobs, and the router's multiplexed links.
   for term in epoll reactor EPOLLET "request ID" pipelining backpressure \
               idle_timeout_ms max_connections write_close_bytes MuxLink \
-              mux_links "--connections"; do
+              kMuxLinks "--connections"; do
     if ! grep -q -- "${term}" docs/networking.md; then
       echo "docs: ${term} is not mentioned in docs/networking.md"
       fail=1
@@ -293,24 +286,23 @@ run_format_lane() {
   echo "format lane OK: tracked C++ sources match .clang-format"
 }
 
+# world_sim flags for a plain throughput run: 24-user rooms of one size,
+# one slice, no flash crowd, no churn.
+UNIFORM_PLAN=(--zipf=0 --min_room_users=24 --max_room_users=24 --slices=1
+  --flash_rooms=0 --churn=0)
+
 run_bench_lane() {
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" \
-    --target serve_throughput net_throughput tick_throughput
+    --target serve_throughput world_sim tick_throughput
   echo "---- serve_throughput (in-process smoke) ----"
   ./build/bench/serve_throughput --rooms=2 --threads=2 --requests=200 \
     --users=24 --json=build/BENCH_serve.json
-  echo "---- net_throughput (TCP fleet smoke, kill one shard) ----"
-  ./build/bench/net_throughput --shards=2 --rooms=4 --users=24 \
-    --clients=4 --requests=800 --kill_shard_ms=100
-  echo "---- net_throughput (TCP fleet, kill + live add) ----"
-  ./build/bench/net_throughput --shards=3 --rooms=12 \
-    --users=24 --clients=4 --requests=4000 --kill_shard_ms=200 \
-    --add_shard_ms=400 --json=build/BENCH_net.json
-  echo "---- net_throughput (connection-count axis smoke: idle swarm ----"
-  echo "---- + pipelined bursts) ----"
-  ./build/bench/net_throughput --shards=2 --rooms=4 --users=24 \
-    --clients=4 --requests=800 --pipeline=4 --connections=500
+  echo "---- world_sim (TCP fleet smoke: kill + live add under a ----"
+  echo "---- 500-connection idle swarm and pipelined bursts) ----"
+  ./build/bench/world_sim --shards=3 --rooms=12 "${UNIFORM_PLAN[@]}" \
+    --clients=4 --requests=4000 --kill_at=1000 --add_at=2000 \
+    --connections=500 --pipeline=4 --json=build/BENCH_net.json
   echo "---- tick_throughput (delta-tick smoke + stale-cache drill) ----"
   ./build/bench/tick_throughput --users=96 --hot=16 --move_fraction=0.1 \
     --ticks=10 --warmup=2 --json=build/BENCH_tick_smoke.json
@@ -318,8 +310,9 @@ run_bench_lane() {
     --move_fraction=0.1 --durable_dir=build/tick-stale-cache-drill
   # A benchmark that silently emits garbage is worse than one that
   # fails: validate the summaries before anything downstream trusts
-  # them. The net summary must carry the degraded counter so "all
-  # served" and "all served by the fallback" stay distinguishable.
+  # them. The fleet summary must carry the degraded counter so "all
+  # served" and "all served by the fallback" stay distinguishable, and
+  # every drill it armed must have fired.
   python3 - build/BENCH_serve.json build/BENCH_net.json \
     build/BENCH_tick_smoke.json <<'PY'
 import json, sys
@@ -327,11 +320,17 @@ for path in sys.argv[1:]:
     with open(path) as handle:
         data = json.load(handle)
     keys = ["bench", "ok", "qps", "p50_ms", "p95_ms", "p99_ms"]
-    if data.get("bench") == "net_throughput":
-        keys += ["requests", "degraded", "not_owner", "lost", "errors"]
+    if data.get("bench") == "world_sim":
+        keys += ["requests", "degraded", "not_owner", "lost", "errors",
+                 "migrations", "repairs", "swarm_pings", "swarm_pongs",
+                 "events"]
     for key in keys:
         if key not in data:
             raise SystemExit(f"{path}: missing key {key!r}")
+    for event in data.get("events", []):
+        if event["fired_at"] < 0:
+            raise SystemExit(f"{path}: the {event['kind']} at "
+                             f"{event['at']} never fired")
     if data["ok"] <= 0 or data["qps"] <= 0:
         raise SystemExit(f"{path}: non-positive ok/qps")
     if data["p50_ms"] > data["p99_ms"]:
@@ -344,8 +343,7 @@ PY
 run_bench_regression_lane() {
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" \
-    --target serve_throughput net_throughput tick_throughput world_sim \
-    micro_kernels
+    --target serve_throughput tick_throughput world_sim micro_kernels
   echo "---- micro_kernels (reference/served step ratio gate on the ----"
   echo "---- pruned N=500 request shape; scratch/carry ratio gates at ----"
   echo "---- N=512, a carry that rewrites rows and one that shares) ----"
@@ -410,13 +408,14 @@ PY
   echo "---- serve_throughput (baseline config) ----"
   ./build/bench/serve_throughput --rooms=2 --threads=2 --clients=4 \
     --requests=4000 --users=24 --json=build/BENCH_serve.json
-  echo "---- net_throughput (baseline config: kill + repair) ----"
-  ./build/bench/net_throughput --shards=3 --rooms=12 \
-    --users=24 --clients=4 --requests=8000 --kill_shard_ms=300 \
+  echo "---- world_sim (net baseline config: uniform plan, kill + ----"
+  echo "---- repair) ----"
+  ./build/bench/world_sim --shards=3 --rooms=12 "${UNIFORM_PLAN[@]}" \
+    --clients=4 --requests=8000 --kill_at=2000 \
     --json=build/BENCH_net.json
-  echo "---- net_throughput (C10k baseline: 10k idle connections + ----"
+  echo "---- world_sim (C10k baseline: 10k idle connections + ----"
   echo "---- pipelined bursts) ----"
-  ./build/bench/net_throughput --shards=2 --rooms=8 --users=24 \
+  ./build/bench/world_sim --shards=2 --rooms=8 "${UNIFORM_PLAN[@]}" \
     --clients=4 --requests=6000 --pipeline=8 --connections=10000 \
     --json=build/BENCH_net_c10k.json
   echo "---- tick_throughput (baseline config: 512-user room, 5% ----"
@@ -434,7 +433,7 @@ PY
   echo "---- world_sim (baseline config: Zipf + diurnal + kill-at- ----"
   echo "---- peak storm + co-evolution) ----"
   ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \
-    --requests=4000 --slices=6 --kill_at_peak --coevolve --seed=1 \
+    --requests=4000 --slices=6 --kill_at=peak --coevolve --seed=1 \
     --json=build/BENCH_world.json
   echo "---- compare against the committed world baseline ----"
   python3 scripts/bench_compare.py --profile world \
@@ -489,11 +488,11 @@ run_world_sim_lane() {
   # The binary is its own gate: exit 2 on any lost request, any
   # client/storm error, or a primary-balance breach.
   ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \
-    --requests=1200 --slices=6 --kill_at_peak --storm_wave=8 --seed=1 \
+    --requests=1200 --slices=6 --kill_at=peak --storm_wave=8 --seed=1 \
     --json=build/BENCH_world_smoke.json
   echo "---- world_sim (same seed again: bit-identical-plan check) ----"
   ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \
-    --requests=1200 --slices=6 --kill_at_peak --storm_wave=8 --seed=1 \
+    --requests=1200 --slices=6 --kill_at=peak --storm_wave=8 --seed=1 \
     --json=build/BENCH_world_smoke_rerun.json
   # Same seed, same flags => the generated scenario (room sizes,
   # diurnal slice totals, churned populations, request schedule) must
@@ -543,14 +542,6 @@ run_lane() {
     perfbench) run_perfbench_lane; return ;;
     world-sim) run_world_sim_lane; return ;;
     coverage) run_coverage_lane; return ;;
-    infer-native)
-      # Opt-in -march=native build of the inference kernels must stay
-      # compilable; only the after_infer library is needed to prove it.
-      cmake -S . -B build-infer-native \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAFTER_INFER_NATIVE=ON
-      cmake --build build-infer-native -j "${JOBS}" --target after_infer
-      echo "infer-native lane OK: after_infer builds with AFTER_INFER_NATIVE=ON"
-      return ;;
   esac
   # release-core / asan-serve / ... are the base preset plus a ctest
   # split: -core excludes the serving-runtime tests, -serve runs only

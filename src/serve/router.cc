@@ -52,7 +52,6 @@ ShardRouter::ShardRouter(std::vector<BackendAddress> backends,
                          const RouterOptions& options)
     : options_(options) {
   AFTER_CHECK(!backends.empty());
-  AFTER_CHECK_GE(options_.virtual_nodes, 1);
   backends_.reserve(backends.size());
   for (auto& address : backends) {
     auto backend = std::make_unique<Backend>();
@@ -84,14 +83,14 @@ ShardRouter::ShardRouter(std::vector<BackendAddress> backends,
 }
 
 void ShardRouter::RebuildRingLocked() {
-  // virtual_nodes points per backend, keyed by the backend's address so
+  // kVirtualNodes points per backend, keyed by the backend's address so
   // the mapping is a pure function of the fleet layout (two routers over
   // the same fleet route identically).
   ring_.clear();
-  ring_.reserve(backends_.size() * options_.virtual_nodes);
+  ring_.reserve(backends_.size() * kVirtualNodes);
   for (int b = 0; b < static_cast<int>(backends_.size()); ++b) {
     const std::string base = backends_[b]->address.ToString();
-    for (int v = 0; v < options_.virtual_nodes; ++v) {
+    for (int v = 0; v < kVirtualNodes; ++v) {
       std::ostringstream oss;
       oss << base << "#" << v;
       ring_.emplace_back(MixHash(Fnv1a64(oss.str())), b);
@@ -191,7 +190,7 @@ std::shared_ptr<MuxLink> ShardRouter::AcquireLink(Backend& backend,
       // flight and the per-backend cap leaves room for one more — the
       // only case worth paying a fresh dial for.
       if (link->inflight() == 0 ||
-          static_cast<int>(links.size()) >= options_.mux_links) {
+          static_cast<int>(links.size()) >= kMuxLinks) {
         *reused = true;
         return link;
       }
@@ -206,7 +205,7 @@ std::shared_ptr<MuxLink> ShardRouter::AcquireLink(Backend& backend,
   // Re-check the cap under the lock (a racing dial may have filled it);
   // an over-cap link still serves this one call, then dies with its
   // last reference.
-  if (static_cast<int>(backend.links.size()) < options_.mux_links)
+  if (static_cast<int>(backend.links.size()) < kMuxLinks)
     backend.links.push_back(link);
   return link;
 }
@@ -461,7 +460,7 @@ Result<std::string> ShardRouter::SendRelease(int backend, int room,
 
 int ShardRouter::ApplyAssignment(
     const std::unordered_map<int, std::vector<int>>& target,
-    Status* first_error) {
+    Status* first_error, std::atomic<int64_t>* counter) {
   // Ascending room order: deterministic control traffic, and epochs that
   // read naturally in logs.
   std::vector<int> rooms;
@@ -528,6 +527,8 @@ int ShardRouter::ApplyAssignment(
       if (!granted.ok() && first_error != nullptr && first_error->ok())
         *first_error = granted;
     }
+    // Count first: whoever sees the new owners also sees the count.
+    if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(partition_mutex_);
       RoomAssignment& entry = assignment_[room];
@@ -715,7 +716,7 @@ int ShardRouter::RepairPartition() {
   }
   if (target.empty()) return 0;
   Status first_error;
-  int repaired = ApplyAssignment(target, &first_error);
+  int repaired = ApplyAssignment(target, &first_error, &metrics_.repairs);
 
   // The patch promotes a dead primary's standbys where they stand, so a
   // survivor holding most of them ends up with most of the primaries.
@@ -739,9 +740,8 @@ int ShardRouter::RepairPartition() {
       std::shared_lock<std::shared_mutex> lock(topology_mutex_);
       balanced = ComputeAssignment(active, rooms);
     }
-    repaired += ApplyAssignment(balanced, &first_error);
+    repaired += ApplyAssignment(balanced, &first_error, &metrics_.repairs);
   }
-  metrics_.repairs.fetch_add(repaired, std::memory_order_relaxed);
   return repaired;
 }
 

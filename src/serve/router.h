@@ -28,16 +28,6 @@ struct BackendAddress {
 };
 
 struct RouterOptions {
-  /// Ring points per backend. More points = smoother key spread and
-  /// smaller movement when the backend set changes.
-  int virtual_nodes = 64;
-  /// Persistent multiplexed links kept per backend (serve/net_mux.h).
-  /// All in-flight calls to a shard share these links, correlated by
-  /// request id — C10k client fan-in collapses onto
-  /// backends x mux_links shard-side sockets. The first link is dialed
-  /// on demand; extras are added only when the chosen link already has
-  /// calls in flight.
-  int mux_links = 2;
   /// How long a backend stays ejected (skipped by routing) after a
   /// transport failure. Passive recovery: once the cooldown lapses the
   /// next request tries it again.
@@ -81,6 +71,17 @@ struct RouterOptions {
 /// wire I/O itself.
 class ShardRouter {
  public:
+  /// Ring points per backend. More points = smoother key spread and
+  /// smaller movement when the backend set changes.
+  static constexpr int kVirtualNodes = 64;
+  /// Persistent multiplexed links kept per backend (serve/net_mux.h).
+  /// All in-flight calls to a shard share these links, correlated by
+  /// request id — C10k client fan-in collapses onto
+  /// backends x kMuxLinks shard-side sockets. The first link is dialed
+  /// on demand; extras are added only when the chosen link already has
+  /// calls in flight.
+  static constexpr int kMuxLinks = 2;
+
   ShardRouter(std::vector<BackendAddress> backends,
               const RouterOptions& options);
   ~ShardRouter();
@@ -187,7 +188,7 @@ class ShardRouter {
     std::mutex mutex;
     /// Persistent multiplexed links, round-robined across calls; broken
     /// links are pruned on the next acquire. Grows on demand up to
-    /// options.mux_links.
+    /// kMuxLinks.
     std::vector<std::shared_ptr<MuxLink>> links;
     size_t next_link = 0;
     Clock::time_point ejected_until = Clock::time_point::min();
@@ -225,9 +226,11 @@ class ShardRouter {
 
   /// Diffs `target` against the current table and drives the
   /// release -> state -> assign migration per changed room. Returns the
-  /// number of rooms whose owner set changed.
+  /// number of rooms whose owner set changed; a non-null `counter` is
+  /// bumped for each of them before the table shows its new owners.
   int ApplyAssignment(const std::unordered_map<int, std::vector<int>>& target,
-                      Status* first_error);
+                      Status* first_error,
+                      std::atomic<int64_t>* counter = nullptr);
 
   std::vector<int> ActiveBackends() const;
 

@@ -13,7 +13,7 @@ namespace serve {
 RecommendationServer::RecommendationServer(
     std::vector<std::unique_ptr<Room>> rooms, RecommenderFactory factory,
     const ServerOptions& options)
-    : options_(options), fallback_(options.fallback_k) {
+    : options_(options), fallback_(kFallbackK) {
   AFTER_CHECK(factory != nullptr);
   for (auto& room : rooms) {
     AFTER_CHECK(room != nullptr);

@@ -29,8 +29,6 @@ struct ServerOptions {
   /// Deadline applied when FriendRequest::deadline_ms == 0; <= 0 means
   /// no default deadline.
   double default_deadline_ms = 50.0;
-  /// Display budget of the NearestRecommender degradation fallback.
-  int fallback_k = 10;
   /// Temporal candidate pruning (docs/ticking.md): when > 0 and the
   /// room maintains a temporal index (Room::Options::temporal_index),
   /// each request's StepContext carries a blocklist keeping only the
@@ -63,6 +61,9 @@ struct ServerOptions {
 /// serve FrozenPoshgnn instead.
 class RecommendationServer {
  public:
+  /// Display budget of the NearestRecommender degradation fallback.
+  static constexpr int kFallbackK = 10;
+
   /// Rooms are keyed by Room::id(); ids need not be contiguous, and the
   /// initial set may be empty (a partitioned shard starts bare and is
   /// granted rooms by the router, serve/shard_control.h). Calls

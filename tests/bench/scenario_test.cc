@@ -2,8 +2,9 @@
 // generators (bench/scenario.h). These pin the contracts CI relies on:
 // the Zipf sampler matches the configured exponent, the diurnal curve
 // apportions to exactly the requested total, reconnect-storm waves
-// never exceed the connection budget, and both the plan and the
-// co-evolution rewiring are bit-reproducible from a seed.
+// never exceed the connection budget, scenario events land where the
+// plan says or are rejected, and both the plan and the co-evolution
+// rewiring are bit-reproducible from a seed.
 
 #include "bench/scenario.h"
 
@@ -101,8 +102,8 @@ TEST(ReconnectStormTest, WavesNeverExceedMaxConnections) {
 TEST(WorldPlanTest, SameSeedIsBitIdentical) {
   WorldConfig config;
   config.seed = 77;
-  const WorldPlan a = BuildWorldPlan(config);
-  const WorldPlan b = BuildWorldPlan(config);
+  const WorldPlan a = BuildWorldPlan(config).value();
+  const WorldPlan b = BuildWorldPlan(config).value();
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   ASSERT_EQ(a.schedule.size(), b.schedule.size());
   for (size_t t = 0; t < a.schedule.size(); ++t) {
@@ -115,13 +116,13 @@ TEST(WorldPlanTest, SameSeedIsBitIdentical) {
 
   WorldConfig other = config;
   other.seed = 78;
-  EXPECT_NE(BuildWorldPlan(other).fingerprint, a.fingerprint);
+  EXPECT_NE(BuildWorldPlan(other).value().fingerprint, a.fingerprint);
 }
 
 TEST(WorldPlanTest, ScheduleMatchesSliceTotalsAndRoomRanges) {
   WorldConfig config;
   config.total_requests = 999;
-  const WorldPlan plan = BuildWorldPlan(config);
+  const WorldPlan plan = BuildWorldPlan(config).value();
   ASSERT_EQ(plan.schedule.size(), static_cast<size_t>(config.slices));
   int total = 0;
   for (size_t t = 0; t < plan.schedule.size(); ++t) {
@@ -142,7 +143,7 @@ TEST(WorldPlanTest, ScheduleMatchesSliceTotalsAndRoomRanges) {
 TEST(WorldPlanTest, ChurnConservesPopulation) {
   WorldConfig config;
   config.churn_fraction = 0.2;
-  const WorldPlan plan = BuildWorldPlan(config);
+  const WorldPlan plan = BuildWorldPlan(config).value();
   const int initial = std::accumulate(plan.room_sizes.begin(),
                                       plan.room_sizes.end(), 0);
   for (const auto& populations : plan.populations)
@@ -160,7 +161,7 @@ TEST(WorldPlanTest, FlashCrowdBoostsSmallRoomsAtPeak) {
   // are unambiguously the two highest ranks.
   config.rooms = 8;
   config.min_room_users = 1;
-  const WorldPlan plan = BuildWorldPlan(config);
+  const WorldPlan plan = BuildWorldPlan(config).value();
   // The two smallest rooms are the two highest ranks.
   const int small_a = config.rooms - 1, small_b = config.rooms - 2;
   const auto share_of = [&](int slice_index) {
@@ -173,6 +174,64 @@ TEST(WorldPlanTest, FlashCrowdBoostsSmallRoomsAtPeak) {
   };
   const int off_peak = plan.peak_slice == 0 ? 1 : 0;
   EXPECT_GT(share_of(plan.peak_slice), 4.0 * share_of(off_peak));
+}
+
+TEST(WorldPlanTest, PeakResolvesToTheFirstRequestOfThePeakSlice) {
+  WorldConfig config;
+  config.events = {{EventKind::kAdd, 1500}, {EventKind::kKill, kAtPeak}};
+  const WorldPlan plan = BuildWorldPlan(config).value();
+  int before_peak = 0;
+  for (int t = 0; t < plan.peak_slice; ++t)
+    before_peak += plan.slice_totals[static_cast<size_t>(t)];
+  ASSERT_GT(before_peak, 0);
+  ASSERT_LT(before_peak, 1500);
+  // In firing order: the peak kill first.
+  ASSERT_EQ(plan.events.size(), 2u);
+  EXPECT_EQ(plan.events[0].kind, EventKind::kKill);
+  EXPECT_EQ(plan.events[0].at, before_peak);
+  EXPECT_EQ(plan.events[1].kind, EventKind::kAdd);
+  EXPECT_EQ(plan.events[1].at, 1500);
+}
+
+TEST(WorldPlanTest, AnEventThatCanNeverFireIsRejected) {
+  WorldConfig config;
+  config.total_requests = 500;
+  config.events = {{EventKind::kKill, 499}};
+  EXPECT_TRUE(BuildWorldPlan(config).ok());
+  for (int at : {500, 501, -7}) {
+    config.events = {{EventKind::kKill, at}};
+    const Result<WorldPlan> plan = BuildWorldPlan(config);
+    ASSERT_FALSE(plan.ok()) << "at " << at;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(WorldPlanTest, EventsNeedAFleetThatCanRunThem) {
+  WorldConfig config;
+  config.events = {{EventKind::kRestart, 10}};
+  EXPECT_FALSE(BuildWorldPlan(config).ok()) << "a restart needs durability";
+  config.durable = true;
+  EXPECT_TRUE(BuildWorldPlan(config).ok());
+  config.events.push_back({EventKind::kAdd, 20});
+  EXPECT_FALSE(BuildWorldPlan(config).ok()) << "a restart runs alone";
+  config.events = {{EventKind::kKill, 20}};
+  config.self_contained = false;
+  EXPECT_FALSE(BuildWorldPlan(config).ok()) << "an external front";
+}
+
+TEST(WorldPlanTest, EventsChangeTheFingerprintOnlyWhenPresent) {
+  WorldConfig config;
+  config.seed = 77;
+  // The default plan's fingerprint from before plans carried events.
+  constexpr uint64_t kEventFree = 0x34806c3e755dba8bULL;
+  EXPECT_EQ(BuildWorldPlan(config).value().fingerprint, kEventFree);
+
+  config.events = {{EventKind::kKill, 300}, {EventKind::kAdd, 900}};
+  const uint64_t armed = BuildWorldPlan(config).value().fingerprint;
+  EXPECT_EQ(BuildWorldPlan(config).value().fingerprint, armed);
+  EXPECT_NE(armed, kEventFree);
+  config.events[1].at = 901;
+  EXPECT_NE(BuildWorldPlan(config).value().fingerprint, armed);
 }
 
 TEST(SocialGraphEvolutionTest, BitReproducibleForFixedSeed) {

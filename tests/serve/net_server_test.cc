@@ -186,7 +186,6 @@ TEST(NetServerTest, DegradationLadderTravelsTheWire) {
   const Dataset dataset = SmallDataset();
   ServerOptions options = NoDeadlineOptions();
   options.num_threads = 1;
-  options.fallback_k = 4;
   TestShard shard(dataset, options,
                   [] { return std::make_unique<SlowRecommender>(30.0); });
   auto client = NetClient::Connect("127.0.0.1", shard.net->port());
@@ -202,7 +201,7 @@ TEST(NetServerTest, DegradationLadderTravelsTheWire) {
   EXPECT_TRUE(response.value().used_fallback);
   int selected = 0;
   for (bool b : response.value().recommended) selected += b ? 1 : 0;
-  EXPECT_EQ(selected, 4);
+  EXPECT_EQ(selected, RecommendationServer::kFallbackK);
 }
 
 TEST(NetServerTest, ShedTravelsTheWire) {

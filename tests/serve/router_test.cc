@@ -31,13 +31,17 @@ std::vector<BackendAddress> FakeBackends(int count) {
   return backends;
 }
 
-/// A loopback peer that speaks no protocol: it accepts one connection,
-/// waits for the first byte of the caller's frame and then resets the
-/// connection (SO_LINGER 0). The caller's send has completed by then, so
-/// the reset reaches the link's reader as a recv error, not as EOF.
-class ResettingPeer {
+/// A loopback peer that speaks no protocol. It accepts one connection
+/// and waits for the first byte of the caller's frame. A resetting peer
+/// then resets the connection (SO_LINGER 0): the caller's send has
+/// completed by then, so the reset reaches the link's reader as a recv
+/// error, not as EOF. A silent peer keeps reading and never answers,
+/// until the caller closes the connection.
+class MutePeer {
  public:
-  ResettingPeer() {
+  enum class Mode { kReset, kSilent };
+
+  explicit MutePeer(Mode mode) {
     listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -47,17 +51,22 @@ class ResettingPeer {
     EXPECT_EQ(::listen(listener_, 4), 0);
     ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
-    peer_ = std::thread([this] {
+    peer_ = std::thread([this, mode] {
       const int fd = ::accept(listener_, nullptr, nullptr);
       if (fd < 0) return;  // the listener was shut down
-      char first = 0;
-      (void)::recv(fd, &first, 1, 0);
-      const linger reset{1, 0};
-      ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+      char chunk[4096];
+      if (mode == Mode::kSilent) {
+        while (::recv(fd, chunk, sizeof(chunk), 0) > 0) {
+        }
+      } else {
+        (void)::recv(fd, chunk, 1, 0);
+        const linger reset{1, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+      }
       ::close(fd);
     });
   }
-  ~ResettingPeer() {
+  ~MutePeer() {
     ::shutdown(listener_, SHUT_RDWR);  // wakes an accept nobody dialed
     peer_.join();
     ::close(listener_);
@@ -214,7 +223,7 @@ TEST(RouterTest, ProbeAllSeesDeadAndAliveBackends) {
 TEST(RouterTest, ProbeEjectsABackendThatResetsTheLink) {
   // The dial succeeds, so the ejection comes from the failed ping on a
   // live link, not from a refused connect.
-  ResettingPeer peer;
+  MutePeer peer(MutePeer::Mode::kReset);
   ShardRouter router({{"127.0.0.1", peer.port()}}, RouterOptions{});
   router.ProbeAll();
   EXPECT_EQ(router.metrics().connects.load(), 1);
@@ -223,7 +232,7 @@ TEST(RouterTest, ProbeEjectsABackendThatResetsTheLink) {
 }
 
 TEST(MuxLinkTest, AResetLinkFailsEveryLaterCallWithoutSending) {
-  ResettingPeer peer;
+  MutePeer peer(MutePeer::Mode::kReset);
   auto link = MuxLink::Connect("127.0.0.1", peer.port());
   ASSERT_TRUE(link.ok()) << link.status().ToString();
   const Status reset = link.value()->Ping();
@@ -238,6 +247,49 @@ TEST(MuxLinkTest, AResetLinkFailsEveryLaterCallWithoutSending) {
   EXPECT_EQ(later.code(), StatusCode::kUnavailable);
   EXPECT_NE(later.message().find("already broken"), std::string::npos)
       << later.ToString();
+}
+
+TEST(MuxLinkTest, APeerThatNeverAnswersTimesOutEveryCall) {
+  // Declared before the link, so the link closes the connection (and
+  // ends the peer's read loop) before the peer is joined.
+  MutePeer peer(MutePeer::Mode::kSilent);
+  using Clock = std::chrono::steady_clock;
+  NetClientOptions options;
+  options.io_timeout_ms = 100.0;
+  auto link = MuxLink::Connect("127.0.0.1", peer.port(), options);
+  ASSERT_TRUE(link.ok()) << link.status().ToString();
+  MuxLink& mux = *link.value();
+
+  // The first call times out on its own. The second, sent 50 ms later,
+  // is failed with the link (FailAll) before its own 100 ms run out.
+  const auto started = Clock::now();
+  Status first, second;
+  Clock::duration second_waited{};
+  std::thread first_call(
+      [&] { first = mux.Call({.room = 0, .user = 1}).status(); });
+  while (mux.inflight() == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread second_call([&] {
+    const auto sent = Clock::now();
+    second = mux.Call({.room = 0, .user = 2}).status();
+    second_waited = Clock::now() - sent;
+  });
+  first_call.join();
+  second_call.join();
+  EXPECT_LT(Clock::now() - started, std::chrono::seconds(2));
+  EXPECT_EQ(first.code(), StatusCode::kUnavailable) << first.ToString();
+  EXPECT_NE(first.message().find("response timed out"), std::string::npos)
+      << first.ToString();
+  EXPECT_EQ(second.code(), StatusCode::kUnavailable) << second.ToString();
+  EXPECT_LT(second_waited, std::chrono::milliseconds(100));
+  EXPECT_TRUE(mux.broken());
+
+  // A third call fails before it sends.
+  const Status third = mux.Call({.room = 0, .user = 3}).status();
+  EXPECT_EQ(third.code(), StatusCode::kUnavailable);
+  EXPECT_NE(third.message().find("already broken"), std::string::npos)
+      << third.ToString();
 }
 
 TEST(RouterTest, ProberPromotesTheStandbyWithoutAManualSweep) {
@@ -256,18 +308,17 @@ TEST(RouterTest, ProberPromotesTheStandbyWithoutAManualSweep) {
   const int victim = assignment.at(victim_room).copies[0];
   const int standby = assignment.at(victim_room).copies[1];
 
-  // A sweep counts its repairs after it rewrites the table, so wait for
-  // both.
-  const auto repaired = [&] {
-    return fleet.router->metrics().repairs.load() >= 1 &&
-           fleet.router->AssignmentSnapshot().at(victim_room).copies[0] ==
-               standby;
+  const auto promoted = [&] {
+    return fleet.router->AssignmentSnapshot().at(victim_room).copies[0] ==
+           standby;
   };
   fleet.shards[victim]->net->Shutdown();
   const auto killed = Clock::now();
-  while (!repaired() && Clock::now() - killed < std::chrono::seconds(5))
+  while (!promoted() && Clock::now() - killed < std::chrono::seconds(5))
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_TRUE(repaired()) << "no promotion 5 s after the kill";
+  ASSERT_TRUE(promoted()) << "no promotion 5 s after the kill";
+  // A repair is counted before the table shows it.
+  EXPECT_GE(fleet.router->metrics().repairs.load(), 1);
   EXPECT_FALSE(fleet.router->backend_healthy(victim));
 
   // The promoted standby answers as primary, with no retry through the

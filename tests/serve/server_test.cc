@@ -210,7 +210,6 @@ TEST(ServerTest, SlowPrimaryDegradesToNearestFallback) {
   const Dataset dataset = SmallDataset();
   ServerOptions options;
   options.num_threads = 1;
-  options.fallback_k = 4;
   options.default_deadline_ms = -1.0;
   RecommendationServer server(
       MakeRooms(dataset, 1),
@@ -223,7 +222,7 @@ TEST(ServerTest, SlowPrimaryDegradesToNearestFallback) {
   // The answer is the fallback's, not the slow primary's all-false one.
   int selected = 0;
   for (bool b : response.recommended) selected += b ? 1 : 0;
-  EXPECT_EQ(selected, 4);
+  EXPECT_EQ(selected, RecommendationServer::kFallbackK);
   EXPECT_EQ(server.metrics().fallbacks_deadline.load(), 1);
   EXPECT_EQ(server.metrics().timeouts.load(), 0);
 }
@@ -232,7 +231,6 @@ TEST(ServerTest, MisbehavingPrimaryDegradesToNearestFallback) {
   const Dataset dataset = SmallDataset();
   ServerOptions options;
   options.default_deadline_ms = -1.0;
-  options.fallback_k = 3;
   RecommendationServer server(
       MakeRooms(dataset, 1),
       [] { return std::make_unique<MisbehavingRecommender>(); }, options);

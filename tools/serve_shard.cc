@@ -1,7 +1,7 @@
 // One shard worker of the multi-process serving fleet: an in-process
 // RecommendationServer behind the TCP wire protocol (serve/net_server.h).
 // Launch N of these behind one tools/shard_router and point
-// bench/net_throughput at the router (docs/serving.md has the 3-shard
+// bench/world_sim --port at the router (docs/serving.md has the 3-shard
 // walkthrough).
 //
 // The shard starts owning *nothing* and hosts only the rooms the router
