@@ -487,12 +487,15 @@ run_world_sim_lane() {
   echo "---- world_sim (Zipf fleet + flash crowd + kill-at-peak storm) ----"
   # The binary is its own gate: exit 2 on any lost request, any
   # client/storm error, or a primary-balance breach.
+  # 4000 requests put the peak kill at request 987, early enough that
+  # the prober's repair lands under load (finished_at 1736-2068 in 10
+  # runs on a 4-vCPU VM); at 1200 it finished only after the load.
   ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \
-    --requests=1200 --slices=6 --kill_at=peak --storm_wave=8 --seed=1 \
+    --requests=4000 --slices=6 --kill_at=peak --storm_wave=8 --seed=1 \
     --json=build/BENCH_world_smoke.json
   echo "---- world_sim (same seed again: bit-identical-plan check) ----"
   ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \
-    --requests=1200 --slices=6 --kill_at=peak --storm_wave=8 --seed=1 \
+    --requests=4000 --slices=6 --kill_at=peak --storm_wave=8 --seed=1 \
     --json=build/BENCH_world_smoke_rerun.json
   # Same seed, same flags => the generated scenario (room sizes,
   # diurnal slice totals, churned populations, request schedule) must
@@ -507,9 +510,20 @@ for path in sys.argv[1:]:
 for data, path in zip(runs, sys.argv[1:]):
     for key in ("scenario_fingerprint", "requests", "lost", "errors",
                 "primary_balance", "peak_p99_ms", "degraded_share",
-                "storm_recovery_ms", "storm_errors"):
+                "storm_recovery_ms", "storm_errors", "events"):
         if key not in data:
             raise SystemExit(f"{path}: missing key {key!r}")
+    # The drill must land under load: a repair that finishes only once
+    # every request is answered never met client traffic.
+    kills = [e for e in data["events"] if e.get("kind") == "kill"]
+    if not kills:
+        raise SystemExit(f"{path}: no kill event fired")
+    for event in kills:
+        if event.get("finished_at", data["requests"]) >= data["requests"]:
+            raise SystemExit(
+                f"{path}: the kill's repair finished at answered "
+                f"{event.get('finished_at')}, not below the "
+                f"{data['requests']} requests: it landed after the load")
 a, b = runs
 if a["scenario_fingerprint"] != b["scenario_fingerprint"]:
     raise SystemExit(
@@ -517,7 +531,8 @@ if a["scenario_fingerprint"] != b["scenario_fingerprint"]:
         f"scenario_fingerprint: {a['scenario_fingerprint']} vs "
         f"{b['scenario_fingerprint']}")
 print("world-sim lane OK: zero lost requests, balance within gate,",
-      "fingerprint", a["scenario_fingerprint"], "reproduced")
+      "repair under load, fingerprint", a["scenario_fingerprint"],
+      "reproduced")
 PY
 }
 

@@ -13,6 +13,7 @@
 namespace after {
 
 struct Dataset;
+struct ViewArc;
 
 /// Everything an AFTER recommender may consult at one time step for one
 /// target user (Definition 1: F_t(v) -> 2^V).
@@ -33,6 +34,15 @@ struct StepContext {
   double beta = 0.5;
   /// Body radius used by the occlusion model.
   double body_radius = 0.25;
+  /// The target's view arcs at time t (graph/occlusion_converter.h), one
+  /// per user, when the caller already holds them: the serving
+  /// snapshot's ContextFor passes the arcs its occlusion graph was built
+  /// from. The fused engine's MIA mask and distance feature then read
+  /// them instead of recomputing an atan2/asin per user. Both come from
+  /// ComputeViewArc on the same two positions, so the bits are equal.
+  /// nullptr = compute from positions (the offline evaluator and the
+  /// f64 reference path never read this).
+  const std::vector<ViewArc>* arcs = nullptr;
   /// Length scale (meters) of MIA's distance normalization:
   /// p̂ = p / (1 + (d / distance_scale)²). Keeps the normalization from
   /// drowning preference in distance (Sec. IV-A: the model should focus
@@ -102,6 +112,11 @@ class Recommender {
   /// evaluator, which replays them one target session at a time. Purely
   /// functional models (Nearest, FrozenPoshgnn, and MvAGC / GraFrank
   /// after training) override this to true.
+  ///
+  /// A serving primary must also be a pure function of its StepContext:
+  /// the runtime calls it once per (snapshot, target) and hands that one
+  /// answer to every request for the target on the same snapshot
+  /// (RoomSnapshot::AnswerFor).
   virtual bool thread_safe() const { return false; }
 
   /// Returns the set of users rendered for the target at this step

@@ -307,6 +307,15 @@ std::vector<bool> PhysicallyBlockedUsers(const std::vector<Vec2>& positions,
                          is_physical);
 }
 
+std::vector<bool> PhysicallyBlockedUsers(const std::vector<ViewArc>& arcs,
+                                         int target,
+                                         const std::vector<bool>& is_physical) {
+  const int n = static_cast<int>(arcs.size());
+  AFTER_CHECK_EQ(static_cast<int>(is_physical.size()), n);
+  if (!is_physical[target]) return std::vector<bool>(n, false);
+  return BlockedByNearer(arcs, is_physical);
+}
+
 std::vector<bool> ComputeVisibility(const std::vector<Vec2>& positions,
                                     int target, double body_radius,
                                     const std::vector<bool>& rendered) {

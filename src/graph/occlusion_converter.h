@@ -106,6 +106,12 @@ std::vector<bool> PhysicallyBlockedUsers(const std::vector<Vec2>& positions,
                                          int target, double body_radius,
                                          const std::vector<bool>& is_physical);
 
+/// Same mask from the target's arcs (ComputeViewArcs, or a snapshot's
+/// cached arcs, which equal them bit for bit), without recomputing them.
+std::vector<bool> PhysicallyBlockedUsers(const std::vector<ViewArc>& arcs,
+                                         int target,
+                                         const std::vector<bool>& is_physical);
+
 /// Visibility indicator 1[v => w at t] for a set of rendered users: w is
 /// visible iff w is rendered and no strictly-nearer rendered user's arc
 /// overlaps w's arc (the nearer user's image blocks w). The target index

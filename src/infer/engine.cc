@@ -90,6 +90,10 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
   const int n = static_cast<int>(positions.size());
   const int v = context.target;
   const int k = config_.hidden_dim;
+  // The caller's arcs (a serving snapshot's), when it has them: the same
+  // ComputeViewArc values the position-based paths below would compute.
+  const std::vector<ViewArc>* arcs = context.arcs;
+  if (arcs != nullptr) AFTER_CHECK_EQ(static_cast<int>(arcs->size()), n);
   Arena& arena = workspace.arena;
 
   Buffers b;
@@ -104,8 +108,11 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
     workspace.blocked.assign(n, false);
     for (int u = 0; u < n; ++u)
       workspace.blocked[u] = interfaces[u] == Interface::kMR;
-    const std::vector<bool> blocked = PhysicallyBlockedUsers(
-        positions, v, context.body_radius, workspace.blocked);
+    const std::vector<bool> blocked =
+        arcs != nullptr ? PhysicallyBlockedUsers(*arcs, v, workspace.blocked)
+                        : PhysicallyBlockedUsers(positions, v,
+                                                 context.body_radius,
+                                                 workspace.blocked);
     for (int w = 0; w < n; ++w) {
       bool masked = w == v || blocked[w];
       if (context.blocklist != nullptr && (*context.blocklist)[w])
@@ -120,7 +127,9 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
       context.distance_scale > 0.0 ? context.distance_scale : 1.0;
   for (int w = 0; w < n; ++w) {
     if (w == v) continue;
-    const double dist = Distance(positions[v], positions[w]);
+    // |w - v| from the arc and |v - w| here have the same bits.
+    const double dist = arcs != nullptr ? (*arcs)[w].distance
+                                        : Distance(positions[v], positions[w]);
     double p = context.preference->At(v, w);
     double s = context.social_presence->At(v, w);
     if (config_.use_mia) {

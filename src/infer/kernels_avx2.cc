@@ -53,24 +53,84 @@ AFTER_AVX2 inline void AxpyRowAvx2(float v, const float* w, int out,
   for (; j < out; ++j) row[j] += v * w[j];
 }
 
+/// acc + v * w, or acc itself when v is zero: the scalar tier's skip,
+/// as a blend rather than a branch, so a -0.0 bias keeps its sign.
+AFTER_AVX2 inline __m256 FmaUnlessZero(float v, __m256 w, __m256 acc) {
+  const __m256 vv = _mm256_set1_ps(v);
+  const __m256 zero = _mm256_cmp_ps(vv, _mm256_setzero_ps(), _CMP_EQ_OQ);
+  return _mm256_blendv_ps(_mm256_fmadd_ps(vv, w, acc), acc, zero);
+}
+
+/// kRows consecutive rows of the GCN layer. Each row has its own
+/// accumulator per 8-column chunk and adds its terms in the one-row
+/// order (bias, x by k, ax by k, the degree term), so its bits do not
+/// depend on the rows beside it: the rows only keep kRows independent
+/// FMA chains in flight. Columns past the last chunk run per row in
+/// scalar, as the axpy tail does.
+template <int kRows>
+AFTER_AVX2 void GcnRowsAvx2(int in, int out, const float* x, const float* ax,
+                            const float* w_self, const float* w_neigh,
+                            const float* bias, const float* deg,
+                            const float* deg_row, Act act, float* y) {
+  int j = 0;
+  for (; j + 8 <= out; j += 8) {
+    __m256 acc[kRows];
+    for (int r = 0; r < kRows; ++r) acc[r] = _mm256_loadu_ps(bias + j);
+    for (int k = 0; k < in; ++k) {
+      const __m256 w =
+          _mm256_loadu_ps(w_self + static_cast<std::size_t>(k) * out + j);
+      for (int r = 0; r < kRows; ++r)
+        acc[r] = FmaUnlessZero(x[r * in + k], w, acc[r]);
+    }
+    for (int k = 0; k < in; ++k) {
+      const __m256 w =
+          _mm256_loadu_ps(w_neigh + static_cast<std::size_t>(k) * out + j);
+      for (int r = 0; r < kRows; ++r)
+        acc[r] = FmaUnlessZero(ax[r * in + k], w, acc[r]);
+    }
+    if (deg != nullptr && deg_row != nullptr) {
+      const __m256 w = _mm256_loadu_ps(deg_row + j);
+      for (int r = 0; r < kRows; ++r) acc[r] = FmaUnlessZero(deg[r], w, acc[r]);
+    }
+    for (int r = 0; r < kRows; ++r)
+      _mm256_storeu_ps(y + static_cast<std::size_t>(r) * out + j, acc[r]);
+  }
+  for (; j < out; ++j) {
+    for (int r = 0; r < kRows; ++r) {
+      float acc = bias[j];
+      for (int k = 0; k < in; ++k) {
+        const float v = x[r * in + k];
+        if (v != 0.0f) acc += v * w_self[static_cast<std::size_t>(k) * out + j];
+      }
+      for (int k = 0; k < in; ++k) {
+        const float v = ax[r * in + k];
+        if (v != 0.0f)
+          acc += v * w_neigh[static_cast<std::size_t>(k) * out + j];
+      }
+      if (deg != nullptr && deg_row != nullptr && deg[r] != 0.0f)
+        acc += deg[r] * deg_row[j];
+      y[static_cast<std::size_t>(r) * out + j] = acc;
+    }
+  }
+  for (int r = 0; r < kRows; ++r)
+    ApplyActRowAvx2(act, out, y + static_cast<std::size_t>(r) * out);
+}
+
+/// Rows four at a time, then a 1-3 row tail through the same body.
 AFTER_AVX2 void GcnLayerAvx2(int n, int in, int out, const float* x,
                              const float* ax, const float* w_self,
                              const float* w_neigh, const float* bias,
                              const float* deg, const float* deg_row, Act act,
                              float* y) {
-  for (int i = 0; i < n; ++i) {
-    float* row = y + static_cast<std::size_t>(i) * out;
-    std::memcpy(row, bias, static_cast<std::size_t>(out) * sizeof(float));
-    const float* xi = x + static_cast<std::size_t>(i) * in;
-    for (int k = 0; k < in; ++k)
-      AxpyRowAvx2(xi[k], w_self + static_cast<std::size_t>(k) * out, out, row);
-    const float* axi = ax + static_cast<std::size_t>(i) * in;
-    for (int k = 0; k < in; ++k)
-      AxpyRowAvx2(axi[k], w_neigh + static_cast<std::size_t>(k) * out, out,
-                  row);
-    if (deg != nullptr && deg_row != nullptr)
-      AxpyRowAvx2(deg[i], deg_row, out, row);
-    ApplyActRowAvx2(act, out, row);
+  static constexpr decltype(&GcnRowsAvx2<4>) kBlock[] = {
+      nullptr, GcnRowsAvx2<1>, GcnRowsAvx2<2>, GcnRowsAvx2<3>,
+      GcnRowsAvx2<4>};
+  for (int i = 0; i < n; i += 4) {
+    kBlock[n - i < 4 ? n - i : 4](
+        in, out, x + static_cast<std::size_t>(i) * in,
+        ax + static_cast<std::size_t>(i) * in, w_self, w_neigh, bias,
+        deg != nullptr ? deg + i : nullptr, deg_row, act,
+        y + static_cast<std::size_t>(i) * out);
   }
 }
 

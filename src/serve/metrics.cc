@@ -63,6 +63,35 @@ void LatencyHistogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
+std::atomic<int64_t>* PerRoomCounters::CounterFor(int room) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return &counts_.try_emplace(room, 0).first->second;
+}
+
+std::unordered_map<int, int64_t> PerRoomCounters::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::unordered_map<int, int64_t> out;
+  for (const auto& [room, counter] : counts_) {
+    const int64_t count = counter.load(std::memory_order_relaxed);
+    if (count != 0) out.emplace(room, count);
+  }
+  return out;
+}
+
+int64_t PerRoomCounters::Total() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  int64_t total = 0;
+  for (const auto& [room, counter] : counts_)
+    total += counter.load(std::memory_order_relaxed);
+  return total;
+}
+
+void PerRoomCounters::Reset() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& [room, counter] : counts_)
+    counter.store(0, std::memory_order_relaxed);
+}
+
 void ServerMetrics::NoteQueueDepth(int32_t depth) {
   int32_t prev = max_queue_depth.load(std::memory_order_relaxed);
   while (depth > prev &&
@@ -92,6 +121,9 @@ std::string ServerMetrics::DebugString() const {
                 queue_depth.load(), max_queue_depth.load(),
                 static_cast<long long>(ticks.load()),
                 static_cast<long long>(delta_ticks.load()));
+  out += line;
+  std::snprintf(line, sizeof(line), "answers: %lld shared\n",
+                static_cast<long long>(answers_shared.load()));
   out += line;
   if (pruned_requests.load() > 0) {
     std::snprintf(line, sizeof(line), "pruned: %lld requests\n",
@@ -141,6 +173,7 @@ void ServerMetrics::Reset() {
   ticks.store(0);
   delta_ticks.store(0);
   pruned_requests.store(0);
+  answers_shared.store(0);
   rooms_assigned.store(0);
   rooms_released.store(0);
   migrations_in.store(0);

@@ -46,40 +46,31 @@ class LatencyHistogram {
 /// against each hosted room since start (or Reset). A room is noted
 /// only once a request resolves to it, so ids from an untrusted wire
 /// never grow the map, and requests shed at admission do not count per
-/// room (they still count in `shed`). Unlike the rest of ServerMetrics
-/// this is a mutex-guarded map, not a lock-free counter — the room-id
-/// space is open-ended (partitioned shards host whatever the router
-/// grants), and one short uncontended lock per request against a
-/// hosted room is cheap next to a model forward pass.
+/// room (they still count in `shed`). The room-id space is open-ended
+/// (partitioned shards host whatever the router grants), so the map
+/// sits behind a mutex, but the request path never takes it: the server
+/// resolves a room's counter once, when it starts hosting the room, and
+/// each request is one relaxed increment through that pointer.
 /// Skew-aware drivers (bench/world_sim) read the snapshot to verify
 /// that offered Zipf load actually reached the rooms it targeted.
 class PerRoomCounters {
  public:
-  void Note(int room) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counts_[room];
-  }
+  /// The counter of `room`, created at zero on first call. The pointer
+  /// stays valid for the life of this object: Reset zeroes counters and
+  /// never frees one.
+  std::atomic<int64_t>* CounterFor(int room);
 
-  std::unordered_map<int, int64_t> Snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counts_;
-  }
+  /// Every room with a nonzero count.
+  std::unordered_map<int, int64_t> Snapshot() const;
 
-  int64_t Total() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    int64_t total = 0;
-    for (const auto& entry : counts_) total += entry.second;
-    return total;
-  }
+  int64_t Total() const;
 
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counts_.clear();
-  }
+  void Reset();
 
  private:
   mutable std::mutex mutex_;
-  std::unordered_map<int, int64_t> counts_;
+  /// Node-based, so a counter's address survives rehashing.
+  std::unordered_map<int, std::atomic<int64_t>> counts_;
 };
 
 /// Serving-side counters for the RecommendationServer. All counters are
@@ -111,6 +102,10 @@ struct ServerMetrics {
   /// Requests answered against a temporally pruned candidate set
   /// (ServerOptions::max_candidates).
   std::atomic<int64_t> pruned_requests{0};
+  /// Requests that took the primary's answer from a snapshot's answer
+  /// slot another request filled (RoomSnapshot::AnswerFor): the primary
+  /// calls the server saved.
+  std::atomic<int64_t> answers_shared{0};
   /// Partitioned serving (serve/shard_control.h): ownership grants and
   /// releases processed by this shard, and how many of the grants
   /// carried migrated state (as opposed to fresh-seeded rooms).

@@ -37,6 +37,8 @@ RoomSnapshot::RoomSnapshot(int tick, std::vector<Vec2> positions,
       arcs_(positions_.size()),
       occlusion_once_(new std::once_flag[positions_.size()]),
       occlusion_built_(new std::atomic<bool>[positions_.size()]),
+      answers_(positions_.size()),
+      answer_once_(new std::once_flag[positions_.size()]),
       temporal_(std::move(temporal)) {
   for (size_t i = 0; i < positions_.size(); ++i)
     occlusion_built_[i].store(false, std::memory_order_relaxed);
@@ -57,6 +59,8 @@ RoomSnapshot::RoomSnapshot(int tick, std::vector<Vec2> positions,
       arcs_(positions_.size()),
       occlusion_once_(new std::once_flag[positions_.size()]),
       occlusion_built_(new std::atomic<bool>[positions_.size()]),
+      answers_(positions_.size()),
+      answer_once_(new std::once_flag[positions_.size()]),
       temporal_(std::move(temporal)),
       built_by_delta_(true),
       num_moved_(static_cast<int>(moved.size())) {
@@ -112,6 +116,7 @@ StepContext RoomSnapshot::ContextFor(int target) const {
   context.target = target;
   context.positions = &positions_;
   context.occlusion = &OcclusionFor(target);
+  context.arcs = &arcs_[target];  // built with the graph
   context.interfaces = interfaces_;
   context.preference = preference_;
   context.social_presence = social_presence_;

@@ -75,8 +75,33 @@ class RoomSnapshot {
   /// A StepContext viewing this snapshot (valid while the snapshot
   /// lives). Field-for-field identical to what core/evaluator builds for
   /// the same scene, which is what makes a 1-thread server reproduce the
-  /// offline replay bit-exactly (tests/serve/determinism_test.cc).
+  /// offline replay bit-exactly (tests/serve/determinism_test.cc). The
+  /// one addition, `arcs`, points at the target's cached view arcs,
+  /// whose values the evaluator's path recomputes bit for bit.
   StepContext ContextFor(int target) const;
+
+  /// What the serving primary answered for one target on this snapshot.
+  struct TargetAnswer {
+    std::vector<bool> recommended;
+    /// Whether the primary ranked a temporally pruned candidate set
+    /// (ServerOptions::max_candidates).
+    bool pruned = false;
+  };
+
+  /// The target's answer slot, next to its occlusion slot: the first
+  /// call runs `fill` and keeps what it returns; every other call,
+  /// concurrent or later, waits for that and returns the same answer.
+  /// Thread-safe (std::call_once, as OcclusionFor). Nothing invalidates
+  /// a slot: a tick publishes a new snapshot with empty slots, and a
+  /// slot dies with its snapshot. Sharing is only sound when `fill` is
+  /// a pure function of the snapshot and the target, which the serving
+  /// primary's contract guarantees (Recommender::thread_safe).
+  template <typename Fill>
+  const TargetAnswer& AnswerFor(int target, Fill&& fill) const {
+    std::call_once(answer_once_[target],
+                   [&] { answers_[target] = fill(); });
+    return answers_[target];
+  }
 
   /// Temporal recency view attached at publish (null when the room's
   /// temporal index is off).
@@ -125,6 +150,9 @@ class RoomSnapshot {
   /// readers acquire). Lets the delta constructor read the
   /// predecessor's hot set without touching its once_flags.
   std::unique_ptr<std::atomic<bool>[]> occlusion_built_;
+  /// One answer slot per target (AnswerFor).
+  mutable std::vector<TargetAnswer> answers_;
+  std::unique_ptr<std::once_flag[]> answer_once_;
   std::shared_ptr<const TemporalView> temporal_;
   bool built_by_delta_ = false;
   int num_moved_ = -1;

@@ -18,7 +18,7 @@ RecommendationServer::RecommendationServer(
   for (auto& room : rooms) {
     AFTER_CHECK(room != nullptr);
     const int id = room->id();
-    AFTER_CHECK(rooms_.emplace(id, std::move(room)).second);
+    AFTER_CHECK(rooms_.emplace(id, Host(std::move(room))).second);
   }
   primary_ = factory();
   AFTER_CHECK(primary_ != nullptr);
@@ -115,13 +115,21 @@ void RecommendationServer::TickAll() {
   for (int id : RoomIds()) (void)TickRoom(id);
 }
 
+RecommendationServer::HostedRoom RecommendationServer::Host(
+    std::unique_ptr<Room> room) {
+  std::atomic<int64_t>* requests =
+      metrics_.room_requests.CounterFor(room->id());
+  return HostedRoom{std::move(room), requests};
+}
+
 Status RecommendationServer::AddRoom(std::unique_ptr<Room> room) {
   AFTER_CHECK(room != nullptr);
   const int id = room->id();
   std::lock_guard<std::mutex> lock(rooms_mutex_);
-  if (!rooms_.emplace(id, std::move(room)).second)
+  if (rooms_.contains(id))
     return InvalidArgumentError("room " + std::to_string(id) +
                                 " is already hosted");
+  rooms_.emplace(id, Host(std::move(room)));
   return OkStatus();
 }
 
@@ -131,16 +139,21 @@ std::shared_ptr<Room> RecommendationServer::RemoveRoom(int id) {
     std::lock_guard<std::mutex> lock(rooms_mutex_);
     auto it = rooms_.find(id);
     if (it == rooms_.end()) return nullptr;
-    removed = std::move(it->second);
+    removed = std::move(it->second.room);
     rooms_.erase(it);
   }
   return removed;
 }
 
-std::shared_ptr<Room> RecommendationServer::FindRoom(int id) const {
+RecommendationServer::HostedRoom RecommendationServer::FindHosted(
+    int id) const {
   std::lock_guard<std::mutex> lock(rooms_mutex_);
   auto it = rooms_.find(id);
-  return it == rooms_.end() ? nullptr : it->second;
+  return it == rooms_.end() ? HostedRoom{} : it->second;
+}
+
+std::shared_ptr<Room> RecommendationServer::FindRoom(int id) const {
+  return FindHosted(id).room;
 }
 
 bool RecommendationServer::HasRoom(int id) const {
@@ -155,15 +168,27 @@ std::vector<int> RecommendationServer::RoomIds() const {
   return ids;
 }
 
+StepContext RecommendationServer::RequestContext(
+    const RoomSnapshot& snapshot, int user,
+    std::vector<bool>* prune_mask) const {
+  StepContext context = snapshot.ContextFor(user);
+  // Temporal candidate pruning: cap the candidate set to the target's
+  // most-recently co-present users.
+  if (snapshot.PruneCandidates(user, options_.max_candidates, prune_mask))
+    context.blocklist = prune_mask;
+  return context;
+}
+
 void RecommendationServer::Answer(
     const FriendRequest& request, const Deadline& deadline,
     const std::function<void(const FriendResponse&)>& done) {
   // In-flight requests keep a removed (migrated) room alive through this
   // shared_ptr and drain normally.
-  const std::shared_ptr<Room> hosted =
-      request.room < 0 ? nullptr : FindRoom(request.room);
-  if (hosted != nullptr) metrics_.room_requests.Note(request.room);
-  const int n = hosted != nullptr ? hosted->num_users() : 0;
+  const HostedRoom hosted =
+      request.room < 0 ? HostedRoom{} : FindHosted(request.room);
+  if (hosted.room != nullptr)
+    hosted.requests->fetch_add(1, std::memory_order_relaxed);
+  const int n = hosted.room != nullptr ? hosted.room->num_users() : 0;
   const int user = request.user;
 
   FriendResponse response;
@@ -173,7 +198,7 @@ void RecommendationServer::Answer(
     oss << "deadline expired after " << deadline.ElapsedMs()
         << " ms in queue";
     response.status = TimeoutError(oss.str());
-  } else if (hosted == nullptr) {
+  } else if (hosted.room == nullptr) {
     metrics_.errors.fetch_add(1, std::memory_order_relaxed);
     std::ostringstream oss;
     oss << "room " << request.room << " does not exist";
@@ -185,30 +210,42 @@ void RecommendationServer::Answer(
         << request.room;
     response.status = InvalidDataError(oss.str());
   } else {
-    const std::shared_ptr<const RoomSnapshot> snapshot = hosted->snapshot();
-    StepContext context = snapshot->ContextFor(user);
-    // Temporal candidate pruning: cap the candidate set to the target's
-    // most-recently co-present users. The mask must outlive the model
-    // calls below (fallback included), hence the local here.
-    std::vector<bool> prune_mask;
-    if (snapshot->PruneCandidates(user, options_.max_candidates,
-                                  &prune_mask)) {
-      context.blocklist = &prune_mask;
+    const std::shared_ptr<const RoomSnapshot> snapshot =
+        hosted.room->snapshot();
+    // One primary call per (snapshot, target): the request that fills
+    // the target's slot builds the context and runs the primary, and
+    // every other request for the target on this snapshot shares it.
+    bool filled = false;
+    const RoomSnapshot::TargetAnswer& primary =
+        snapshot->AnswerFor(user, [&] {
+          filled = true;
+          std::vector<bool> prune_mask;
+          const StepContext context =
+              RequestContext(*snapshot, user, &prune_mask);
+          return RoomSnapshot::TargetAnswer{primary_->Recommend(context),
+                                            context.blocklist != nullptr};
+        });
+    if (!filled)
+      metrics_.answers_shared.fetch_add(1, std::memory_order_relaxed);
+    if (primary.pruned)
       metrics_.pruned_requests.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::vector<bool> recommended = primary_->Recommend(context);
-    const bool misbehaved = static_cast<int>(recommended.size()) != n;
+    const bool misbehaved = static_cast<int>(primary.recommended.size()) != n;
     response.tick = snapshot->tick();
+    std::vector<bool> recommended;
     if (misbehaved || deadline.Expired()) {
       // Ladder step 3: the primary's answer is unusable (wrong shape) or
       // too late to be worth rendering; serve the cheap spatial fallback
       // instead of failing the request.
-      recommended = fallback_.Recommend(context);
+      std::vector<bool> prune_mask;
+      recommended =
+          fallback_.Recommend(RequestContext(*snapshot, user, &prune_mask));
       response.used_fallback = true;
       if (misbehaved)
         metrics_.fallbacks_misbehaved.fetch_add(1, std::memory_order_relaxed);
       else
         metrics_.fallbacks_deadline.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      recommended = primary.recommended;
     }
     if (static_cast<int>(recommended.size()) != n) {
       metrics_.errors.fetch_add(1, std::memory_order_relaxed);

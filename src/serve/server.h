@@ -1,6 +1,8 @@
 #ifndef AFTER_SERVE_SERVER_H_
 #define AFTER_SERVE_SERVER_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,7 +60,11 @@ struct ServerOptions {
 /// every room and worker shares it lock-free, so it must report
 /// Recommender::thread_safe(). Stateful models (the mutable POSHGNN,
 /// the recurrent baselines, COMURNet) belong to the offline evaluator;
-/// serve FrozenPoshgnn instead.
+/// serve FrozenPoshgnn instead. The primary is called once per (tick,
+/// target): the first request for a target on a snapshot fills the
+/// snapshot's answer slot (RoomSnapshot::AnswerFor), and every other
+/// request for it on that snapshot shares the answer. Each request still
+/// runs its own ladder around that answer.
 class RecommendationServer {
  public:
   /// Display budget of the NearestRecommender degradation fallback.
@@ -120,15 +126,30 @@ class RecommendationServer {
   void Shutdown();
 
  private:
+  /// A hosted room and its request counter in metrics_.room_requests,
+  /// resolved once when the room is hosted so requests bump it lock-free.
+  struct HostedRoom {
+    std::shared_ptr<Room> room;
+    std::atomic<int64_t>* requests = nullptr;
+  };
+
   /// Ladder steps 2-4 for one admitted request: answers it exactly once
   /// through `done`, on the calling worker.
   void Answer(const FriendRequest& request, const Deadline& deadline,
               const std::function<void(const FriendResponse&)>& done);
 
+  /// The request's StepContext on `snapshot`. Under temporal pruning its
+  /// blocklist is `*prune_mask`, which must outlive the context.
+  StepContext RequestContext(const RoomSnapshot& snapshot, int user,
+                             std::vector<bool>* prune_mask) const;
+
+  HostedRoom Host(std::unique_ptr<Room> room);
+  HostedRoom FindHosted(int id) const;
+
   ServerOptions options_;
   /// Hosted rooms keyed by id. shared_ptr so RemoveRoom can unhost while
   /// requests already processing against the room drain safely.
-  std::unordered_map<int, std::shared_ptr<Room>> rooms_;
+  std::unordered_map<int, HostedRoom> rooms_;
   mutable std::mutex rooms_mutex_;
   /// Thread-safe, shared lock-free by every room and worker.
   std::unique_ptr<Recommender> primary_;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -12,6 +13,7 @@
 #include "data/dataset.h"
 #include "graph/occlusion_converter.h"
 #include "infer/dispatch.h"
+#include "serve/room.h"
 
 namespace after {
 namespace {
@@ -346,6 +348,76 @@ TEST(InferEngineTest, EvalMetricsIdenticalToReferenceEngine) {
                    reference_result.view_occlusion_rate);
   EXPECT_DOUBLE_EQ(fused_result.avg_recommended_per_step,
                    reference_result.avg_recommended_per_step);
+}
+
+TEST(InferEngineTest, SnapshotArcsForwardIsBitIdenticalToPositions) {
+  // A 512-user live room at the mega-room's density and motion. Its
+  // snapshot hands the forward the view arcs its occlusion graphs were
+  // built from, most of them carried across delta ticks. A forward that
+  // reads them must equal one that recomputes them from the positions,
+  // bit for bit, in every buffer.
+  DatasetConfig dataset_config;
+  dataset_config.num_users = 512;
+  dataset_config.num_steps = 2;
+  dataset_config.num_sessions = 1;
+  dataset_config.room_side = 10.0;
+  dataset_config.seed = 15;
+  const Dataset dataset = GenerateTimikLike(dataset_config);
+  serve::Room::Options options;
+  options.mode = serve::Room::Mode::kLive;
+  options.move_fraction = 0.05;
+  options.temporal_index = true;
+  const std::unique_ptr<serve::Room> room =
+      serve::Room::Create(options, &dataset).value();
+  ASSERT_TRUE(room->Tick().ok());
+  // Build every target's graph so that the next ticks carry its arcs.
+  for (int target = 0; target < room->num_users(); ++target)
+    room->snapshot()->OcclusionFor(target);
+  ASSERT_TRUE(room->Tick().ok());
+  ASSERT_TRUE(room->Tick().ok());
+  const std::shared_ptr<const serve::RoomSnapshot> snapshot = room->snapshot();
+  ASSERT_GT(snapshot->delta_carried(), 0);
+
+  const auto bits = [](float value) { return std::bit_cast<uint32_t>(value); };
+  const auto expect_same = [&](const std::vector<float>& with_arcs,
+                               const std::vector<float>& without,
+                               const char* buffer) {
+    ASSERT_EQ(with_arcs.size(), without.size()) << buffer;
+    for (std::size_t i = 0; i < with_arcs.size(); ++i)
+      ASSERT_EQ(bits(with_arcs[i]), bits(without[i]))
+          << buffer << " entry " << i;
+  };
+  const Poshgnn model(ModelConfig());
+  for (const infer::SimdLevel level :
+       {infer::SimdLevel::kScalar, infer::ActiveSimdLevel()}) {
+    const infer::PoshgnnInferEngine engine = MakeEngine(model, level);
+    for (int target = 0; target < snapshot->num_users(); ++target) {
+      StepContext with_arcs = snapshot->ContextFor(target);
+      ASSERT_NE(with_arcs.arcs, nullptr);
+      std::vector<bool> prune_mask;
+      for (const bool pruned : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "tier " << infer::SimdLevelName(level) << " target "
+                     << target << " pruned " << pruned);
+        with_arcs.blocklist =
+            pruned && snapshot->PruneCandidates(target, 32, &prune_mask)
+                ? &prune_mask
+                : nullptr;
+        StepContext without = with_arcs;
+        without.arcs = nullptr;
+        const infer::ForwardTrace a = engine.Trace(with_arcs);
+        const infer::ForwardTrace b = engine.Trace(without);
+        expect_same(a.features, b.features, "features");
+        expect_same(a.mask, b.mask, "mask");
+        expect_same(a.p_hat, b.p_hat, "p_hat");
+        expect_same(a.s_hat, b.s_hat, "s_hat");
+        expect_same(a.pdr_hidden, b.pdr_hidden, "pdr_hidden");
+        expect_same(a.prototype, b.prototype, "prototype");
+        expect_same(a.sigma, b.sigma, "sigma");
+        expect_same(a.recommendation, b.recommendation, "recommendation");
+      }
+    }
+  }
 }
 
 TEST(InferEngineTest, SteadyStateServesFromOneWorkspace) {

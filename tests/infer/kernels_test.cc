@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -183,6 +185,62 @@ TEST_F(TierEquivalence, GcnLayerMatchesScalarForEveryActivation) {
                         w_neigh.data(), bias.data(), deg.data(),
                         deg_row.data(), act, avx2_out.data());
     ExpectAllNear(scalar_out, avx2_out, 1e-5f);
+  }
+}
+
+TEST_F(TierEquivalence, GcnLayerRowsMatchOneRowCallsBitForBit) {
+  // The AVX2 layer runs rows four at a time, each row with its own
+  // accumulators; a row's bits must not depend on the rows beside it.
+  // n = 1..9 reaches every block and tail size; out 1, 8 and 12 reach
+  // the scalar column tail, the 8-wide chunk, and both.
+  const auto bits = [](float value) { return std::bit_cast<uint32_t>(value); };
+  for (const int in : {4, 8}) {
+    for (const int out : {1, 8, 12}) {
+      for (int n = 1; n <= 9; ++n) {
+        SCOPED_TRACE(::testing::Message()
+                     << "in " << in << " out " << out << " n " << n);
+        std::vector<float> x = RandomVec(n * in, 11);
+        std::vector<float> ax = RandomVec(n * in, 12);
+        std::vector<float> deg = RandomVec(n, 13);
+        // Zero inputs are skipped, as the scalar tier skips them: every
+        // third input, every fifth row's whole input, and a zero degree.
+        for (int i = 0; i < n * in; i += 3) x[i] = 0.0f;
+        for (int i = 1; i < n * in; i += 3) ax[i] = -0.0f;
+        for (int r = 0; r < n; r += 5) {
+          std::fill_n(x.begin() + r * in, in, 0.0f);
+          std::fill_n(ax.begin() + r * in, in, 0.0f);
+          deg[r] = 0.0f;
+        }
+        const std::vector<float> w_self = RandomVec(in * out, 14);
+        const std::vector<float> w_neigh = RandomVec(in * out, 15);
+        std::vector<float> bias = RandomVec(out, 16);
+        bias[0] = -0.0f;
+        const std::vector<float> deg_row = RandomVec(out, 17);
+        for (Act act : {Act::kNone, Act::kRelu, Act::kSigmoid}) {
+          std::vector<float> block(n * out), rows(n * out);
+          Avx2Ops().gcn_layer(n, in, out, x.data(), ax.data(), w_self.data(),
+                              w_neigh.data(), bias.data(), deg.data(),
+                              deg_row.data(), act, block.data());
+          for (int r = 0; r < n; ++r)
+            Avx2Ops().gcn_layer(1, in, out, x.data() + r * in,
+                                ax.data() + r * in, w_self.data(),
+                                w_neigh.data(), bias.data(), deg.data() + r,
+                                deg_row.data(), act, rows.data() + r * out);
+          for (int i = 0; i < n * out; ++i)
+            ASSERT_EQ(bits(block[i]), bits(rows[i])) << "entry " << i;
+          if (act != Act::kNone) continue;
+          // Row 0 has no nonzero input, so every term was skipped and
+          // the -0.0 bias keeps its sign, in both tiers.
+          std::vector<float> scalar(n * out);
+          ScalarOps().gcn_layer(n, in, out, x.data(), ax.data(),
+                                w_self.data(), w_neigh.data(), bias.data(),
+                                deg.data(), deg_row.data(), act,
+                                scalar.data());
+          EXPECT_EQ(bits(block[0]), bits(-0.0f));
+          EXPECT_EQ(bits(scalar[0]), bits(-0.0f));
+        }
+      }
+    }
   }
 }
 

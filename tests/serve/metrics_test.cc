@@ -1,8 +1,11 @@
 #include "serve/metrics.h"
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <initializer_list>
 #include <string>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -67,6 +70,29 @@ TEST(LatencyHistogramTest, ResetClears) {
   EXPECT_NEAR(histogram.PercentileMs(0.5), 2.0, 2.0 * kBucketError);
 }
 
+TEST(PerRoomCountersTest, CountersStayPutAndResetZeroesThem) {
+  PerRoomCounters counters;
+  std::atomic<int64_t>* first = counters.CounterFor(7);
+  // Enough rooms to rehash the map: the first counter must not move.
+  for (int room = 100; room < 400; ++room) counters.CounterFor(room);
+  EXPECT_EQ(counters.CounterFor(7), first);
+  first->fetch_add(3);
+  counters.CounterFor(100)->fetch_add(2);
+  // Rooms at zero (hosted, never asked) are absent.
+  const std::unordered_map<int, int64_t> counts = counters.Snapshot();
+  EXPECT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts.at(7), 3);
+  EXPECT_EQ(counts.at(100), 2);
+  EXPECT_EQ(counters.Total(), 5);
+
+  counters.Reset();
+  EXPECT_TRUE(counters.Snapshot().empty());
+  EXPECT_EQ(counters.Total(), 0);
+  // A reset counter is the same counter, still live.
+  first->fetch_add(1);
+  EXPECT_EQ(counters.Snapshot().at(7), 1);
+}
+
 /// Expects every entry of `want` in `dump`.
 void ExpectAll(const std::string& dump,
                std::initializer_list<std::string> want) {
@@ -105,12 +131,14 @@ TEST(MetricsDumpTest, ServerMetricsPrintsEveryCounterUnderItsLabel) {
   metrics.rooms_recovered.store(119);
   metrics.records_replayed.store(120);
   metrics.data_loss_rooms.store(121);
+  metrics.answers_shared.store(122);
   for (double ms : {1.0, 2.0, 40.0}) metrics.latency.RecordMs(ms);
 
   ExpectAll(metrics.DebugString(),
             {"serve: 101 submitted | 102 ok | 103 shed | 104 timeout | "
              "211 fallback (deadline 105, misbehaved 106) | 107 errors\n",
              "queue: depth 8 (max 9) | ticks 110 (111 delta)\n",
+             "answers: 122 shared\n",
              "pruned: 112 requests\n",
              "partition: 113 assigned (114 migrated in) | 115 released\n",
              "durability: 116 checkpoints | 117 journal records (118 bytes) "

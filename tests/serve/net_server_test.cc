@@ -187,14 +187,15 @@ TEST(NetServerTest, DegradationLadderTravelsTheWire) {
   ServerOptions options = NoDeadlineOptions();
   options.num_threads = 1;
   TestShard shard(dataset, options,
-                  [] { return std::make_unique<SlowRecommender>(30.0); });
+                  [] { return std::make_unique<SlowRecommender>(500.0); });
   auto client = NetClient::Connect("127.0.0.1", shard.net->port());
   ASSERT_TRUE(client.ok());
 
-  // Slow primary misses the 10 ms budget: the shard degrades to the
-  // nearest-neighbour fallback and the flag must survive serialization.
+  // Slow primary misses the 250 ms budget, which no queue wait reaches:
+  // the shard degrades to the nearest-neighbour fallback and the flag
+  // must survive serialization.
   auto response =
-      client.value()->Call({.room = 0, .user = 2, .deadline_ms = 10.0});
+      client.value()->Call({.room = 0, .user = 2, .deadline_ms = 250.0});
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response.value().status.ok())
       << response.value().status.ToString();

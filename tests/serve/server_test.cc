@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -58,17 +59,47 @@ class SlowRecommender : public Recommender {
   double sleep_ms_;
 };
 
-/// Thread-safe primary that always returns a wrong-size vector.
+/// Thread-safe primary that always returns a wrong-size vector and
+/// counts its calls.
 class MisbehavingRecommender : public Recommender {
  public:
   std::string name() const override { return "Broken"; }
   bool thread_safe() const override { return true; }
-  std::vector<bool> Recommend(const StepContext&) override { return {}; }
+  std::vector<bool> Recommend(const StepContext&) override {
+    calls_.fetch_add(1);
+    return {};
+  }
+  int calls() const { return calls_.load(); }
+
+ private:
+  std::atomic<int> calls_{0};
+};
+
+/// Primary budget of the answer-slot tests: below the fallback's, so a
+/// primary answer and a fallback answer select different counts.
+constexpr int kPrimaryK = 3;
+
+/// Thread-safe primary that counts its calls and answers as a
+/// NearestRecommender, so equal answers compare a nonempty selection.
+class CountingNearest : public Recommender {
+ public:
+  std::string name() const override { return "CountingNearest"; }
+  bool thread_safe() const override { return true; }
+  std::vector<bool> Recommend(const StepContext& context) override {
+    calls_.fetch_add(1);
+    return nearest_.Recommend(context);
+  }
+  int calls() const { return calls_.load(); }
+
+ private:
+  NearestRecommender nearest_{kPrimaryK};
+  std::atomic<int> calls_{0};
 };
 
 /// Thread-safe primary that blocks every inference call until Release()
 /// and counts the calls that entered, so a test can hold workers inside
-/// the model and see how many of them got there.
+/// the model and see how many of them got there. Answers as a
+/// NearestRecommender.
 class GatedRecommender : public Recommender {
  public:
   std::string name() const override { return "Gated"; }
@@ -78,13 +109,17 @@ class GatedRecommender : public Recommender {
     ++entries_;
     cv_.notify_all();
     cv_.wait(lock, [this] { return !gated_; });
-    return std::vector<bool>(context.positions->size(), false);
+    return nearest_.Recommend(context);
   }
   /// True once `count` calls have entered; false after `timeout`.
   bool WaitForEntries(int count, std::chrono::milliseconds timeout) {
     std::unique_lock<std::mutex> lock(mutex_);
     return cv_.wait_for(lock, timeout,
                         [this, count] { return entries_ >= count; });
+  }
+  int entries() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_;
   }
   void Release() {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -95,8 +130,42 @@ class GatedRecommender : public Recommender {
  private:
   std::mutex mutex_;
   std::condition_variable cv_;
+  NearestRecommender nearest_{kPrimaryK};
   int entries_ = 0;
   bool gated_ = true;
+};
+
+int Selected(const std::vector<bool>& recommended) {
+  int selected = 0;
+  for (bool b : recommended) selected += b ? 1 : 0;
+  return selected;
+}
+
+/// Collects asynchronous responses by submission index.
+class Responses {
+ public:
+  explicit Responses(int count) : responses_(count) {}
+  std::function<void(const FriendResponse&)> Slot(int index) {
+    return [this, index](const FriendResponse& response) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      responses_[index] = response;
+      ++done_;
+      cv_.notify_all();
+    };
+  }
+  const std::vector<FriendResponse>& WaitAll() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] {
+      return done_ == static_cast<int>(responses_.size());
+    });
+    return responses_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<FriendResponse> responses_;
+  int done_ = 0;
 };
 
 TEST(ServerTest, AnswersRequestsAgainstTheSnapshot) {
@@ -211,12 +280,14 @@ TEST(ServerTest, SlowPrimaryDegradesToNearestFallback) {
   ServerOptions options;
   options.num_threads = 1;
   options.default_deadline_ms = -1.0;
+  // The budget is one no queue wait reaches, and the primary takes
+  // twice as long: the request is degraded, never timed out in queue.
   RecommendationServer server(
       MakeRooms(dataset, 1),
-      [] { return std::make_unique<SlowRecommender>(30.0); }, options);
+      [] { return std::make_unique<SlowRecommender>(500.0); }, options);
 
   const FriendResponse response =
-      server.Handle({.room = 0, .user = 2, .deadline_ms = 10.0});
+      server.Handle({.room = 0, .user = 2, .deadline_ms = 250.0});
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_TRUE(response.used_fallback);
   // The answer is the fallback's, not the slow primary's all-false one.
@@ -337,6 +408,147 @@ TEST(ServerTest, OneRoomRunsOnEveryFreeWorker) {
   server.Shutdown();
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(server.metrics().queue_depth.load(), 0);
+}
+
+TEST(ServerTest, AnswerSlotCallsThePrimaryOncePerTargetPerTick) {
+  const Dataset dataset = SmallDataset();
+  ServerOptions options;
+  options.num_threads = 2;
+  options.default_deadline_ms = -1.0;
+  auto owned = std::make_unique<CountingNearest>();
+  CountingNearest* primary = owned.get();  // the server owns it
+  RecommendationServer server(
+      MakeRooms(dataset, 1), [&owned] { return std::move(owned); }, options);
+
+  constexpr int kRepeats = 5;
+  std::vector<bool> first;
+  for (int i = 0; i < kRepeats; ++i) {
+    const FriendResponse response = server.Handle({.room = 0, .user = 4});
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_FALSE(response.used_fallback);
+    EXPECT_EQ(response.tick, 0);
+    if (i == 0) first = response.recommended;
+    EXPECT_EQ(response.recommended, first) << "request " << i;
+  }
+  EXPECT_EQ(Selected(first), kPrimaryK);
+  EXPECT_EQ(primary->calls(), 1);
+  // Every request but the one that filled the slot shared it.
+  EXPECT_EQ(server.metrics().answers_shared.load(), kRepeats - 1);
+
+  // Another target on the same snapshot fills its own slot.
+  ASSERT_TRUE(server.Handle({.room = 0, .user = 5}).status.ok());
+  EXPECT_EQ(primary->calls(), 2);
+  EXPECT_EQ(server.metrics().answers_shared.load(), kRepeats - 1);
+
+  // The next tick publishes a snapshot with empty slots.
+  ASSERT_TRUE(server.TickRoom(0).ok());
+  for (int i = 0; i < kRepeats; ++i) {
+    const FriendResponse response = server.Handle({.room = 0, .user = 4});
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.tick, 1);
+  }
+  EXPECT_EQ(primary->calls(), 3);
+  EXPECT_EQ(server.metrics().answers_shared.load(), 2 * (kRepeats - 1));
+  EXPECT_EQ(server.metrics().responses_ok.load(), 2 * kRepeats + 1);
+}
+
+TEST(ServerTest, ConcurrentRequestsForOneTargetShareOneCall) {
+  const Dataset dataset = SmallDataset();
+  constexpr int kRequests = 8;
+  ServerOptions options;
+  options.num_threads = kRequests;
+  options.default_deadline_ms = -1.0;
+  auto owned = std::make_unique<GatedRecommender>();
+  GatedRecommender* gate = owned.get();  // the server owns it
+  RecommendationServer server(
+      MakeRooms(dataset, 1), [&owned] { return std::move(owned); }, options);
+
+  Responses responses(kRequests);
+  for (int i = 0; i < kRequests; ++i)
+    server.Submit({.room = 0, .user = 6}, responses.Slot(i));
+  const bool entered = gate->WaitForEntries(1, std::chrono::seconds(5));
+  // The other requests wait on the slot the first one is filling; any
+  // that get there after the release read the filled slot instead.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate->Release();
+  ASSERT_TRUE(entered) << "no request reached the model";
+  const std::vector<FriendResponse>& answered = responses.WaitAll();
+  server.Shutdown();
+
+  EXPECT_EQ(gate->entries(), 1);
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(answered[i].status.ok()) << answered[i].status.ToString();
+    EXPECT_FALSE(answered[i].used_fallback);
+    EXPECT_EQ(answered[i].recommended, answered[0].recommended)
+        << "request " << i;
+  }
+  EXPECT_EQ(Selected(answered[0].recommended), kPrimaryK);
+  EXPECT_EQ(server.metrics().answers_shared.load(), kRequests - 1);
+}
+
+TEST(ServerTest, RequestPastItsDeadlineOnTheSlotGetsTheFallback) {
+  const Dataset dataset = SmallDataset();
+  ServerOptions options;
+  options.num_threads = 2;
+  options.default_deadline_ms = -1.0;
+  auto owned = std::make_unique<GatedRecommender>();
+  GatedRecommender* gate = owned.get();  // the server owns it
+  RecommendationServer server(
+      MakeRooms(dataset, 1), [&owned] { return std::move(owned); }, options);
+
+  // The first request fills the slot and is held in the model. The
+  // second one, for the same target, has a budget no queue wait
+  // reaches, and waits on the slot for twice that.
+  Responses responses(2);
+  server.Submit({.room = 0, .user = 6, .deadline_ms = -1.0},
+                responses.Slot(0));
+  const bool entered = gate->WaitForEntries(1, std::chrono::seconds(5));
+  server.Submit({.room = 0, .user = 6, .deadline_ms = 250.0},
+                responses.Slot(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  gate->Release();
+  ASSERT_TRUE(entered) << "the first request never reached the model";
+  const std::vector<FriendResponse>& answered = responses.WaitAll();
+
+  ASSERT_TRUE(answered[0].status.ok()) << answered[0].status.ToString();
+  EXPECT_FALSE(answered[0].used_fallback);
+  EXPECT_EQ(Selected(answered[0].recommended), kPrimaryK);
+  ASSERT_TRUE(answered[1].status.ok()) << answered[1].status.ToString();
+  EXPECT_TRUE(answered[1].used_fallback);
+  EXPECT_EQ(Selected(answered[1].recommended),
+            RecommendationServer::kFallbackK);
+  EXPECT_EQ(server.metrics().fallbacks_deadline.load(), 1);
+  EXPECT_EQ(server.metrics().timeouts.load(), 0);
+
+  // The slot kept the primary's answer for the next request.
+  const FriendResponse next = server.Handle({.room = 0, .user = 6});
+  ASSERT_TRUE(next.status.ok()) << next.status.ToString();
+  EXPECT_FALSE(next.used_fallback);
+  EXPECT_EQ(next.recommended, answered[0].recommended);
+  EXPECT_EQ(gate->entries(), 1);
+  EXPECT_EQ(server.metrics().answers_shared.load(), 2);
+}
+
+TEST(ServerTest, WrongSizePrimaryDegradesEveryRequestOnTheSlot) {
+  const Dataset dataset = SmallDataset();
+  ServerOptions options;
+  options.default_deadline_ms = -1.0;
+  auto owned = std::make_unique<MisbehavingRecommender>();
+  MisbehavingRecommender* primary = owned.get();  // the server owns it
+  RecommendationServer server(
+      MakeRooms(dataset, 1), [&owned] { return std::move(owned); }, options);
+
+  constexpr int kRepeats = 3;
+  for (int i = 0; i < kRepeats; ++i) {
+    const FriendResponse response = server.Handle({.room = 0, .user = 2});
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_TRUE(response.used_fallback) << "request " << i;
+    EXPECT_EQ(Selected(response.recommended),
+              RecommendationServer::kFallbackK);
+  }
+  EXPECT_EQ(primary->calls(), 1);
+  EXPECT_EQ(server.metrics().fallbacks_misbehaved.load(), kRepeats);
+  EXPECT_EQ(server.metrics().answers_shared.load(), kRepeats - 1);
 }
 
 TEST(ServerTest, ConcurrentLoadCompletesEveryAdmittedRequest) {
