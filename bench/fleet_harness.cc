@@ -223,9 +223,8 @@ RestartReport ColdRestart(LocalFleet* fleet) {
     fleet->shards.clear();
     fleet->durabilities.clear();
   }
-  // Cold boot: same dirs, fresh shards (each replays its own journal and
-  // checkpoints in AddShard), then a fresh router reconciles the
-  // replicas' reports.
+  // Cold boot: same dirs, fresh shards (each replays its own journal in
+  // AddShard), then a fresh router reconciles the replicas' reports.
   const std::vector<std::string> dirs = std::move(fleet->durable_dirs);
   fleet->durable_dirs.clear();
   std::vector<serve::BackendAddress> backends;

@@ -85,9 +85,9 @@ struct LocalFleet {
 
 /// Starts one shard worker and appends it to the fleet. The shard starts
 /// empty and hosts whatever the router grants it (same room recipe via
-/// fleet->room_factory). A non-empty `durable_dir` attaches a journal +
-/// checkpoint subsystem there and replays whatever durable state the
-/// dir already holds before the shard starts serving. Returns false
+/// fleet->room_factory). A non-empty `durable_dir` attaches a journal
+/// there and replays whatever durable state it already holds before the
+/// shard starts serving. Returns false
 /// (with a message on stderr) on failure.
 bool AddShard(LocalFleet* fleet, int threads, const std::string& durable_dir,
               serve::BackendAddress* address);

@@ -189,8 +189,8 @@ TickStats RunVariant(const Dataset& dataset, const BenchConfig& config,
 
 /// Stale-cache drill (the nightly chaos matrix entry): tick a durable
 /// delta-snapshot room, "kill the shard" by dropping room + durability
-/// manager with no graceful shutdown, recover from journal +
-/// checkpoint, and verify the recovered room REBUILDS its occlusion
+/// manager with no graceful shutdown, recover from the journal's state
+/// record and tick tail, and verify the recovered room REBUILDS its occlusion
 /// caches — scratch snapshot, bit-exact against a from-scratch build —
 /// instead of reusing any pre-crash delta state, then resumes delta
 /// ticking on its next own tick.
@@ -222,9 +222,7 @@ int RunStaleCacheDrill(const Dataset& dataset, const BenchConfig& config,
     std::unique_ptr<serve::DurabilityManager> durability =
         std::move(opened).value();
     Status status =
-        durability->RecordAssign(room->id(), /*epoch=*/1, /*primary=*/true,
-                                 /*reset=*/true);
-    if (status.ok()) status = durability->CheckpointNow(*room);
+        durability->RecordState(*room, /*epoch=*/1, /*primary=*/true);
     for (int i = 0; status.ok() && i < 12; ++i) {
       status = room->Tick();
       if (status.ok()) status = durability->RecordTick(*room);
@@ -236,7 +234,7 @@ int RunStaleCacheDrill(const Dataset& dataset, const BenchConfig& config,
     donor_frame = room->CurrentTickFrame();
     donor_delta_ticks = static_cast<long long>(room->delta_ticks());
     // Scope exit = the kill: no checkpoint, no graceful release; the
-    // journal tail is all the recovery gets past the initial snapshot.
+    // journal tail is all the recovery gets past the initial state.
   }
   if (donor_delta_ticks <= 0) {
     std::fprintf(stderr,
@@ -261,7 +259,7 @@ int RunStaleCacheDrill(const Dataset& dataset, const BenchConfig& config,
   const serve::DurabilityManager::RecoveryEntry* entry = nullptr;
   for (const auto& candidate : plan.value().entries)
     if (candidate.room == room_options.id) entry = &candidate;
-  if (entry == nullptr || entry->checkpoint_state.empty()) {
+  if (entry == nullptr || entry->base_state.empty()) {
     std::fprintf(stderr, "drill: no recovery entry for the room\n");
     return 1;
   }
@@ -273,7 +271,7 @@ int RunStaleCacheDrill(const Dataset& dataset, const BenchConfig& config,
     return 1;
   }
   std::unique_ptr<serve::Room> recovered = std::move(recreated).value();
-  Status status = recovered->ApplyState(entry->checkpoint_state);
+  Status status = recovered->ApplyState(entry->base_state);
   for (const auto& record : entry->ticks) {
     if (!status.ok()) break;
     serve::Room::TickFrame frame;

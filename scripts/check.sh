@@ -244,6 +244,22 @@ run_docs_lane() {
       fail=1
     fi
   done
+  # The durability page must keep covering the one-file layout: the
+  # journal, its state records, the data-loss count, both budgets' and
+  # the fsync knob's names, and the recovery wire message. No page may
+  # name the per-room checkpoint files that are gone.
+  for term in journal.wal "state record" data_loss_rooms \
+              checkpoint_every_ticks journal_fsync kRoomRecover; do
+    if ! grep -q -- "${term}" docs/durability.md; then
+      echo "docs: ${term} is not mentioned in docs/durability.md"
+      fail=1
+    fi
+  done
+  local stale
+  while IFS= read -r stale; do
+    echo "docs: ${stale} names the removed .ckpt files"
+    fail=1
+  done < <(grep -rlF '.ckpt' docs README.md)
   # The nightly chaos matrix must keep every drill it has ever grown:
   # a matrix refactor that silently drops an entry would otherwise go
   # unnoticed until the drill it ran stops catching regressions.

@@ -33,7 +33,7 @@ import os
 import subprocess
 import sys
 
-FLOOR_PCT = 92.4
+FLOOR_PCT = 92.6
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -40,7 +40,7 @@ enum class StatusCode {
   /// caller should re-route to the room's current owner. Distinct from
   /// kUnavailable: the shard is healthy, it just is not responsible.
   kNotOwner,
-  /// Durable state (a checkpoint or journal, serve/checkpoint.h) is
+  /// Durable state (a shard's journal, serve/journal.h) is
   /// unrecoverably corrupt: the bytes exist but fail checksum or
   /// structural validation, so recovery must discard them. Distinct
   /// from kInvalidData (bad external input worth fixing out of band):

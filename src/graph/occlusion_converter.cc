@@ -38,34 +38,37 @@ bool ValidArcsOverlap(const ViewArc& a, const ViewArc& b) {
 /// overlap. That is an existence test, so the scan order cannot change
 /// the answer: O(B log B + N·B) for B flagged users, and in a crowd the
 /// nearest (widest) arcs usually end the scan early.
-std::vector<bool> BlockedByNearer(const std::vector<ViewArc>& arcs,
-                                  const std::vector<bool>& is_blocker) {
+/// The blocked mask goes to `*blocked` and the sorted flagged arcs to
+/// `*blockers`; both are overwritten and keep their capacity.
+void BlockedByNearer(const std::vector<ViewArc>& arcs,
+                     const std::vector<bool>& is_blocker,
+                     std::vector<ViewArc>* blockers,
+                     std::vector<bool>* blocked) {
   const int n = static_cast<int>(arcs.size());
-  std::vector<ViewArc> blockers;
+  blockers->clear();
   for (int u = 0; u < n; ++u) {
     // A NaN distance (a corrupted position) is never strictly nearer
     // than anything; leaving it out also keeps the sort well-defined.
     if (is_blocker[u] && arcs[u].valid && !std::isnan(arcs[u].distance))
-      blockers.push_back(arcs[u]);
+      blockers->push_back(arcs[u]);
   }
-  std::sort(blockers.begin(), blockers.end(),
+  std::sort(blockers->begin(), blockers->end(),
             [](const ViewArc& a, const ViewArc& b) {
               return a.distance < b.distance;
             });
-  std::vector<bool> blocked(n, false);
+  blocked->assign(n, false);
   for (int w = 0; w < n; ++w) {
     if (!arcs[w].valid) continue;
-    for (const ViewArc& u : blockers) {
+    for (const ViewArc& u : *blockers) {
       // Equal distance ends the scan too: w never blocks itself, and
       // users at the same depth do not block each other.
       if (!(u.distance < arcs[w].distance)) break;
       if (ValidArcsOverlap(u, arcs[w])) {
-        blocked[w] = true;
+        (*blocked)[w] = true;
         break;
       }
     }
   }
-  return blocked;
 }
 
 }  // namespace
@@ -94,15 +97,21 @@ bool ArcsOverlap(const ViewArc& a, const ViewArc& b) {
 
 std::vector<ViewArc> ComputeViewArcs(const std::vector<Vec2>& positions,
                                      int target, double body_radius) {
+  std::vector<ViewArc> arcs;
+  ComputeViewArcs(positions, target, body_radius, &arcs);
+  return arcs;
+}
+
+void ComputeViewArcs(const std::vector<Vec2>& positions, int target,
+                     double body_radius, std::vector<ViewArc>* arcs) {
   AFTER_CHECK_GE(target, 0);
   AFTER_CHECK_LT(target, static_cast<int>(positions.size()));
-  std::vector<ViewArc> arcs(positions.size());
+  arcs->assign(positions.size(), ViewArc{});
   for (size_t i = 0; i < positions.size(); ++i) {
     if (static_cast<int>(i) == target) continue;  // stays invalid
-    arcs[i] =
+    (*arcs)[i] =
         ComputeViewArc(positions[target], positions[i], body_radius);
   }
-  return arcs;
 }
 
 OcclusionGraph BuildOcclusionGraph(const std::vector<Vec2>& positions,
@@ -300,20 +309,24 @@ DynamicOcclusionGraph BuildDynamicOcclusionGraph(
 std::vector<bool> PhysicallyBlockedUsers(const std::vector<Vec2>& positions,
                                          int target, double body_radius,
                                          const std::vector<bool>& is_physical) {
-  const int n = static_cast<int>(positions.size());
-  AFTER_CHECK_EQ(static_cast<int>(is_physical.size()), n);
-  if (!is_physical[target]) return std::vector<bool>(n, false);
-  return BlockedByNearer(ComputeViewArcs(positions, target, body_radius),
-                         is_physical);
+  std::vector<ViewArc> blockers;
+  std::vector<bool> blocked;
+  PhysicallyBlockedUsers(ComputeViewArcs(positions, target, body_radius),
+                         target, is_physical, &blockers, &blocked);
+  return blocked;
 }
 
-std::vector<bool> PhysicallyBlockedUsers(const std::vector<ViewArc>& arcs,
-                                         int target,
-                                         const std::vector<bool>& is_physical) {
+void PhysicallyBlockedUsers(const std::vector<ViewArc>& arcs, int target,
+                            const std::vector<bool>& is_physical,
+                            std::vector<ViewArc>* blockers,
+                            std::vector<bool>* blocked) {
   const int n = static_cast<int>(arcs.size());
   AFTER_CHECK_EQ(static_cast<int>(is_physical.size()), n);
-  if (!is_physical[target]) return std::vector<bool>(n, false);
-  return BlockedByNearer(arcs, is_physical);
+  if (!is_physical[target]) {
+    blocked->assign(n, false);
+    return;
+  }
+  BlockedByNearer(arcs, is_physical, blockers, blocked);
 }
 
 std::vector<bool> ComputeVisibility(const std::vector<Vec2>& positions,
@@ -321,8 +334,10 @@ std::vector<bool> ComputeVisibility(const std::vector<Vec2>& positions,
                                     const std::vector<bool>& rendered) {
   const int n = static_cast<int>(positions.size());
   AFTER_CHECK_EQ(static_cast<int>(rendered.size()), n);
-  const std::vector<bool> blocked = BlockedByNearer(
-      ComputeViewArcs(positions, target, body_radius), rendered);
+  std::vector<ViewArc> blockers;
+  std::vector<bool> blocked;
+  BlockedByNearer(ComputeViewArcs(positions, target, body_radius), rendered,
+                  &blockers, &blocked);
   std::vector<bool> visible(n, false);
   for (int w = 0; w < n; ++w)
     visible[w] = w != target && rendered[w] && !blocked[w];

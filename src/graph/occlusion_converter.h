@@ -41,6 +41,10 @@ bool ArcsOverlap(const ViewArc& a, const ViewArc& b);
 std::vector<ViewArc> ComputeViewArcs(const std::vector<Vec2>& positions,
                                      int target, double body_radius);
 
+/// Same arcs, written into `*arcs`, whose capacity is reused.
+void ComputeViewArcs(const std::vector<Vec2>& positions, int target,
+                     double body_radius, std::vector<ViewArc>* arcs);
+
 /// Builds the static occlusion graph for `target` at one time instant:
 /// an edge between w_i and w_j iff their arcs overlap. The target itself
 /// is an isolated node (Sec. III-B).
@@ -107,10 +111,14 @@ std::vector<bool> PhysicallyBlockedUsers(const std::vector<Vec2>& positions,
                                          const std::vector<bool>& is_physical);
 
 /// Same mask from the target's arcs (ComputeViewArcs, or a snapshot's
-/// cached arcs, which equal them bit for bit), without recomputing them.
-std::vector<bool> PhysicallyBlockedUsers(const std::vector<ViewArc>& arcs,
-                                         int target,
-                                         const std::vector<bool>& is_physical);
+/// cached arcs, which equal them bit for bit), without recomputing them,
+/// written into `*blocked`. `*blockers` is scratch for the nearest-first
+/// physical arcs. Both keep their capacity, so a caller that reuses them
+/// allocates nothing once they have grown to the room.
+void PhysicallyBlockedUsers(const std::vector<ViewArc>& arcs, int target,
+                            const std::vector<bool>& is_physical,
+                            std::vector<ViewArc>* blockers,
+                            std::vector<bool>* blocked);
 
 /// Visibility indicator 1[v => w at t] for a set of rendered users: w is
 /// visible iff w is rendered and no strictly-nearer rendered user's arc

@@ -6,6 +6,8 @@
 #include <mutex>
 #include <vector>
 
+#include "graph/occlusion_converter.h"
+
 namespace after {
 namespace infer {
 
@@ -75,6 +77,12 @@ struct Workspace {
   /// Per-node degree of the occlusion adjacency (float for the fused
   /// LWP e0-degree term; see docs/inference.md).
   std::vector<float> degree;
+  /// MIA mask scratch (PhysicallyBlockedUsers): the target's view arcs
+  /// when the context has none, the MR flags, the nearest-first
+  /// physical arcs, and the blocked mask.
+  std::vector<ViewArc> arcs;
+  std::vector<bool> physical;
+  std::vector<ViewArc> blockers;
   std::vector<bool> blocked;
 
   explicit Workspace(std::size_t initial_floats = 0)

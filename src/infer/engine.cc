@@ -91,9 +91,13 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
   const int v = context.target;
   const int k = config_.hidden_dim;
   // The caller's arcs (a serving snapshot's), when it has them: the same
-  // ComputeViewArc values the position-based paths below would compute.
+  // ComputeViewArc values computed here otherwise.
   const std::vector<ViewArc>* arcs = context.arcs;
-  if (arcs != nullptr) AFTER_CHECK_EQ(static_cast<int>(arcs->size()), n);
+  if (arcs == nullptr) {
+    ComputeViewArcs(positions, v, context.body_radius, &workspace.arcs);
+    arcs = &workspace.arcs;
+  }
+  AFTER_CHECK_EQ(static_cast<int>(arcs->size()), n);
   Arena& arena = workspace.arena;
 
   Buffers b;
@@ -105,16 +109,13 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
   // --- MIA, float32. The geometry stays double (exactly the reference
   // path's arithmetic) and narrows once at the feature store.
   if (config_.use_mia) {
-    workspace.blocked.assign(n, false);
+    workspace.physical.assign(n, false);
     for (int u = 0; u < n; ++u)
-      workspace.blocked[u] = interfaces[u] == Interface::kMR;
-    const std::vector<bool> blocked =
-        arcs != nullptr ? PhysicallyBlockedUsers(*arcs, v, workspace.blocked)
-                        : PhysicallyBlockedUsers(positions, v,
-                                                 context.body_radius,
-                                                 workspace.blocked);
+      workspace.physical[u] = interfaces[u] == Interface::kMR;
+    PhysicallyBlockedUsers(*arcs, v, workspace.physical, &workspace.blockers,
+                           &workspace.blocked);
     for (int w = 0; w < n; ++w) {
-      bool masked = w == v || blocked[w];
+      bool masked = w == v || workspace.blocked[w];
       if (context.blocklist != nullptr && (*context.blocklist)[w])
         masked = true;
       b.mask[w] = masked ? 0.0f : 1.0f;
@@ -127,9 +128,7 @@ PoshgnnInferEngine::Buffers PoshgnnInferEngine::Forward(
       context.distance_scale > 0.0 ? context.distance_scale : 1.0;
   for (int w = 0; w < n; ++w) {
     if (w == v) continue;
-    // |w - v| from the arc and |v - w| here have the same bits.
-    const double dist = arcs != nullptr ? (*arcs)[w].distance
-                                        : Distance(positions[v], positions[w]);
+    const double dist = (*arcs)[w].distance;
     double p = context.preference->At(v, w);
     double s = context.social_presence->At(v, w);
     if (config_.use_mia) {

@@ -1,172 +1,62 @@
 #include "serve/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <sstream>
+#include <map>
 #include <utility>
 
 #include "common/check.h"
-#include "nn/artifact.h"
-#include "nn/serialize.h"
 #include "serve/server.h"
 
 namespace after {
 namespace serve {
 namespace {
 
-namespace fs = std::filesystem;
-
-constexpr const char* kCheckpointKind = "room-checkpoint";
-constexpr const char* kJournalFileName = "journal.wal";
-
-std::string JournalPathFor(const std::string& dir) {
-  return dir + "/" + kJournalFileName;
-}
-
-/// fsync by path; needed to make the temp file durable before rename.
-Status SyncPath(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0)
-    return InternalError("checkpoint: open '" + path +
-                         "': " + std::strerror(errno));
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0)
-    return InternalError("checkpoint: fsync '" + path +
-                         "': " + std::strerror(errno));
-  return OkStatus();
-}
-
-uint64_t ParseEpoch(const std::string& text) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  return (end && *end == '\0') ? static_cast<uint64_t>(parsed) : 0;
+JournalRecord StateRecord(const Room& room, uint64_t epoch, bool primary) {
+  JournalRecord record;
+  record.type = JournalRecord::Type::kState;
+  record.room = room.id();
+  record.epoch = epoch;
+  record.primary = primary;
+  record.tick = room.tick();
+  record.state = room.ExportState();
+  return record;
 }
 
 }  // namespace
 
-std::string CheckpointPath(const std::string& dir, int room) {
-  return dir + "/room-" + std::to_string(room) + ".ckpt";
-}
-
-Status WriteRoomCheckpoint(const std::string& dir,
-                           const RoomCheckpoint& checkpoint) {
-  // The blob is nn/serialize parameter text already; parse it into the
-  // artifact's matrices so the container's checksum covers the exact
-  // bytes ApplyState will see again after load (precision-17 text
-  // round-trips doubles bit-exactly).
-  ModelArtifact artifact;
-  artifact.kind = kCheckpointKind;
-  artifact.metadata["room"] = std::to_string(checkpoint.room);
-  artifact.metadata["epoch"] = std::to_string(checkpoint.epoch);
-  artifact.metadata["primary"] = checkpoint.primary ? "1" : "0";
-  artifact.metadata["tick"] = std::to_string(checkpoint.tick);
-  std::istringstream blob(checkpoint.state);
-  AFTER_RETURN_IF_ERROR(ReadParameterBlock(blob, &artifact.parameters)
-                            .Annotate("checkpoint room " +
-                                      std::to_string(checkpoint.room)));
-  const std::string path = CheckpointPath(dir, checkpoint.room);
-  const std::string temp = path + ".tmp";
-  AFTER_RETURN_IF_ERROR(artifact.Save(temp));
-  AFTER_RETURN_IF_ERROR(SyncPath(temp));
-  if (::rename(temp.c_str(), path.c_str()) != 0)
-    return InternalError("checkpoint: rename '" + temp +
-                         "': " + std::strerror(errno));
-  return SyncPath(dir);
-}
-
-Result<RoomCheckpoint> LoadRoomCheckpoint(const std::string& path) {
-  Result<ModelArtifact> loaded = ModelArtifact::Load(path);
-  if (!loaded.ok()) {
-    if (loaded.status().code() == StatusCode::kNotFound)
-      return loaded.status();
-    // Exists but failed checksum / structural validation: that is the
-    // definition of durable-state data loss.
-    return DataLossError(loaded.status().message());
-  }
-  const ModelArtifact& artifact = loaded.value();
-  if (artifact.kind != kCheckpointKind)
-    return DataLossError("checkpoint '" + path + "': foreign kind '" +
-                         artifact.kind + "'");
-  RoomCheckpoint checkpoint;
-  checkpoint.room = artifact.FieldInt("room", -1);
-  checkpoint.epoch = ParseEpoch(artifact.Field("epoch"));
-  checkpoint.primary = artifact.FieldInt("primary", 0) == 1;
-  checkpoint.tick = artifact.FieldInt("tick", -1);
-  if (checkpoint.room < 0 || checkpoint.tick < 0)
-    return DataLossError("checkpoint '" + path +
-                         "': missing room/tick metadata");
-  std::ostringstream blob;
-  WriteParameterBlock(blob, artifact.parameters);
-  checkpoint.state = blob.str();
-  return checkpoint;
-}
-
-std::vector<int> ListCheckpointRooms(const std::string& dir) {
-  std::vector<int> rooms;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("room-", 0) != 0) continue;
-    const size_t suffix = name.find(".ckpt");
-    if (suffix == std::string::npos || suffix + 5 != name.size()) continue;
-    const std::string id = name.substr(5, suffix - 5);
-    if (id.empty() ||
-        id.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    rooms.push_back(std::stoi(id));
-  }
-  std::sort(rooms.begin(), rooms.end());
-  return rooms;
-}
-
 DurabilityManager::DurabilityManager(const Options& options,
                                      std::unique_ptr<Journal> journal,
                                      int64_t truncated_bytes,
-                                     int orphaned_rooms)
+                                     int data_loss_rooms)
     : options_(options),
       journal_(std::move(journal)),
       truncated_bytes_(truncated_bytes),
-      orphaned_rooms_(orphaned_rooms) {}
+      data_loss_rooms_(data_loss_rooms) {}
 
 Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     const Options& options) {
   AFTER_CHECK(!options.dir.empty());
   AFTER_CHECK_GE(options.checkpoint_every_ticks, 1);
   std::error_code ec;
-  fs::create_directories(options.dir, ec);
+  std::filesystem::create_directories(options.dir, ec);
   if (ec)
     return InternalError("durability: create '" + options.dir +
                          "': " + ec.message());
-  const std::string journal_path = JournalPathFor(options.dir);
+  const std::string journal_path = options.dir + "/journal.wal";
   // Physically drop any torn tail before the first O_APPEND write, so
   // new records land where replay can reach them.
   int64_t truncated = 0;
-  int orphaned = 0;
+  int data_loss = 0;
   Result<int64_t> tail = TruncateTornJournalTail(journal_path);
   if (tail.ok()) {
     truncated = tail.value();
   } else if (tail.status().code() == StatusCode::kDataLoss) {
-    // The header itself is gone; nothing in the file can be trusted.
-    // Move it aside for post-mortem and start a fresh journal — and
-    // quarantine every checkpoint with it: without the ownership ledger
-    // a checkpoint alone cannot prove its room was not released or
-    // re-granted elsewhere after it was taken, and an orphan left in
-    // place would be picked up (and resurrect dead state) on the next
-    // restart once the fresh journal reads clean.
+    // The header itself is gone: nothing in the file can be trusted.
+    // Move it aside for post-mortem and start a fresh journal.
     (void)::rename(journal_path.c_str(),
                    (journal_path + ".corrupt").c_str());
-    for (const int room : ListCheckpointRooms(options.dir)) {
-      const std::string path = CheckpointPath(options.dir, room);
-      (void)::rename(path.c_str(), (path + ".orphan").c_str());
-      ++orphaned;
-    }
+    data_loss = 1;
   } else {
     return tail.status();
   }
@@ -174,7 +64,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
       Journal::Open(journal_path, options.journal_fsync);
   if (!journal.ok()) return journal.status();
   return std::unique_ptr<DurabilityManager>(new DurabilityManager(
-      options, std::move(journal).value(), truncated, orphaned));
+      options, std::move(journal).value(), truncated, data_loss));
 }
 
 void DurabilityManager::Attach(RecommendationServer* server) {
@@ -182,10 +72,18 @@ void DurabilityManager::Attach(RecommendationServer* server) {
   server_ = server;
 }
 
-void DurabilityManager::CountCheckpoint() {
-  if (server_ != nullptr)
-    server_->metrics().checkpoints_written.fetch_add(
-        1, std::memory_order_relaxed);
+void DurabilityManager::CountLocked(int64_t records, int64_t states) {
+  if (server_ == nullptr) return;
+  ServerMetrics& metrics = server_->metrics();
+  metrics.journal_records.fetch_add(records, std::memory_order_relaxed);
+  metrics.checkpoints_written.fetch_add(states, std::memory_order_relaxed);
+  metrics.journal_bytes.store(journal_->bytes(), std::memory_order_relaxed);
+}
+
+Status DurabilityManager::AppendLocked(const JournalRecord& record) {
+  AFTER_RETURN_IF_ERROR(journal_->Append(record));
+  CountLocked(1, record.type == JournalRecord::Type::kState ? 1 : 0);
+  return OkStatus();
 }
 
 Status DurabilityManager::RecordAssign(int room, uint64_t epoch,
@@ -199,15 +97,20 @@ Status DurabilityManager::RecordAssign(int room, uint64_t epoch,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     roles_[room] = Role{epoch, primary};
-    ticks_since_checkpoint_[room] = 0;
-  }
-  AFTER_RETURN_IF_ERROR(journal_->Append(record));
-  if (server_ != nullptr) {
-    server_->metrics().journal_records.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    AFTER_RETURN_IF_ERROR(AppendLocked(record));
   }
   // Ownership changes are rare and must not evaporate in the page
   // cache: sync the fence even when per-tick fsync is off.
+  return journal_->Sync();
+}
+
+Status DurabilityManager::RecordState(const Room& room, uint64_t epoch,
+                                      bool primary) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    roles_[room.id()] = Role{epoch, primary};
+    AFTER_RETURN_IF_ERROR(AppendLocked(StateRecord(room, epoch, primary)));
+  }
   return journal_->Sync();
 }
 
@@ -219,154 +122,100 @@ Status DurabilityManager::RecordRelease(int room, uint64_t epoch) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     roles_.erase(room);
-    ticks_since_checkpoint_.erase(room);
+    AFTER_RETURN_IF_ERROR(AppendLocked(record));
   }
-  // Journal + sync the release BEFORE deleting the checkpoint: a crash
-  // between the two leaves an orphan checkpoint that the durable
-  // release record overrides at recovery. The reverse order could
-  // resurrect a room the router already moved elsewhere.
-  AFTER_RETURN_IF_ERROR(journal_->Append(record));
-  AFTER_RETURN_IF_ERROR(journal_->Sync());
-  if (server_ != nullptr)
-    server_->metrics().journal_records.fetch_add(1,
-                                                 std::memory_order_relaxed);
-  std::error_code ec;
-  fs::remove(CheckpointPath(options_.dir, room), ec);
-  return OkStatus();
-}
-
-Status DurabilityManager::CheckpointLocked(const Room& room) {
-  auto role = roles_.find(room.id());
-  if (role == roles_.end())
-    return NotFoundError("room " + std::to_string(room.id()) +
-                         " has no durable assignment");
-  RoomCheckpoint checkpoint;
-  checkpoint.room = room.id();
-  checkpoint.epoch = role->second.epoch;
-  checkpoint.primary = role->second.primary;
-  checkpoint.state = room.ExportState();
-  checkpoint.tick = room.tick();
-  AFTER_RETURN_IF_ERROR(WriteRoomCheckpoint(options_.dir, checkpoint));
-  ticks_since_checkpoint_[room.id()] = 0;
-  CountCheckpoint();
-  return OkStatus();
-}
-
-Status DurabilityManager::CheckpointNow(const Room& room) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return CheckpointLocked(room);
+  return journal_->Sync();
 }
 
 Status DurabilityManager::RotateLocked() {
-  // Every hosted room gets a fresh checkpoint, the checkpoints are made
-  // durable by WriteRoomCheckpoint's fsyncs, and only then does the
-  // journal truncate — released rooms' checkpoints are already gone, so
-  // the truncation cannot resurrect them.
-  if (server_ == nullptr) return OkStatus();  // no room registry to sweep
-  for (const auto& [room_id, role] : roles_) {
-    (void)role;
+  // The new file starts with every hosted room's state, so no older
+  // record is needed. A released room has no role and is left out,
+  // which keeps it dead.
+  std::vector<JournalRecord> head;
+  for (auto& [room_id, role] : roles_) {
     const std::shared_ptr<Room> room = server_->FindRoom(room_id);
     if (room == nullptr) continue;
-    AFTER_RETURN_IF_ERROR(CheckpointLocked(*room));
+    head.push_back(StateRecord(*room, role.epoch, role.primary));
+    role.ticks_since_state = 0;
   }
-  return journal_->Rotate();
+  AFTER_RETURN_IF_ERROR(journal_->Rotate(head));
+  const int64_t states = static_cast<int64_t>(head.size());
+  CountLocked(states, states);
+  return OkStatus();
 }
 
 Status DurabilityManager::RecordTick(const Room& room) {
+  bool wrote_state = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Durability is scoped to assigned rooms: an unassigned room has no
     // durable incarnation to journal against.
-    if (roles_.count(room.id()) == 0) return OkStatus();
+    const auto role = roles_.find(room.id());
+    if (role == roles_.end()) return OkStatus();
+    Room::TickFrame frame = room.CurrentTickFrame();
+    JournalRecord record;
+    record.type = JournalRecord::Type::kTick;
+    record.room = room.id();
+    record.tick = frame.tick;
+    record.positions = std::move(frame.positions);
+    record.goals = std::move(frame.goals);
+    AFTER_RETURN_IF_ERROR(AppendLocked(record));
+    if (++role->second.ticks_since_state >= options_.checkpoint_every_ticks) {
+      role->second.ticks_since_state = 0;
+      AFTER_RETURN_IF_ERROR(AppendLocked(
+          StateRecord(room, role->second.epoch, role->second.primary)));
+      wrote_state = true;
+    }
+    // Rotation needs the room registry to find the hosted rooms. It
+    // syncs its new file, this room's state included.
+    if (server_ != nullptr &&
+        journal_->appended_bytes() > options_.journal_rotate_bytes)
+      return RotateLocked();
   }
-  Room::TickFrame frame = room.CurrentTickFrame();
-  JournalRecord record;
-  record.type = JournalRecord::Type::kTick;
-  record.room = room.id();
-  record.tick = frame.tick;
-  record.positions = std::move(frame.positions);
-  record.goals = std::move(frame.goals);
-  AFTER_RETURN_IF_ERROR(journal_->Append(record));
-  if (server_ != nullptr) {
-    server_->metrics().journal_records.fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (server_ != nullptr)
-    server_->metrics().journal_bytes.store(journal_->bytes(),
-                                           std::memory_order_relaxed);
-  if (++ticks_since_checkpoint_[room.id()] >=
-      options_.checkpoint_every_ticks)
-    AFTER_RETURN_IF_ERROR(CheckpointLocked(room));
-  if (journal_->bytes() > options_.journal_rotate_bytes)
-    AFTER_RETURN_IF_ERROR(RotateLocked());
-  return OkStatus();
+  return wrote_state ? journal_->Sync() : OkStatus();
 }
 
 Result<DurabilityManager::RecoveryPlan> DurabilityManager::LoadRecoveryPlan() {
   RecoveryPlan plan;
   plan.journal_truncated_bytes = truncated_bytes_;
-  // Checkpoints quarantined at Open() because the journal header was
-  // corrupt: their rooms' durable state existed but is unusable.
-  plan.data_loss_rooms += orphaned_rooms_;
+  plan.data_loss_rooms = data_loss_rooms_;
 
-  // Base states: every readable checkpoint in the directory. Corrupt
-  // ones are data loss — counted, skipped, never fatal.
-  std::unordered_map<int, RoomCheckpoint> bases;
-  for (int room : ListCheckpointRooms(options_.dir)) {
-    Result<RoomCheckpoint> loaded =
-        LoadRoomCheckpoint(CheckpointPath(options_.dir, room));
-    if (!loaded.ok()) {
-      ++plan.data_loss_rooms;
-      continue;
-    }
-    bases[room] = std::move(loaded).value();
-  }
-
-  // Ownership ledger + replay lists, folded from the journal in append
-  // order. The checkpoint is only usable when it was taken under the
-  // room's *current* incarnation: an assign that rebuilt or overwrote
-  // the room's state (every grant processed as a new build or a
-  // migration) resets the incarnation, and a checkpoint from before
-  // that reset would resurrect dead state.
+  // One fold over the journal in append order. A record older than the
+  // room's current epoch is stale (a control frame can race another's
+  // append) and changes nothing.
   struct Fold {
     bool owned = false;
     uint64_t epoch = 0;
     bool primary = false;
-    uint64_t last_reset_epoch = 0;
+    std::string base_state;
     std::vector<JournalRecord> ticks;
   };
-  std::unordered_map<int, Fold> folds;
-  for (const auto& [room, base] : bases) {
-    Fold& fold = folds[room];
-    fold.owned = true;
-    fold.epoch = base.epoch;
-    fold.primary = base.primary;
-  }
+  std::map<int, Fold> folds;
   Result<JournalReplay> replay = ReadJournal(journal_->path());
   if (replay.ok()) {
-    for (const JournalRecord& record : replay.value().records) {
+    for (JournalRecord& record : replay.value().records) {
       Fold& fold = folds[record.room];
       switch (record.type) {
         case JournalRecord::Type::kAssign:
+        case JournalRecord::Type::kState:
           if (fold.owned && record.epoch < fold.epoch) break;  // stale
           fold.owned = true;
           fold.epoch = record.epoch;
           fold.primary = record.primary;
-          if (record.reset) {
-            fold.last_reset_epoch = record.epoch;
+          // A state record is the new base; a reset assign is a
+          // factory-fresh one. Either way older ticks are dead.
+          if (record.type == JournalRecord::Type::kState || record.reset) {
+            fold.base_state = std::move(record.state);
             fold.ticks.clear();
           }
           break;
         case JournalRecord::Type::kRelease:
           if (record.epoch < fold.epoch) break;  // stale
-          fold.owned = false;
+          fold = Fold{};
           fold.epoch = record.epoch;
-          fold.last_reset_epoch = record.epoch;
-          fold.ticks.clear();
           break;
         case JournalRecord::Type::kTick:
-          if (fold.owned) fold.ticks.push_back(record);
+          if (fold.owned) fold.ticks.push_back(std::move(record));
           break;
       }
     }
@@ -378,25 +227,10 @@ Result<DurabilityManager::RecoveryPlan> DurabilityManager::LoadRecoveryPlan() {
     entry.room = room;
     entry.epoch = fold.epoch;
     entry.primary = fold.primary;
-    auto base = bases.find(room);
-    const bool use_base =
-        base != bases.end() &&
-        base->second.epoch >= fold.last_reset_epoch;
-    if (use_base) {
-      entry.checkpoint_state = std::move(base->second.state);
-      entry.checkpoint_tick = base->second.tick;
-      for (JournalRecord& tick : fold.ticks)
-        if (tick.tick > entry.checkpoint_tick)
-          entry.ticks.push_back(std::move(tick));
-    } else {
-      entry.ticks = std::move(fold.ticks);
-    }
+    entry.base_state = std::move(fold.base_state);
+    entry.ticks = std::move(fold.ticks);
     plan.entries.push_back(std::move(entry));
   }
-  std::sort(plan.entries.begin(), plan.entries.end(),
-            [](const RecoveryEntry& a, const RecoveryEntry& b) {
-              return a.room < b.room;
-            });
   return plan;
 }
 

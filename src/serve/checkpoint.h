@@ -18,85 +18,54 @@ namespace serve {
 
 class RecommendationServer;
 
-/// One room's durable checkpoint: the ownership coordinates under which
-/// it was taken plus the full Room::ExportState() blob (tick, positions,
-/// goals, trajectory window). On disk it is a checksummed nn/artifact
-/// container of kind "room-checkpoint" whose parameter block is the
-/// blob's four matrices and whose metadata records room / epoch /
-/// primary / tick — so bit rot is detected at load (kDataLoss) before a
-/// single value reaches a live room.
-struct RoomCheckpoint {
-  int room = 0;
-  uint64_t epoch = 0;
-  bool primary = false;
-  int tick = 0;
-  /// Room::ExportState() text, ready for Room::ApplyState().
-  std::string state;
-};
-
-/// "<dir>/room-<id>.ckpt".
-std::string CheckpointPath(const std::string& dir, int room);
-
-/// Writes atomically: temp file + fsync + rename + directory fsync, so a
-/// crash mid-checkpoint leaves either the previous checkpoint or the new
-/// one, never a torn hybrid.
-Status WriteRoomCheckpoint(const std::string& dir,
-                           const RoomCheckpoint& checkpoint);
-
-/// kNotFound when absent; kDataLoss when the file exists but fails
-/// checksum or structural validation.
-Result<RoomCheckpoint> LoadRoomCheckpoint(const std::string& path);
-
-/// Room ids with a checkpoint file in `dir` (stray ".tmp" leftovers of
-/// interrupted writes are ignored).
-std::vector<int> ListCheckpointRooms(const std::string& dir);
-
-/// Shard-local durability coordinator (docs/durability.md): owns the
-/// write-ahead journal plus the checkpoint directory and enforces the
-/// ordering discipline between them.
+/// Shard-local durability coordinator (docs/durability.md). It owns the
+/// shard's one durable file, the write-ahead journal "<dir>/journal.wal":
 ///
-///  - Assign is journaled after the grant takes effect; a grant that
-///    carried migration state is checkpointed immediately (the handoff
-///    blob exists nowhere else durable).
-///  - Release is journaled (and synced) BEFORE the room's checkpoint is
-///    deleted: a crash between the two leaves an orphan checkpoint that
-///    the release record overrides, whereas the reverse order could
-///    resurrect a room the router had already moved elsewhere.
-///  - Ticks are journaled per publish; every checkpoint_every_ticks of
-///    them the room is re-checkpointed, and once the journal outgrows
-///    journal_rotate_bytes every hosted room is checkpointed and the
-///    journal is atomically rotated to empty.
+///  - A grant is journaled after it takes effect. A fresh build is an
+///    assign record with the reset flag, a promotion one without it. A
+///    grant that carried the room's state (migration in, recovery's
+///    re-fence) is one state record: the grant plus the room's
+///    ExportState() blob.
+///  - A release is journaled; every older record of the room is dead.
+///  - Ticks are journaled per publish. Every checkpoint_every_ticks of a
+///    room's ticks it gets a state record (a checkpoint), and once the
+///    records appended since the last rotation outgrow
+///    journal_rotate_bytes, the journal is atomically rotated to a file
+///    that starts with one state record per hosted room.
 ///
-/// Recovery (LoadRecoveryPlan) folds checkpoints and journal back into
-/// per-room plans: checkpoints are the base states, assign/release
-/// records replay the ownership ledger on top (newest epoch wins), and
-/// tick records past each base tick become the replay list. Corrupt
-/// checkpoints or a corrupt journal header surface as kDataLoss counts,
-/// never crashes — the affected rooms restart fresh when the router
-/// re-grants them.
+/// Every grant, release and state record is synced before the call
+/// returns; tick records are synced only with journal_fsync.
+///
+/// Recovery (LoadRecoveryPlan) is one fold over the journal in append
+/// order. Per room, the newest assign, release or state record decides
+/// ownership and epoch; the last state record since the room's last
+/// reset is the base, and the tick records after it replay on top. A
+/// corrupt journal header surfaces as a data-loss count, never a crash;
+/// the affected rooms restart fresh when the router re-grants them.
 ///
 /// Thread-safe: control frames arrive on connection reader threads
 /// while the tick loop appends.
 class DurabilityManager {
  public:
   struct Options {
-    /// Directory for the journal + checkpoints; created if absent.
+    /// Directory for the journal; created if absent.
     std::string dir;
-    /// Re-checkpoint a room every this many journaled ticks.
+    /// Journal a room's state every this many of its journaled ticks.
     int checkpoint_every_ticks = 256;
-    /// Rotate (checkpoint-all + truncate) once the journal exceeds this.
+    /// Rotate once the records appended since the last rotation exceed
+    /// this many bytes.
     int64_t journal_rotate_bytes = 8 << 20;
     /// fsync the journal on every append (crash-of-machine durability)
-    /// instead of only on release/rotation barriers.
+    /// instead of only at the grant, release, state and rotation
+    /// barriers.
     bool journal_fsync = false;
   };
 
   /// Creates the directory, truncates any torn journal tail, and opens
-  /// the journal for appending. A corrupt-header journal is moved aside
-  /// to "<journal>.corrupt" — and every checkpoint is quarantined with
-  /// it (to "<checkpoint>.orphan", counted as data loss in the recovery
-  /// plan): without the ownership ledger a checkpoint alone cannot prove
-  /// its room was not released or moved after it was taken.
+  /// the journal for appending. A journal whose header is corrupt (or of
+  /// another version) is moved aside to "<journal>.corrupt" and counts
+  /// as one data-loss room in the recovery plan: how many rooms it held
+  /// cannot be read.
   static Result<std::unique_ptr<DurabilityManager>> Open(
       const Options& options);
 
@@ -105,36 +74,34 @@ class DurabilityManager {
   /// server.
   void Attach(RecommendationServer* server);
 
-  /// `reset` marks a grant that rebuilt or overwrote the room's state
-  /// (fresh build or migration blob applied) — i.e. a new durable
-  /// incarnation; false for a promotion of an already-hosted room.
+  /// `reset` marks a grant that rebuilt the room from its factory, a
+  /// new durable incarnation; false for a promotion of an already-hosted
+  /// room.
   Status RecordAssign(int room, uint64_t epoch, bool primary, bool reset);
+  /// A grant that carries the room's state: one state record under
+  /// (epoch, primary).
+  Status RecordState(const Room& room, uint64_t epoch, bool primary);
   Status RecordRelease(int room, uint64_t epoch);
   /// Journals the room's current tick frame and runs the checkpoint /
   /// rotation budgets.
   Status RecordTick(const Room& room);
-  /// Checkpoints the room immediately under its recorded ownership
-  /// coordinates (no-op with kNotFound when the room was never assigned).
-  Status CheckpointNow(const Room& room);
 
-  /// One room's recovery recipe: base state (a checkpoint blob, or
+  /// One room's recovery recipe: base state (a state record's blob, or
   /// empty = factory-fresh) plus the tick frames to replay on top.
   struct RecoveryEntry {
     int room = 0;
     uint64_t epoch = 0;
     bool primary = false;
-    /// Empty when the room has no usable checkpoint.
-    std::string checkpoint_state;
-    int checkpoint_tick = 0;
+    std::string base_state;
     std::vector<JournalRecord> ticks;
   };
   struct RecoveryPlan {
+    /// Sorted by room.
     std::vector<RecoveryEntry> entries;
     /// Journal bytes dropped at Open() because the tail was torn.
     int64_t journal_truncated_bytes = 0;
-    /// Rooms whose durable state existed but was unrecoverable
-    /// (corrupt checkpoint, or a corrupt journal header that orphaned
-    /// every checkpoint's ledger).
+    /// Rooms whose durable state existed but was unrecoverable: 1 when
+    /// Open() moved a corrupt-header journal aside.
     int data_loss_rooms = 0;
   };
   Result<RecoveryPlan> LoadRecoveryPlan();
@@ -144,30 +111,31 @@ class DurabilityManager {
 
  private:
   DurabilityManager(const Options& options, std::unique_ptr<Journal> journal,
-                    int64_t truncated_bytes, int orphaned_rooms);
+                    int64_t truncated_bytes, int data_loss_rooms);
 
-  Status CheckpointLocked(const Room& room);
+  /// Appends and counts the records; `mutex_` held.
+  Status AppendLocked(const JournalRecord& record);
   Status RotateLocked();
-  void CountCheckpoint();
+  void CountLocked(int64_t records, int64_t states);
 
   Options options_;
   std::unique_ptr<Journal> journal_;
   RecommendationServer* server_ = nullptr;
   /// Torn-tail bytes dropped when the journal was opened.
   int64_t truncated_bytes_ = 0;
-  /// Checkpoints quarantined at Open() because the pre-crash journal's
-  /// header was corrupt and the whole ledger was moved aside.
-  int orphaned_rooms_ = 0;
+  /// 1 when Open() moved a corrupt-header journal aside.
+  int data_loss_rooms_ = 0;
 
   mutable std::mutex mutex_;
   struct Role {
     uint64_t epoch = 0;
     bool primary = false;
+    int ticks_since_state = 0;
   };
-  /// Mirror of the shard's ownership ledger, so checkpoints taken from
+  /// Mirror of the shard's ownership ledger, so state records taken on
   /// the tick path know their coordinates without asking ShardControl.
+  /// Held with each append, so a room's records land in ledger order.
   std::unordered_map<int, Role> roles_;
-  std::unordered_map<int, int> ticks_since_checkpoint_;
 };
 
 }  // namespace serve

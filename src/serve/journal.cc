@@ -78,6 +78,13 @@ class ByteReader {
 
   int32_t TakeI32() { return static_cast<int32_t>(TakeU32()); }
 
+  std::string_view TakeBytes(size_t count) {
+    if (!Require(count)) return {};
+    const std::string_view taken = bytes_.substr(position_, count);
+    position_ += count;
+    return taken;
+  }
+
   double TakeF64() {
     const uint64_t bits = TakeU64();
     double v = 0.0;
@@ -111,6 +118,17 @@ std::string JournalHeader() {
   PutU8(0, &header);
   PutU8(0, &header);
   return header;
+}
+
+/// Length + checksum framing around one record's payload.
+std::string FrameRecord(const JournalRecord& record) {
+  const std::string payload = EncodeJournalRecord(record);
+  std::string framed;
+  framed.reserve(12 + payload.size());
+  PutU32(static_cast<uint32_t>(payload.size()), &framed);
+  PutU64(Fnv1a64Stream().Update(payload).Digest(), &framed);
+  framed.append(payload);
+  return framed;
 }
 
 /// One full write() per call; a crash mid-write is the torn-tail case
@@ -182,6 +200,13 @@ std::string EncodeJournalRecord(const JournalRecord& record) {
       }
       break;
     }
+    case JournalRecord::Type::kState:
+      PutU64(record.epoch, &payload);
+      PutU8(record.primary ? 1 : 0, &payload);
+      PutI32(record.tick, &payload);
+      PutU32(static_cast<uint32_t>(record.state.size()), &payload);
+      payload.append(record.state);
+      break;
   }
   return payload;
 }
@@ -230,6 +255,17 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
       if (!reader.ok()) return Malformed("truncated tick record frames");
       break;
     }
+    case static_cast<uint8_t>(JournalRecord::Type::kState): {
+      out.type = JournalRecord::Type::kState;
+      out.epoch = reader.TakeU64();
+      const uint8_t primary = reader.TakeU8();
+      out.tick = reader.TakeI32();
+      out.state = std::string(reader.TakeBytes(reader.TakeU32()));
+      if (!reader.ok()) return Malformed("truncated state record");
+      if (primary > 1) return Malformed("non-boolean state primary flag");
+      out.primary = primary == 1;
+      break;
+    }
     default:
       return Malformed("unknown record type");
   }
@@ -241,7 +277,8 @@ Journal::Journal(int fd, std::string path, bool fsync_each, int64_t bytes)
     : fd_(fd),
       path_(std::move(path)),
       fsync_each_(fsync_each),
-      bytes_(bytes) {}
+      bytes_(bytes),
+      appended_bytes_(bytes - static_cast<int64_t>(kJournalHeaderBytes)) {}
 
 Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
@@ -273,15 +310,11 @@ Result<std::unique_ptr<Journal>> Journal::Open(const std::string& path,
 }
 
 Status Journal::Append(const JournalRecord& record) {
-  const std::string payload = EncodeJournalRecord(record);
-  std::string framed;
-  framed.reserve(12 + payload.size());
-  PutU32(static_cast<uint32_t>(payload.size()), &framed);
-  PutU64(Fnv1a64Stream().Update(payload).Digest(), &framed);
-  framed.append(payload);
+  const std::string framed = FrameRecord(record);
   std::lock_guard<std::mutex> lock(mutex_);
   AFTER_RETURN_IF_ERROR(WriteAll(fd_, framed));
   bytes_ += static_cast<int64_t>(framed.size());
+  appended_bytes_ += static_cast<int64_t>(framed.size());
   if (fsync_each_ && ::fsync(fd_) != 0)
     return InternalError(std::string("journal fsync: ") +
                          std::strerror(errno));
@@ -296,17 +329,19 @@ Status Journal::Sync() {
   return OkStatus();
 }
 
-Status Journal::Rotate() {
+Status Journal::Rotate(const std::vector<JournalRecord>& head) {
+  std::string bytes = JournalHeader();
+  for (const JournalRecord& record : head) bytes += FrameRecord(record);
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string temp = path_ + ".tmp";
   const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0)
     return InternalError("journal: open '" + temp +
                          "': " + std::strerror(errno));
-  const Status header = WriteAll(fd, JournalHeader());
-  if (!header.ok()) {
+  const Status written = WriteAll(fd, bytes);
+  if (!written.ok()) {
     ::close(fd);
-    return header;
+    return written;
   }
   if (::fsync(fd) != 0) {
     ::close(fd);
@@ -325,13 +360,19 @@ Status Journal::Rotate() {
   const Status dir_sync = SyncParentDir(path_);
   ::close(fd_);
   fd_ = fd;
-  bytes_ = static_cast<int64_t>(kJournalHeaderBytes);
+  bytes_ = static_cast<int64_t>(bytes.size());
+  appended_bytes_ = 0;
   return dir_sync;
 }
 
 int64_t Journal::bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return bytes_;
+}
+
+int64_t Journal::appended_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return appended_bytes_;
 }
 
 Result<JournalReplay> ReadJournal(const std::string& path) {

@@ -15,8 +15,8 @@
 namespace after {
 namespace serve {
 
-/// Per-shard write-ahead journal of state-mutating events between room
-/// checkpoints (docs/durability.md). Binary append-only file:
+/// Per-shard write-ahead journal: the shard's one durable file
+/// (docs/durability.md). Binary append-only file:
 ///
 ///   offset  size  field
 ///   0       4     magic      0x414A4C31 ("AJL1"), little-endian
@@ -40,33 +40,42 @@ namespace serve {
 ///   kRelease u8 type | i32 room | u64 epoch
 ///   kTick    u8 type | i32 room | i32 tick | u32 n
 ///            | n x (f64 x, f64 y) positions | n x (f64 x, f64 y) goals
+///   kState   u8 type | i32 room | u64 epoch | u8 primary | i32 tick
+///            | u32 len | len bytes of Room::ExportState()
 /// (a replay-mode room journals zero goals; goal count always equals n).
 struct JournalRecord {
   enum class Type : uint8_t {
     kAssign = 1,
     kRelease = 2,
     kTick = 3,
+    kState = 4,
   };
 
   Type type = Type::kTick;
   int32_t room = 0;
-  /// kAssign / kRelease: the control frame's epoch fence.
+  /// kAssign / kRelease / kState: the grant's epoch fence.
   uint64_t epoch = 0;
+  /// kAssign / kState: the granted role.
   bool primary = false;
-  /// kAssign only: the grant rebuilt or overwrote the room's in-memory
-  /// state (fresh build, or migration state applied), starting a new
-  /// durable incarnation — recovery must not replay older ticks or use
-  /// an older checkpoint under it. False for a promotion that merely
-  /// re-fences an already-hosted room.
+  /// kAssign only: the grant rebuilt the room from its factory, starting
+  /// a new durable incarnation — recovery must not replay older ticks or
+  /// use an older state record under it. False for a promotion that
+  /// merely re-fences an already-hosted room.
   bool reset = false;
-  /// kTick only.
+  /// kTick / kState: the room's tick.
   int32_t tick = 0;
+  /// kTick only.
   std::vector<Vec2> positions;
   std::vector<Vec2> goals;
+  /// kState only: the room's Room::ExportState() blob. A state record is
+  /// a grant that carries its base state: recovery applies the newest
+  /// one and replays only the ticks after it.
+  std::string state;
 };
 
 inline constexpr uint32_t kJournalMagic = 0x414A4C31u;
-inline constexpr uint8_t kJournalVersion = 1;
+/// A journal of another version (version 1 had no kState) is kDataLoss.
+inline constexpr uint8_t kJournalVersion = 2;
 inline constexpr size_t kJournalHeaderBytes = 8;
 /// Upper bound on one record's payload; larger declared lengths are
 /// treated as corruption rather than honored with an allocation.
@@ -99,14 +108,18 @@ class Journal {
   /// Forces everything appended so far to stable storage.
   Status Sync();
 
-  /// Atomically replaces the journal with a fresh header-only file
-  /// (write temp + fsync + rename), then continues appending to it.
-  /// Called after a full checkpoint sweep makes the old records
-  /// redundant; see DurabilityManager.
-  Status Rotate();
+  /// Atomically replaces the journal with a fresh file holding the
+  /// header and `head` (write temp + fsync + rename + directory fsync),
+  /// then continues appending to it. DurabilityManager passes one state
+  /// record per hosted room, which makes every older record redundant.
+  Status Rotate(const std::vector<JournalRecord>& head);
 
-  /// Bytes in the journal file (header + records appended so far).
+  /// Bytes in the journal file.
   int64_t bytes() const;
+  /// Bytes of the records appended since the last rotation, not
+  /// counting its head (a journal opened from disk counts every record
+  /// it holds): what the rotation budget bounds.
+  int64_t appended_bytes() const;
 
   const std::string& path() const { return path_; }
 
@@ -118,6 +131,7 @@ class Journal {
   std::string path_;
   bool fsync_each_ = false;
   int64_t bytes_ = 0;
+  int64_t appended_bytes_ = 0;
 };
 
 /// Replay side: every intact record in order, plus how the file ended.

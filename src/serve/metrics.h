@@ -112,11 +112,14 @@ struct ServerMetrics {
   std::atomic<int64_t> rooms_assigned{0};
   std::atomic<int64_t> rooms_released{0};
   std::atomic<int64_t> migrations_in{0};
-  /// Durability subsystem (serve/checkpoint.h, serve/journal.h):
-  /// checkpoint files written, journal records / bytes appended, and —
-  /// on the recovery side — rooms brought back from durable state,
-  /// journal records replayed into them, and rooms whose durable state
-  /// was unrecoverably corrupt (kDataLoss; the room restarts fresh).
+  /// Durability subsystem (serve/checkpoint.h, serve/journal.h): state
+  /// records written (checkpoints, state-carrying grants, rotation
+  /// heads), journal records appended (each once, state records
+  /// included), the journal file's size in bytes, and — on the recovery
+  /// side — rooms brought back from durable state, journal records
+  /// replayed into them, and rooms whose durable state was unrecoverable
+  /// (a corrupt journal header, or a base the room can no longer apply;
+  /// the room restarts fresh).
   std::atomic<int64_t> checkpoints_written{0};
   std::atomic<int64_t> journal_records{0};
   std::atomic<int64_t> journal_bytes{0};

@@ -102,9 +102,9 @@ Status RecommendationServer::TickRoom(int room) {
     const std::shared_ptr<const RoomSnapshot> published = hosted->snapshot();
     if (published != nullptr && published->built_by_delta())
       metrics_.delta_ticks.fetch_add(1, std::memory_order_relaxed);
-    // Journal the published frame (and run the checkpoint budgets). A
-    // durability failure degrades recoverability, not serving: count it
-    // and keep ticking.
+    // Journal the published frame (and run the checkpoint and rotation
+    // budgets). A durability failure degrades recoverability, not
+    // serving: count it and keep ticking.
     if (durability_ != nullptr && !durability_->RecordTick(*hosted).ok())
       metrics_.errors.fetch_add(1, std::memory_order_relaxed);
   }

@@ -113,7 +113,7 @@ class RecommendationServer {
 
   /// Attaches the shard's durability subsystem (serve/checkpoint.h):
   /// every successful TickRoom journals the published frame and runs the
-  /// checkpoint / rotation budgets. Null detaches. The manager is
+  /// checkpoint and rotation budgets. Null detaches. The manager is
   /// borrowed and must outlive tick traffic; set it before the ticker
   /// starts.
   void set_durability(DurabilityManager* durability) {

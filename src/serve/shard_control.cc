@@ -86,11 +86,9 @@ Status ShardControl::Assign(int room, uint64_t epoch,
         "assign room " + std::to_string(room)));
     server_->metrics().migrations_in.fetch_add(1, std::memory_order_relaxed);
     if (durability_ != nullptr) {
-      // The blob overwrote local state: new incarnation, and the handoff
-      // state exists nowhere else durable — checkpoint it immediately.
-      Status durable =
-          durability_->RecordAssign(room, epoch, primary, /*reset=*/true);
-      if (durable.ok()) durable = durability_->CheckpointNow(*hosted);
+      // The blob overwrote local state and exists nowhere else durable:
+      // the grant is journaled with it.
+      const Status durable = durability_->RecordState(*hosted, epoch, primary);
       if (!durable.ok()) NoteDurabilityFailure(durable);
     }
     return OkStatus();
@@ -115,14 +113,15 @@ Status ShardControl::Assign(int room, uint64_t epoch,
   if (!state.empty())
     server_->metrics().migrations_in.fetch_add(1, std::memory_order_relaxed);
   if (durability_ != nullptr) {
-    // Every new build is a fresh durable incarnation (reset); a grant
-    // that carried migration state gets an immediate checkpoint, since
-    // the blob exists nowhere else durable.
-    Status durable =
-        durability_->RecordAssign(room, epoch, primary, /*reset=*/true);
-    if (durable.ok() && !state.empty()) {
-      const std::shared_ptr<Room> applied = server_->FindRoom(room);
-      if (applied != nullptr) durable = durability_->CheckpointNow(*applied);
+    // A fresh build is a new durable incarnation (reset); a grant that
+    // carried migration state is journaled with it, since the blob
+    // exists nowhere else durable.
+    Status durable = OkStatus();
+    if (state.empty()) {
+      durable = durability_->RecordAssign(room, epoch, primary, /*reset=*/true);
+    } else if (const std::shared_ptr<Room> applied = server_->FindRoom(room);
+               applied != nullptr) {
+      durable = durability_->RecordState(*applied, epoch, primary);
     }
     if (!durable.ok()) NoteDurabilityFailure(durable);
   }
@@ -179,11 +178,11 @@ Result<std::vector<wire::RecoveredRoom>> ShardControl::RecoverFromDurable() {
       continue;
     }
     std::unique_ptr<Room> room = std::move(built).value();
-    if (!entry.checkpoint_state.empty() &&
-        !room->ApplyState(entry.checkpoint_state).ok()) {
-      // ApplyState is all-or-nothing and the checkpoint already passed
-      // its container checksum, so a failure here means the blob does
-      // not fit this dataset/session anymore: data loss, not a crash.
+    if (!entry.base_state.empty() &&
+        !room->ApplyState(entry.base_state).ok()) {
+      // ApplyState is all-or-nothing and the state record already passed
+      // its checksum, so a failure here means the blob does not fit this
+      // dataset/session anymore: data loss, not a crash.
       ++data_loss;
       continue;
     }
@@ -210,18 +209,15 @@ Result<std::vector<wire::RecoveredRoom>> ShardControl::RecoverFromDurable() {
       if (last == last_epoch_.end() || entry.epoch > last->second)
         last_epoch_[entry.room] = entry.epoch;
     }
-    // Re-fence the ownership in the (possibly truncated) journal —
-    // non-reset, the prior records still describe this incarnation —
-    // and re-checkpoint at the recovered tick so the next recovery
-    // starts from here instead of replaying the same frames again.
-    Status durable = durability_->RecordAssign(entry.room, entry.epoch,
-                                               entry.primary,
-                                               /*reset=*/false);
-    if (durable.ok()) {
-      const std::shared_ptr<Room> hosted = server_->FindRoom(entry.room);
-      if (hosted != nullptr) durable = durability_->CheckpointNow(*hosted);
+    // Re-fence the ownership in the (possibly truncated) journal with a
+    // state record at the recovered tick, so the next recovery starts
+    // from here instead of replaying the same frames again.
+    if (const std::shared_ptr<Room> hosted = server_->FindRoom(entry.room);
+        hosted != nullptr) {
+      const Status durable =
+          durability_->RecordState(*hosted, entry.epoch, entry.primary);
+      if (!durable.ok()) NoteDurabilityFailure(durable);
     }
-    if (!durable.ok()) NoteDurabilityFailure(durable);
     wire::RecoveredRoom recovered;
     recovered.room = entry.room;
     recovered.epoch = entry.epoch;

@@ -54,9 +54,10 @@ class ShardControl {
   uint64_t EpochFor(int room) const;
 
   /// Attaches the shard's durability subsystem (serve/checkpoint.h):
-  /// grants and releases are journaled, migration blobs are checkpointed
-  /// on arrival, and RecoverFromDurable() becomes able to rebuild the
-  /// owned-set after a restart. Borrowed; set before control traffic.
+  /// grants and releases are journaled, a grant that carries migration
+  /// state is journaled with it as a state record, and
+  /// RecoverFromDurable() becomes able to rebuild the owned-set after a
+  /// restart. Borrowed; set before control traffic.
   void set_durability(DurabilityManager* durability);
 
   /// Handles a kRoomAssign grant. `state` empty -> fresh room from the
@@ -74,15 +75,16 @@ class ShardControl {
   /// not owned here; kInvalidArgument when the epoch is stale.
   Result<std::string> Release(int room, uint64_t epoch);
 
-  /// Cold-restart recovery (docs/durability.md): folds the durability
-  /// subsystem's checkpoints + journal into rooms, replays each room's
-  /// post-checkpoint tick frames, hosts the results, and re-owns them at
-  /// their journaled epochs. Idempotent — the first call does the work,
-  /// every later call (e.g. a router's kRoomRecover query) returns the
-  /// same report. Unrecoverable rooms (corrupt checkpoint, factory or
-  /// apply failure) are counted as data loss and omitted from the
-  /// report, never fatal. Empty report when no durability is attached or
-  /// nothing durable exists.
+  /// Cold-restart recovery (docs/durability.md): folds the shard's
+  /// journal into rooms, applies each room's base state record and
+  /// replays the tick frames after it, hosts the results, re-owns them at
+  /// their journaled epochs, and journals a state record for each.
+  /// Idempotent — the first call does the work, every later call (e.g. a
+  /// router's kRoomRecover query) returns the same report. Unrecoverable
+  /// rooms (corrupt journal header, factory or apply failure) are
+  /// counted as data loss and omitted from the report, never fatal.
+  /// Empty report when no durability is attached or nothing durable
+  /// exists.
   Result<std::vector<wire::RecoveredRoom>> RecoverFromDurable();
 
  private:

@@ -83,8 +83,8 @@ struct ResponseFrame {
 /// migration handoff: an opaque Room::ExportState() blob (nn/serialize
 /// parameter-block text) the receiving shard applies all-or-nothing.
 /// `primary` records the granted role (primary vs warm standby) so the
-/// shard's durable ledger can tell an authoritative copy from a replica
-/// during cold-restart reconciliation (serve/checkpoint.h). The same
+/// shard's journal (serve/checkpoint.h) can tell an authoritative copy
+/// from a replica during cold-restart reconciliation. The same
 /// frame doubles as the reply to kRoomRelease, carrying the releasing
 /// shard's final state so the router can forward it onward (`primary`
 /// is meaningless there and sent as 0).

@@ -1,9 +1,14 @@
 #include "serve/checkpoint.h"
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,6 +40,17 @@ std::string JournalPath(const std::string& dir) {
   return dir + "/journal.wal";
 }
 
+/// The file names in a durable directory, sorted.
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir))
+    names.push_back(entry.path().filename().string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+const std::vector<std::string> kJournalOnly = {"journal.wal"};
+
 JournalRecord SampleTick(int room, int tick) {
   JournalRecord record;
   record.type = JournalRecord::Type::kTick;
@@ -42,6 +58,17 @@ JournalRecord SampleTick(int room, int tick) {
   record.tick = tick;
   record.positions = {{1.5, -2.25}, {0.0, 3.125}};
   record.goals = {{-4.0, 0.5}, {2.0, 2.0}};
+  return record;
+}
+
+JournalRecord SampleState(int room, uint64_t epoch, int tick) {
+  JournalRecord record;
+  record.type = JournalRecord::Type::kState;
+  record.room = room;
+  record.epoch = epoch;
+  record.primary = true;
+  record.tick = tick;
+  record.state = "room state blob at tick " + std::to_string(tick) + "\n";
   return record;
 }
 
@@ -91,12 +118,43 @@ TEST(JournalRecordTest, ReleaseAndTickRoundTrip) {
   EXPECT_EQ(tick_decoded.value().goals[0].x, -4.0);
 }
 
+TEST(JournalRecordTest, StateRoundTripRestoresTheRoomBitExact) {
+  const Dataset dataset = SmallDataset();
+  const auto factory = FactoryFor(&dataset);
+  auto donor = factory(3).value();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(donor->Tick().ok());
+
+  JournalRecord record;
+  record.type = JournalRecord::Type::kState;
+  record.room = 3;
+  record.epoch = 12;
+  record.primary = true;
+  record.tick = donor->tick();
+  record.state = donor->ExportState();
+  auto decoded = DecodeJournalRecord(EncodeJournalRecord(record));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().type, JournalRecord::Type::kState);
+  EXPECT_EQ(decoded.value().room, 3);
+  EXPECT_EQ(decoded.value().epoch, 12u);
+  EXPECT_TRUE(decoded.value().primary);
+  EXPECT_EQ(decoded.value().tick, 5);
+
+  auto receiver = factory(3).value();
+  ASSERT_TRUE(receiver->ApplyState(decoded.value().state).ok());
+  EXPECT_EQ(receiver->tick(), donor->tick());
+  EXPECT_EQ(receiver->ExportState(), donor->ExportState());
+  ExpectSamePositions(donor->snapshot()->positions(),
+                      receiver->snapshot()->positions());
+}
+
 TEST(JournalRecordTest, TruncatedPayloadsFailDecodeAllOrNothing) {
-  const std::string payload = EncodeJournalRecord(SampleTick(1, 2));
-  for (size_t cut = 0; cut < payload.size(); ++cut) {
-    EXPECT_FALSE(
-        DecodeJournalRecord(std::string_view(payload).substr(0, cut)).ok())
-        << "cut=" << cut;
+  for (const JournalRecord& record : {SampleTick(1, 2), SampleState(1, 3, 2)}) {
+    const std::string payload = EncodeJournalRecord(record);
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      EXPECT_FALSE(
+          DecodeJournalRecord(std::string_view(payload).substr(0, cut)).ok())
+          << "type=" << static_cast<int>(record.type) << " cut=" << cut;
+    }
   }
 }
 
@@ -111,6 +169,14 @@ TEST(JournalRecordTest, NonBooleanFlagsAreRejected) {
   std::string bad_reset = payload;
   bad_reset[1 + 4 + 8 + 1] = 7;
   EXPECT_FALSE(DecodeJournalRecord(bad_reset).ok());
+  // State layout: u8 type | i32 room | u64 epoch | u8 primary | ...
+  std::string bad_state = EncodeJournalRecord(SampleState(0, 1, 0));
+  bad_state[1 + 4 + 8] = 3;
+  EXPECT_FALSE(DecodeJournalRecord(bad_state).ok());
+  // A record type this reader does not know is rejected, not skipped.
+  std::string unknown = payload;
+  unknown[0] = 9;
+  EXPECT_FALSE(DecodeJournalRecord(unknown).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -146,11 +212,13 @@ TEST(JournalTest, AppendedRecordsReadBackInOrder) {
 TEST(JournalTest, EveryTornTailTruncatesToARecordBoundary) {
   const std::string dir = ScratchDir("journal_torn");
   const std::string path = JournalPath(dir);
+  const std::vector<JournalRecord> written = {
+      SampleTick(0, 0), SampleState(0, 4, 1), SampleTick(0, 2)};
   {
     auto journal = Journal::Open(path, /*fsync_each=*/false);
     ASSERT_TRUE(journal.ok());
-    for (int i = 0; i < 3; ++i)
-      ASSERT_TRUE(journal.value()->Append(SampleTick(0, i)).ok());
+    for (const JournalRecord& record : written)
+      ASSERT_TRUE(journal.value()->Append(record).ok());
   }
   const int64_t full = static_cast<int64_t>(fs::file_size(path));
   const std::string pristine = [&] {
@@ -162,10 +230,10 @@ TEST(JournalTest, EveryTornTailTruncatesToARecordBoundary) {
   // the last boundary it covers.
   std::vector<int64_t> boundaries = {
       static_cast<int64_t>(kJournalHeaderBytes)};
-  for (int i = 0; i < 3; ++i)
+  for (const JournalRecord& record : written)
     boundaries.push_back(
         boundaries.back() + 12 +
-        static_cast<int64_t>(EncodeJournalRecord(SampleTick(0, i)).size()));
+        static_cast<int64_t>(EncodeJournalRecord(record).size()));
   ASSERT_EQ(boundaries.back(), full);
   // Cut the file at every possible length past the header: replay must
   // always succeed with a clean prefix of the records and account for
@@ -186,7 +254,8 @@ TEST(JournalTest, EveryTornTailTruncatesToARecordBoundary) {
               keep - boundaries[expect_records])
         << "keep=" << keep;
     for (size_t i = 0; i < expect_records; ++i)
-      EXPECT_EQ(replay.value().records[i].tick, static_cast<int>(i))
+      EXPECT_EQ(EncodeJournalRecord(replay.value().records[i]),
+                EncodeJournalRecord(written[i]))
           << "keep=" << keep;
     // The physical truncation helper lands appends back on a boundary.
     auto dropped = TruncateTornJournalTail(path);
@@ -234,7 +303,8 @@ TEST(JournalTest, ByteFlipFuzzReplaysAPrefixOrReportsDataLoss) {
     auto journal = Journal::Open(path, /*fsync_each=*/false);
     ASSERT_TRUE(journal.ok());
     for (int i = 0; i < 6; ++i) {
-      const JournalRecord record = SampleTick(1, i);
+      const JournalRecord record =
+          i == 3 ? SampleState(1, 2, i) : SampleTick(1, i);
       encoded.push_back(EncodeJournalRecord(record));
       ASSERT_TRUE(journal.value()->Append(record).ok());
     }
@@ -270,90 +340,6 @@ TEST(JournalTest, ByteFlipFuzzReplaysAPrefixOrReportsDataLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints.
-
-TEST(CheckpointTest, RoundTripRestoresTheRoomBitExact) {
-  const std::string dir = ScratchDir("ckpt_roundtrip");
-  const Dataset dataset = SmallDataset();
-  const auto factory = FactoryFor(&dataset);
-  auto donor = factory(3).value();
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(donor->Tick().ok());
-
-  RoomCheckpoint checkpoint;
-  checkpoint.room = 3;
-  checkpoint.epoch = 12;
-  checkpoint.primary = true;
-  checkpoint.tick = donor->tick();
-  checkpoint.state = donor->ExportState();
-  ASSERT_TRUE(WriteRoomCheckpoint(dir, checkpoint).ok());
-
-  auto loaded = LoadRoomCheckpoint(CheckpointPath(dir, 3));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().room, 3);
-  EXPECT_EQ(loaded.value().epoch, 12u);
-  EXPECT_TRUE(loaded.value().primary);
-  EXPECT_EQ(loaded.value().tick, 5);
-
-  auto receiver = factory(3).value();
-  ASSERT_TRUE(receiver->ApplyState(loaded.value().state).ok());
-  EXPECT_EQ(receiver->tick(), donor->tick());
-  ExpectSamePositions(donor->snapshot()->positions(),
-                      receiver->snapshot()->positions());
-}
-
-TEST(CheckpointTest, MissingIsNotFoundAndCorruptIsDataLoss) {
-  const std::string dir = ScratchDir("ckpt_corrupt");
-  EXPECT_EQ(LoadRoomCheckpoint(CheckpointPath(dir, 9)).status().code(),
-            StatusCode::kNotFound);
-
-  const Dataset dataset = SmallDataset();
-  auto room = FactoryFor(&dataset)(0).value();
-  RoomCheckpoint checkpoint;
-  checkpoint.room = 0;
-  checkpoint.epoch = 1;
-  checkpoint.tick = 0;
-  checkpoint.state = room->ExportState();
-  ASSERT_TRUE(WriteRoomCheckpoint(dir, checkpoint).ok());
-
-  // Every single-byte flip must be caught by the container checksum (or
-  // the structural validation behind it) and surface as kDataLoss —
-  // never crash, never hand back silently different state.
-  const std::string path = CheckpointPath(dir, 0);
-  Rng rng(31);
-  for (int trial = 0; trial < 60; ++trial) {
-    ASSERT_TRUE(WriteRoomCheckpoint(dir, checkpoint).ok());
-    ASSERT_TRUE(testing::FlipRandomByte(path, rng).ok());
-    auto loaded = LoadRoomCheckpoint(path);
-    if (!loaded.ok()) {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
-          << loaded.status().ToString();
-    } else {
-      // A flip that survives the checksum can only be a same-value
-      // rewrite; the state must be untouched.
-      EXPECT_EQ(loaded.value().state, checkpoint.state) << "trial=" << trial;
-    }
-  }
-}
-
-TEST(CheckpointTest, ListingSkipsTempLeftoversOfInterruptedWrites) {
-  const std::string dir = ScratchDir("ckpt_listing");
-  const Dataset dataset = SmallDataset();
-  auto room = FactoryFor(&dataset)(4).value();
-  RoomCheckpoint checkpoint;
-  checkpoint.room = 4;
-  checkpoint.epoch = 1;
-  checkpoint.state = room->ExportState();
-  ASSERT_TRUE(WriteRoomCheckpoint(dir, checkpoint).ok());
-  // A crash mid-write leaves a ".tmp" orphan; it must never be mistaken
-  // for a checkpoint.
-  std::ofstream(dir + "/room-7.ckpt.tmp") << "half-written garbage";
-  std::ofstream(dir + "/notes.txt") << "unrelated";
-  const std::vector<int> rooms = ListCheckpointRooms(dir);
-  ASSERT_EQ(rooms.size(), 1u);
-  EXPECT_EQ(rooms[0], 4);
-}
-
-// ---------------------------------------------------------------------------
 // DurabilityManager + ShardControl: the full crash/recover cycle.
 
 /// One durable shard, restartable in place: the shape of
@@ -364,9 +350,14 @@ struct DurableShard {
   DurableShard(const Dataset& dataset, const std::string& dir,
                int checkpoint_every_ticks = 256,
                int64_t journal_rotate_bytes = 8 << 20)
+      : DurableShard(FactoryFor(&dataset), dir, checkpoint_every_ticks,
+                     journal_rotate_bytes) {}
+  DurableShard(RoomFactory factory, const std::string& dir,
+               int checkpoint_every_ticks = 256,
+               int64_t journal_rotate_bytes = 8 << 20)
       : server({}, [] { return std::make_unique<NearestRecommender>(5); },
                TestServerOptions()),
-        control(&server, FactoryFor(&dataset)) {
+        control(&server, std::move(factory)) {
     DurabilityManager::Options options;
     options.dir = dir;
     options.checkpoint_every_ticks = checkpoint_every_ticks;
@@ -432,15 +423,19 @@ TEST(DurabilityManagerTest, CheckpointPlusTailReplayRecoversBitExact) {
     DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/4);
     ASSERT_TRUE(shard.control.Assign(0, 2, "", /*primary=*/true).ok());
     for (int i = 0; i < 10; ++i) shard.server.TickAll();
+    EXPECT_EQ(shard.server.metrics().checkpoints_written.load(), 2);
+    // The assign, 10 ticks and 2 state records, each counted once.
+    EXPECT_EQ(shard.server.metrics().journal_records.load(), 13);
     expected_state = shard.server.FindRoom(0)->ExportState();
   }
-  ASSERT_EQ(ListCheckpointRooms(dir).size(), 1u);
+  EXPECT_EQ(DirEntries(dir), kJournalOnly);
 
   DurableShard restarted(dataset, dir);
   auto report = restarted.control.RecoverFromDurable();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report.value().size(), 1u);
   EXPECT_EQ(report.value()[0].tick, 10);
+  EXPECT_EQ(restarted.server.metrics().records_replayed.load(), 2);
   EXPECT_EQ(restarted.server.FindRoom(0)->ExportState(), expected_state);
 }
 
@@ -456,7 +451,11 @@ TEST(DurabilityManagerTest, MigratedInStateIsCheckpointedOnArrival) {
   {
     DurableShard shard(dataset, dir);
     ASSERT_TRUE(shard.control.Assign(5, 9, blob, /*primary=*/true).ok());
+    // One state record is the whole grant.
+    EXPECT_EQ(shard.server.metrics().journal_records.load(), 1);
+    EXPECT_EQ(shard.server.metrics().checkpoints_written.load(), 1);
   }  // crash before any tick
+  EXPECT_EQ(DirEntries(dir), kJournalOnly);
 
   DurableShard restarted(dataset, dir);
   auto report = restarted.control.RecoverFromDurable();
@@ -466,21 +465,133 @@ TEST(DurabilityManagerTest, MigratedInStateIsCheckpointedOnArrival) {
   EXPECT_EQ(restarted.server.FindRoom(5)->ExportState(), blob);
 }
 
+TEST(DurabilityManagerTest, PromotedStandbyKeepsItsBaseAndTicksAtTheNewEpoch) {
+  const std::string dir = ScratchDir("recover_promotion");
+  const Dataset dataset = SmallDataset();
+  std::string expected_state;
+  {
+    // Cadence 4 over 6 standby ticks: a base at tick 4 and two ticks
+    // past it. The promotion only re-fences the room, so the base and
+    // every tick on either side of it still describe the live room.
+    DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/4);
+    ASSERT_TRUE(shard.control.Assign(3, 1, "", /*primary=*/false).ok());
+    for (int i = 0; i < 6; ++i) shard.server.TickAll();
+    ASSERT_TRUE(shard.control.Assign(3, 2, "", /*primary=*/true).ok());
+    for (int i = 0; i < 3; ++i) shard.server.TickAll();
+    EXPECT_EQ(shard.server.metrics().errors.load(), 0);
+    expected_state = shard.server.FindRoom(3)->ExportState();
+  }  // crash
+
+  DurableShard restarted(dataset, dir, /*checkpoint_every_ticks=*/4);
+  auto report = restarted.control.RecoverFromDurable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().size(), 1u);
+  EXPECT_EQ(report.value()[0].epoch, 2u);
+  EXPECT_TRUE(report.value()[0].primary);
+  EXPECT_EQ(report.value()[0].tick, 9);
+  EXPECT_EQ(restarted.control.EpochFor(3), 2u);
+  // Ticks 5..9 replay on the tick-4 base.
+  EXPECT_EQ(restarted.server.metrics().records_replayed.load(), 5);
+  EXPECT_EQ(restarted.server.FindRoom(3)->ExportState(), expected_state);
+}
+
+TEST(DurabilityManagerTest, OverwrittenStandbyRecoversTheDonorStateNotItsOwn) {
+  const std::string dir = ScratchDir("recover_overwrite");
+  const Dataset dataset = SmallDataset();
+  auto donor = FactoryFor(&dataset)(5).value();
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(donor->Tick().ok());
+  std::string expected_state;
+  {
+    // The standby runs 6 ticks of its own (a base at tick 4 among
+    // them), then the donor's tick-3 state overwrites it and 2 more
+    // ticks follow. Nothing from the standby's own run may come back.
+    DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/4);
+    ASSERT_TRUE(shard.control.Assign(5, 1, "", /*primary=*/false).ok());
+    for (int i = 0; i < 6; ++i) shard.server.TickAll();
+    ASSERT_TRUE(
+        shard.control.Assign(5, 2, donor->ExportState(), /*primary=*/true)
+            .ok());
+    EXPECT_EQ(shard.server.metrics().migrations_in.load(), 1);
+    for (int i = 0; i < 2; ++i) shard.server.TickAll();
+    EXPECT_EQ(shard.server.metrics().errors.load(), 0);
+    expected_state = shard.server.FindRoom(5)->ExportState();
+  }  // crash
+
+  DurableShard restarted(dataset, dir, /*checkpoint_every_ticks=*/4);
+  auto report = restarted.control.RecoverFromDurable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().size(), 1u);
+  EXPECT_EQ(report.value()[0].epoch, 2u);
+  EXPECT_TRUE(report.value()[0].primary);
+  EXPECT_EQ(report.value()[0].tick, 5);
+  EXPECT_EQ(restarted.server.FindRoom(5)->ExportState(), expected_state);
+}
+
+TEST(DurabilityManagerTest, RecoveryWhoseFactoryFailsCountsDataLoss) {
+  const std::string dir = ScratchDir("recover_factory_fails");
+  const Dataset dataset = SmallDataset();
+  {
+    DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/1000);
+    ASSERT_TRUE(shard.control.Assign(2, 3, "", /*primary=*/true).ok());
+    for (int i = 0; i < 3; ++i) shard.server.TickAll();
+  }
+  const RoomFactory failing = [](int) -> Result<std::unique_ptr<Room>> {
+    return InternalError("the shard's dataset is gone");
+  };
+  DurableShard restarted(failing, dir);
+  auto report = restarted.control.RecoverFromDurable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().empty());
+  EXPECT_FALSE(restarted.control.Owns(2));
+  EXPECT_EQ(restarted.server.metrics().data_loss_rooms.load(), 1);
+}
+
+TEST(DurabilityManagerTest, BaseStateThatNoLongerFitsCountsDataLoss) {
+  const std::string dir = ScratchDir("recover_misfit");
+  const Dataset dataset = SmallDataset();  // 16 users
+  {
+    // Cadence 2 over 3 ticks: a 16-user base at tick 2.
+    DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/2);
+    ASSERT_TRUE(shard.control.Assign(1, 4, "", /*primary=*/true).ok());
+    for (int i = 0; i < 3; ++i) shard.server.TickAll();
+    EXPECT_GE(shard.server.metrics().checkpoints_written.load(), 1);
+  }
+  // The restarted shard builds 12-user rooms: the base cannot apply.
+  const Dataset smaller = SmallDataset(/*num_users=*/12);
+  DurableShard restarted(smaller, dir);
+  auto report = restarted.control.RecoverFromDurable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().empty());
+  EXPECT_FALSE(restarted.control.Owns(1));
+  EXPECT_EQ(restarted.server.metrics().data_loss_rooms.load(), 1);
+}
+
 TEST(DurabilityManagerTest, LedgerFailureCountsAnErrorAndKeepsTheGrant) {
   const std::string dir = ScratchDir("ledger_failure");
   const Dataset dataset = SmallDataset();
   auto donor = FactoryFor(&dataset)(5).value();
   ASSERT_TRUE(donor->Tick().ok());
   DurableShard shard(dataset, dir);
-  // With its directory gone, the arrival checkpoint of a migrated room
-  // cannot be written. The grant still takes effect; only its durable
-  // trace is lost, and that is counted.
-  fs::remove_all(dir);
-  ASSERT_TRUE(shard.control.Assign(5, 9, donor->ExportState(),
-                                   /*primary=*/true)
-                  .ok());
+  // A file-size limit at the journal's current size fails the next
+  // write with EFBIG (SIGXFSZ ignored, so the process lives on), so the
+  // state record of a migrated room cannot be journaled. The grant
+  // still takes effect; only its durable trace is lost, and that is
+  // counted.
+  const uintmax_t journal_bytes = fs::file_size(JournalPath(dir));
+  struct rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(journal_bytes);
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const Status assigned =
+      shard.control.Assign(5, 9, donor->ExportState(), /*primary=*/true);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+  ASSERT_TRUE(assigned.ok()) << assigned.ToString();
   EXPECT_TRUE(shard.server.HasRoom(5));
   EXPECT_EQ(shard.server.metrics().errors.load(), 1);
+  EXPECT_EQ(fs::file_size(JournalPath(dir)), journal_bytes);
   EXPECT_TRUE(shard.server.Handle({.room = 5, .user = 1}).status.ok());
 }
 
@@ -491,12 +602,13 @@ TEST(DurabilityManagerTest, ReleasedRoomsStayDead) {
     DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/2);
     ASSERT_TRUE(shard.control.Assign(1, 1, "", /*primary=*/true).ok());
     for (int i = 0; i < 5; ++i) shard.server.TickAll();
+    EXPECT_EQ(shard.server.metrics().checkpoints_written.load(), 2);
     ASSERT_TRUE(shard.control.Release(1, 2).ok());
   }
-  // The release deleted the checkpoint and journaled the revocation:
-  // restart recovers nothing — the router moved this room elsewhere and
-  // resurrecting it here would split-brain the fleet.
-  EXPECT_TRUE(ListCheckpointRooms(dir).empty());
+  // The release outranks the state records before it: restart recovers
+  // nothing — the router moved this room elsewhere and resurrecting it
+  // here would split-brain the fleet.
+  EXPECT_EQ(DirEntries(dir), kJournalOnly);
   DurableShard restarted(dataset, dir);
   auto report = restarted.control.RecoverFromDurable();
   ASSERT_TRUE(report.ok());
@@ -508,9 +620,11 @@ TEST(DurabilityManagerTest, JournalRotationKeepsTheLedgerAndTheLiveRoom) {
   const std::string dir = ScratchDir("recover_rotation");
   const Dataset dataset = SmallDataset();
   // A few KiB: a 16-user tick record is ~0.5 KiB, so the live room's
-  // ticks cross the threshold every handful of ticks. The tick-path
-  // checkpoint cadence stays out of the way, so every checkpoint below
-  // is a rotation's.
+  // ticks cross the threshold every handful of ticks. The room's state
+  // record (~6 KiB) alone is larger than the budget, so a budget that
+  // counted the rotation's head would rotate on every tick. The
+  // tick-path checkpoint cadence stays out of the way, so every state
+  // record below is a rotation's.
   constexpr int64_t kRotateBytes = 4 << 10;
   std::string expected_state;
   {
@@ -525,30 +639,46 @@ TEST(DurabilityManagerTest, JournalRotationKeepsTheLedgerAndTheLiveRoom) {
 
     const Journal& journal = shard.durability->journal();
     int rotations = 0;
-    int64_t before = journal.bytes();
+    int ticks_since_rotation = 0;
+    int64_t before = journal.appended_bytes();
     for (int i = 0; i < 64 && rotations < 2; ++i) {
       shard.server.TickAll();
-      const int64_t after = journal.bytes();
+      ++ticks_since_rotation;
+      const int64_t after = journal.appended_bytes();
       if (after < before) {
         ++rotations;
-        // Rotation empties the journal down to its header.
-        EXPECT_EQ(after, static_cast<int64_t>(kJournalHeaderBytes));
+        EXPECT_GT(ticks_since_rotation, 1);
+        ticks_since_rotation = 0;
+        // The rotated file holds the header and one state record for
+        // the one hosted room; the released room is gone.
+        EXPECT_EQ(after, 0);
         EXPECT_EQ(static_cast<int64_t>(fs::file_size(JournalPath(dir))),
-                  after);
+                  journal.bytes());
+        EXPECT_GT(journal.bytes(), kRotateBytes);
+        auto replay = ReadJournal(JournalPath(dir));
+        ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+        ASSERT_EQ(replay.value().records.size(), 1u);
+        const JournalRecord& head = replay.value().records[0];
+        EXPECT_EQ(head.type, JournalRecord::Type::kState);
+        EXPECT_EQ(head.room, 2);
+        EXPECT_EQ(head.epoch, 5u);
+        EXPECT_TRUE(head.primary);
+        EXPECT_EQ(head.state, shard.server.FindRoom(2)->ExportState());
       }
-      // A journal past the threshold never outlives the tick that
-      // crossed it.
+      // Appends past the threshold never outlive the tick that crossed
+      // it.
       EXPECT_LE(after, kRotateBytes);
       before = after;
     }
     ASSERT_EQ(rotations, 2);
+    EXPECT_EQ(shard.server.metrics().checkpoints_written.load(), 2);
     EXPECT_EQ(shard.server.metrics().errors.load(), 0);
     // Leave a journal tail after the last rotation to replay.
     for (int i = 0; i < 3; ++i) shard.server.TickAll();
     EXPECT_GT(journal.bytes(), static_cast<int64_t>(kJournalHeaderBytes));
     expected_state = shard.server.FindRoom(2)->ExportState();
   }  // crash
-  EXPECT_EQ(ListCheckpointRooms(dir), std::vector<int>{2});
+  EXPECT_EQ(DirEntries(dir), kJournalOnly);
 
   DurableShard restarted(dataset, dir);
   auto report = restarted.control.RecoverFromDurable();
@@ -561,33 +691,6 @@ TEST(DurabilityManagerTest, JournalRotationKeepsTheLedgerAndTheLiveRoom) {
   EXPECT_FALSE(restarted.control.Owns(4)) << "released room resurrected";
   ASSERT_NE(restarted.server.FindRoom(2), nullptr);
   EXPECT_EQ(restarted.server.FindRoom(2)->ExportState(), expected_state);
-}
-
-TEST(DurabilityManagerTest, CrashBetweenReleaseJournalAndCheckpointDelete) {
-  // The WAL-ordering window: the release record is journaled + synced,
-  // then the process dies BEFORE fs::remove(checkpoint). The orphan
-  // checkpoint must not resurrect the room.
-  const std::string dir = ScratchDir("recover_orphan_ckpt");
-  const Dataset dataset = SmallDataset();
-  {
-    DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/2);
-    ASSERT_TRUE(shard.control.Assign(6, 3, "", /*primary=*/true).ok());
-    for (int i = 0; i < 4; ++i) shard.server.TickAll();
-    // Reproduce the crash window by hand: journal the release record the
-    // way RecordRelease does, but "die" before the checkpoint delete.
-    JournalRecord release;
-    release.type = JournalRecord::Type::kRelease;
-    release.room = 6;
-    release.epoch = 4;
-    ASSERT_TRUE(shard.durability->journal().Append(release).ok());
-  }
-  ASSERT_EQ(ListCheckpointRooms(dir).size(), 1u);  // the orphan survives
-
-  DurableShard restarted(dataset, dir);
-  auto report = restarted.control.RecoverFromDurable();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().empty()) << "orphan checkpoint resurrected";
-  EXPECT_FALSE(restarted.control.Owns(6));
 }
 
 TEST(DurabilityManagerTest, TornJournalTailRecoversThePrefix) {
@@ -618,54 +721,93 @@ TEST(DurabilityManagerTest, TornJournalTailRecoversThePrefix) {
 }
 
 TEST(DurabilityManagerTest, CorruptJournalHeaderIsDataLossNotACrash) {
-  const std::string dir = ScratchDir("recover_bad_header");
-  const Dataset dataset = SmallDataset();
-  {
-    DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/2);
-    ASSERT_TRUE(shard.control.Assign(4, 1, "", /*primary=*/true).ok());
-    for (int i = 0; i < 4; ++i) shard.server.TickAll();
-  }
-  std::fstream flip(JournalPath(dir),
-                    std::ios::in | std::ios::out | std::ios::binary);
-  flip.seekp(0);
-  flip.put('X');
-  flip.close();
+  // A flipped magic byte, and a version-1 journal from before state
+  // records: either way the header cannot be trusted.
+  for (const auto& [offset, byte] :
+       std::vector<std::pair<int, char>>{{0, 'X'}, {4, '\x01'}}) {
+    SCOPED_TRACE(::testing::Message() << "byte " << offset);
+    const std::string dir = ScratchDir("recover_bad_header");
+    const Dataset dataset = SmallDataset();
+    {
+      DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/2);
+      ASSERT_TRUE(shard.control.Assign(4, 1, "", /*primary=*/true).ok());
+      for (int i = 0; i < 4; ++i) shard.server.TickAll();
+    }
+    std::fstream flip(JournalPath(dir),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    flip.seekp(offset);
+    flip.put(byte);
+    flip.close();
 
-  // Open survives (the corrupt journal is moved aside for post-mortem),
-  // and recovery comes back empty: without the ownership ledger the
-  // orphaned checkpoint cannot be trusted — counted as data loss, and
-  // the router will re-grant the room fresh.
-  DurableShard restarted(dataset, dir);
-  EXPECT_TRUE(fs::exists(JournalPath(dir) + ".corrupt"));
-  auto report = restarted.control.RecoverFromDurable();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report.value().empty());
-  EXPECT_GE(restarted.server.metrics().data_loss_rooms.load(), 1);
+    // Open survives (the corrupt journal is moved aside for
+    // post-mortem), and recovery comes back empty: how many rooms the
+    // file held cannot be read, so it counts as one data-loss room, and
+    // the router will re-grant the room fresh.
+    DurableShard restarted(dataset, dir);
+    EXPECT_EQ(DirEntries(dir), (std::vector<std::string>{
+                                   "journal.wal", "journal.wal.corrupt"}));
+    auto report = restarted.control.RecoverFromDurable();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report.value().empty());
+    EXPECT_EQ(restarted.server.metrics().data_loss_rooms.load(), 1);
+  }
 }
 
-TEST(DurabilityManagerTest, CorruptCheckpointFallsBackToFullReplay) {
-  const std::string dir = ScratchDir("recover_bad_ckpt");
+TEST(DurabilityManagerTest, CorruptStateRecordRecoversAnExactTickPrefix) {
+  const std::string dir = ScratchDir("recover_bad_state");
   const Dataset dataset = SmallDataset();
-  std::string expected_state;
   {
+    // Cadence 3 over 7 ticks: assign, t1-t3, state@3, t4-t6, state@6, t7.
     DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/3);
     ASSERT_TRUE(shard.control.Assign(8, 2, "", /*primary=*/true).ok());
     for (int i = 0; i < 7; ++i) shard.server.TickAll();
-    expected_state = shard.server.FindRoom(8)->ExportState();
   }
-  // Rot the checkpoint. The journal still holds every tick since the
-  // (reset) assign, so recovery degrades to factory + full replay and
-  // still lands bit-exact.
-  Rng rng(5);
-  ASSERT_TRUE(
-      testing::FlipRandomByte(CheckpointPath(dir, 8), rng).ok());
+  auto pristine = ReadJournal(JournalPath(dir));
+  ASSERT_TRUE(pristine.ok());
+  const std::vector<JournalRecord>& records = pristine.value().records;
+  ASSERT_EQ(records.size(), 10u);
+  std::vector<std::string> states_by_tick;
+  {
+    auto oracle = FactoryFor(&dataset)(8).value();
+    states_by_tick.push_back(oracle->ExportState());
+    for (int i = 0; i < 7; ++i) {
+      ASSERT_TRUE(oracle->Tick().ok());
+      states_by_tick.push_back(oracle->ExportState());
+    }
+  }
+  const std::string scratch = ScratchDir("recover_bad_state_scratch");
+  // A flipped byte inside a state record drops it and everything after
+  // it: the room comes back at the tick just before that record, bit
+  // for bit, from the base before it (or the factory) and the ticks
+  // between.
+  for (const auto& [index, expected_tick] :
+       std::vector<std::pair<size_t, int>>{{4, 3}, {8, 6}}) {
+    SCOPED_TRACE(::testing::Message() << "record " << index);
+    ASSERT_EQ(records[index].type, JournalRecord::Type::kState);
+    int64_t offset = static_cast<int64_t>(kJournalHeaderBytes);
+    for (size_t i = 0; i < index; ++i)
+      offset +=
+          12 + static_cast<int64_t>(EncodeJournalRecord(records[i]).size());
+    offset += 12 + static_cast<int64_t>(records[index].state.size()) / 2;
+    fs::remove_all(scratch);
+    fs::copy(dir, scratch, fs::copy_options::recursive);
+    std::fstream flip(JournalPath(scratch),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    flip.seekg(offset);
+    const char byte = static_cast<char>(flip.get());
+    flip.seekp(offset);
+    flip.put(static_cast<char>(byte ^ 0x20));
+    flip.close();
 
-  DurableShard restarted(dataset, dir, /*checkpoint_every_ticks=*/3);
-  auto report = restarted.control.RecoverFromDurable();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report.value().size(), 1u);
-  EXPECT_EQ(report.value()[0].tick, 7);
-  EXPECT_EQ(restarted.server.FindRoom(8)->ExportState(), expected_state);
+    DurableShard restarted(dataset, scratch, /*checkpoint_every_ticks=*/3);
+    auto report = restarted.control.RecoverFromDurable();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report.value().size(), 1u);
+    EXPECT_EQ(report.value()[0].tick, expected_tick);
+    EXPECT_EQ(restarted.server.FindRoom(8)->ExportState(),
+              states_by_tick[static_cast<size_t>(expected_tick)]);
+    EXPECT_EQ(restarted.server.metrics().data_loss_rooms.load(), 0);
+  }
 }
 
 TEST(DurabilityManagerTest, RecoveryAfterRecoveryStillFoldsCorrectly) {

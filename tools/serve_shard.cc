@@ -31,11 +31,12 @@
 //                            at its top-N recent contacts; 0 = off)
 //
 // Durable rooms (docs/durability.md):
-//   --durable_dir=PATH          journal + checkpoints live here; at boot
-//                               the shard replays them and re-owns its
-//                               rooms (the router reconciles via
-//                               kRoomRecover)
-//   --checkpoint_every_ticks=N  per-room checkpoint cadence (default 256)
+//   --durable_dir=PATH          the shard's journal (journal.wal) lives
+//                               here; at boot the shard replays it and
+//                               re-owns its rooms (the router reconciles
+//                               via kRoomRecover)
+//   --checkpoint_every_ticks=N  journal a room's state every N of its
+//                               ticks (default 256)
 //   --journal_fsync             fsync the journal per append (crash-of-
 //                               machine durability; heavy latency cost)
 
@@ -159,9 +160,9 @@ int Main(int argc, char** argv) {
       {}, [&primary] { return std::move(primary); }, server_options);
   serve::ShardControl control(&server, make_room);
 
-  // Durable rooms: open the journal + checkpoint dir, recover whatever
-  // a previous incarnation of this shard persisted, and wire the
-  // subsystem into the tick and control planes.
+  // Durable rooms: open the journal, recover whatever a previous
+  // incarnation of this shard persisted, and wire the subsystem into the
+  // tick and control planes.
   std::unique_ptr<serve::DurabilityManager> durability;
   if (!durable_dir.empty()) {
     serve::DurabilityManager::Options durable_options;
