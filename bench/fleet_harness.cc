@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/poshgnn.h"
+#include "serve/codec.h"
 #include "serve/server_types.h"
 
 namespace after {
@@ -200,11 +201,13 @@ RestartReport ColdRestart(LocalFleet* fleet) {
   // stopped.
   fleet->stop.store(true);
   if (fleet->ticker.joinable()) fleet->ticker.join();
+  // Equal encoded frames mean a bit-exact tick, positions and goals.
   std::unordered_map<int, std::string> expected;
   const auto before = fleet->router->AssignmentSnapshot();
   for (const auto& entry : before)
     if (auto room = PrimaryRoom(fleet, before, entry.first))
-      expected[entry.first] = room->ExportState();
+      serve::AppendTickFrame(room->CurrentTickFrame(),
+                             &expected[entry.first]);
   report.expected = static_cast<long long>(expected.size());
   const int router_port = fleet->router_net->port();
   // The crash: everything dies; only the durable dirs survive.
@@ -246,10 +249,13 @@ RestartReport ColdRestart(LocalFleet* fleet) {
   const auto after = fleet->router->AssignmentSnapshot();
   for (const auto& entry : expected) {
     const auto room = PrimaryRoom(fleet, after, entry.first);
-    if (room == nullptr)
+    if (room == nullptr) {
       ++report.lost;
-    else if (room->ExportState() != entry.second)
-      ++report.mismatched;
+      continue;
+    }
+    std::string recovered;
+    serve::AppendTickFrame(room->CurrentTickFrame(), &recovered);
+    if (recovered != entry.second) ++report.mismatched;
   }
   // Only once the front is back may ticking advance the recovered rooms.
   if (!StartRouterFront(fleet, config.threads, router_port,

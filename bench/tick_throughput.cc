@@ -201,7 +201,7 @@ int RunStaleCacheDrill(const Dataset& dataset, const BenchConfig& config,
 
   BenchConfig drill = config;
   serve::Room::Options room_options = MakeRoomOptions(drill, /*delta=*/true);
-  serve::Room::TickFrame donor_frame;
+  serve::TickFrame donor_frame;
   long long donor_delta_ticks = 0;
   {
     auto created = serve::Room::Create(room_options, &dataset);
@@ -259,7 +259,7 @@ int RunStaleCacheDrill(const Dataset& dataset, const BenchConfig& config,
   const serve::DurabilityManager::RecoveryEntry* entry = nullptr;
   for (const auto& candidate : plan.value().entries)
     if (candidate.room == room_options.id) entry = &candidate;
-  if (entry == nullptr || entry->base_state.empty()) {
+  if (entry == nullptr || !entry->base.has_value()) {
     std::fprintf(stderr, "drill: no recovery entry for the room\n");
     return 1;
   }
@@ -271,14 +271,13 @@ int RunStaleCacheDrill(const Dataset& dataset, const BenchConfig& config,
     return 1;
   }
   std::unique_ptr<serve::Room> recovered = std::move(recreated).value();
-  Status status = recovered->ApplyState(entry->base_state);
-  for (const auto& record : entry->ticks) {
+  // The replay loop of ShardControl::RecoverFromDurable, its tick skip
+  // included.
+  Status status = recovered->Restore(*entry->base);
+  for (const serve::TickFrame& frame : entry->ticks) {
     if (!status.ok()) break;
-    serve::Room::TickFrame frame;
-    frame.tick = record.tick;
-    frame.positions = record.positions;
-    frame.goals = record.goals;
-    status = recovered->ApplyTickFrame(frame);
+    if (frame.tick <= recovered->tick()) continue;
+    status = recovered->Restore(frame);
   }
   if (!status.ok()) {
     std::fprintf(stderr, "drill replay: %s\n", status.ToString().c_str());

@@ -15,8 +15,9 @@
 #            (relative and repo-absolute), docs/ARCHITECTURE.md mentions
 #            every src/* subsystem, docs/serving.md covers the
 #            partitioned-serving vocabulary, docs/networking.md covers
-#            the reactor/pipelining vocabulary, and shellcheck (when
-#            installed) passes on tracked shell scripts
+#            the reactor/pipelining vocabulary, no page names removed
+#            files or room-state calls, and shellcheck (when installed)
+#            passes on tracked shell scripts
 #   format   clang-format --dry-run over tracked C++ sources; skipped
 #            with a notice when clang-format is not installed
 #   release  RelWithDebInfo, full ctest suite (the tier-1 gate)
@@ -26,10 +27,6 @@
 #   tsan     thread sanitizer; by default runs only the concurrent
 #            serving-runtime tests (ctest -R serve), where data races
 #            actually live. Override the filter with TSAN_FILTER.
-#   release-core / release-serve / asan-core / asan-serve
-#            the same suites split by ctest regex (-E '^serve/' vs
-#            -R '^serve/') so CI can run both halves in parallel with
-#            per-lane build caches
 #   bench    smoke-config serving benchmarks: serve_throughput
 #            (in-process), world_sim (a uniform one-slice plan on a
 #            partitioned TCP fleet that kills a shard and adds one live
@@ -102,8 +99,8 @@ cd "$(dirname "$0")/.."
 # purpose. `scripts/check.sh --list` prints it, and an unknown lane
 # name fails fast with the same list instead of dying inside cmake
 # with a missing-preset error.
-LANE_ORDER=(docs format release asan ubsan tsan release-core release-serve
-  asan-core asan-serve bench bench-regression perfbench world-sim coverage)
+LANE_ORDER=(docs format release asan ubsan tsan bench bench-regression
+  perfbench world-sim coverage)
 declare -A LANE_PURPOSE=(
   [docs]="markdown link integrity, subsystem + vocabulary coverage, shellcheck"
   [format]="clang-format --dry-run over tracked C++ sources"
@@ -111,10 +108,6 @@ declare -A LANE_PURPOSE=(
   [asan]="address+undefined sanitizers, full ctest suite"
   [ubsan]="undefined-behavior sanitizer alone, full ctest suite"
   [tsan]="thread sanitizer over the concurrent serving tests (TSAN_FILTER)"
-  [release-core]="release suite minus serve/ (CI cache-split half)"
-  [release-serve]="release suite, serve/ tests only (CI cache-split half)"
-  [asan-core]="asan suite minus serve/ (CI cache-split half)"
-  [asan-serve]="asan suite, serve/ tests only (CI cache-split half)"
   [bench]="smoke-config serving + delta-tick benchmarks (non-blocking in CI)"
   [bench-regression]="baseline-config benches gated vs bench/baselines (blocking)"
   [perfbench]="repo benchmark: perfbench_test + every workload for 15 s (non-blocking in CI)"
@@ -260,6 +253,14 @@ run_docs_lane() {
     echo "docs: ${stale} names the removed .ckpt files"
     fail=1
   done < <(grep -rlF '.ckpt' docs README.md)
+  # Nor the room-state calls that went when a room's state became its
+  # tick frame (Room::CurrentTickFrame / Room::Restore).
+  while IFS= read -r stale; do
+    echo "docs: ${stale} names a removed room-state call"
+    fail=1
+  done < <(grep -rlE \
+             'ExportState|ApplyState|ApplyTickFrame|kTrajectoryWindowFrames' \
+             docs README.md)
   # The nightly chaos matrix must keep every drill it has ever grown:
   # a matrix refactor that silently drops an entry would otherwise go
   # unnoticed until the drill it ran stops catching regressions.
@@ -574,24 +575,17 @@ run_lane() {
     world-sim) run_world_sim_lane; return ;;
     coverage) run_coverage_lane; return ;;
   esac
-  # release-core / asan-serve / ... are the base preset plus a ctest
-  # split: -core excludes the serving-runtime tests, -serve runs only
-  # them, so CI halves each suite across two cached jobs.
-  local preset="${lane%%-*}"
-  local -a filter=()
-  case "${lane}" in
-    *-core)  filter=(-E '^serve/') ;;
-    *-serve) filter=(-R '^serve/') ;;
-  esac
-  cmake --preset "${preset}"
-  cmake --build --preset "${preset}" -j "${JOBS}"
-  local dir="build-${preset}"
-  [ "${preset}" = release ] && dir=build
-  if [ "${preset}" = tsan ]; then
+  # release / asan / ubsan / tsan: the preset of the same name, then
+  # its ctest suite.
+  cmake --preset "${lane}"
+  cmake --build --preset "${lane}" -j "${JOBS}"
+  local dir="build-${lane}"
+  [ "${lane}" = release ] && dir=build
+  if [ "${lane}" = tsan ]; then
     ctest --test-dir "${dir}" -R "${TSAN_FILTER}" \
       --output-on-failure -j "${JOBS}"
   else
-    ctest --test-dir "${dir}" "${filter[@]}" --output-on-failure -j "${JOBS}"
+    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
   fi
 }
 

@@ -18,8 +18,7 @@ JournalRecord StateRecord(const Room& room, uint64_t epoch, bool primary) {
   record.room = room.id();
   record.epoch = epoch;
   record.primary = primary;
-  record.tick = room.tick();
-  record.state = room.ExportState();
+  record.frame = room.CurrentTickFrame();
   return record;
 }
 
@@ -152,20 +151,17 @@ Status DurabilityManager::RecordTick(const Room& room) {
     // durable incarnation to journal against.
     const auto role = roles_.find(room.id());
     if (role == roles_.end()) return OkStatus();
-    Room::TickFrame frame = room.CurrentTickFrame();
-    JournalRecord record;
-    record.type = JournalRecord::Type::kTick;
-    record.room = room.id();
-    record.tick = frame.tick;
-    record.positions = std::move(frame.positions);
-    record.goals = std::move(frame.goals);
-    AFTER_RETURN_IF_ERROR(AppendLocked(record));
+    // At the checkpoint cadence the tick is journaled as its state
+    // record: the same frame, plus the grant it is a base under.
+    JournalRecord record =
+        StateRecord(room, role->second.epoch, role->second.primary);
     if (++role->second.ticks_since_state >= options_.checkpoint_every_ticks) {
       role->second.ticks_since_state = 0;
-      AFTER_RETURN_IF_ERROR(AppendLocked(
-          StateRecord(room, role->second.epoch, role->second.primary)));
       wrote_state = true;
+    } else {
+      record.type = JournalRecord::Type::kTick;
     }
+    AFTER_RETURN_IF_ERROR(AppendLocked(record));
     // Rotation needs the room registry to find the hosted rooms. It
     // syncs its new file, this room's state included.
     if (server_ != nullptr &&
@@ -187,8 +183,8 @@ Result<DurabilityManager::RecoveryPlan> DurabilityManager::LoadRecoveryPlan() {
     bool owned = false;
     uint64_t epoch = 0;
     bool primary = false;
-    std::string base_state;
-    std::vector<JournalRecord> ticks;
+    std::optional<TickFrame> base;
+    std::vector<TickFrame> ticks;
   };
   std::map<int, Fold> folds;
   Result<JournalReplay> replay = ReadJournal(journal_->path());
@@ -204,8 +200,11 @@ Result<DurabilityManager::RecoveryPlan> DurabilityManager::LoadRecoveryPlan() {
           fold.primary = record.primary;
           // A state record is the new base; a reset assign is a
           // factory-fresh one. Either way older ticks are dead.
-          if (record.type == JournalRecord::Type::kState || record.reset) {
-            fold.base_state = std::move(record.state);
+          if (record.type == JournalRecord::Type::kState) {
+            fold.base = std::move(record.frame);
+            fold.ticks.clear();
+          } else if (record.reset) {
+            fold.base.reset();
             fold.ticks.clear();
           }
           break;
@@ -215,7 +214,7 @@ Result<DurabilityManager::RecoveryPlan> DurabilityManager::LoadRecoveryPlan() {
           fold.epoch = record.epoch;
           break;
         case JournalRecord::Type::kTick:
-          if (fold.owned) fold.ticks.push_back(std::move(record));
+          if (fold.owned) fold.ticks.push_back(std::move(record.frame));
           break;
       }
     }
@@ -227,7 +226,7 @@ Result<DurabilityManager::RecoveryPlan> DurabilityManager::LoadRecoveryPlan() {
     entry.room = room;
     entry.epoch = fold.epoch;
     entry.primary = fold.primary;
-    entry.base_state = std::move(fold.base_state);
+    entry.base = std::move(fold.base);
     entry.ticks = std::move(fold.ticks);
     plan.entries.push_back(std::move(entry));
   }

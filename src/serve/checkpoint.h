@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,14 +25,15 @@ class RecommendationServer;
 ///  - A grant is journaled after it takes effect. A fresh build is an
 ///    assign record with the reset flag, a promotion one without it. A
 ///    grant that carried the room's state (migration in, recovery's
-///    re-fence) is one state record: the grant plus the room's
-///    ExportState() blob.
+///    re-fence) is one state record: the grant plus the room's tick
+///    frame.
 ///  - A release is journaled; every older record of the room is dead.
-///  - Ticks are journaled per publish. Every checkpoint_every_ticks of a
-///    room's ticks it gets a state record (a checkpoint), and once the
-///    records appended since the last rotation outgrow
-///    journal_rotate_bytes, the journal is atomically rotated to a file
-///    that starts with one state record per hosted room.
+///  - Ticks are journaled per publish, as tick records. Every
+///    checkpoint_every_ticks-th of a room's ticks is journaled as a
+///    state record instead (a checkpoint), and once the records appended
+///    since the last rotation outgrow journal_rotate_bytes, the journal
+///    is atomically rotated to a file that starts with one state record
+///    per hosted room.
 ///
 /// Every grant, release and state record is synced before the call
 /// returns; tick records are synced only with journal_fsync.
@@ -82,18 +84,18 @@ class DurabilityManager {
   /// (epoch, primary).
   Status RecordState(const Room& room, uint64_t epoch, bool primary);
   Status RecordRelease(int room, uint64_t epoch);
-  /// Journals the room's current tick frame and runs the checkpoint /
-  /// rotation budgets.
+  /// Journals the room's current tick frame, as a state record at the
+  /// checkpoint cadence, and runs the rotation budget.
   Status RecordTick(const Room& room);
 
-  /// One room's recovery recipe: base state (a state record's blob, or
-  /// empty = factory-fresh) plus the tick frames to replay on top.
+  /// One room's recovery recipe: a base frame (a state record's, or
+  /// none = factory-fresh) plus the tick frames to replay on top.
   struct RecoveryEntry {
     int room = 0;
     uint64_t epoch = 0;
     bool primary = false;
-    std::string base_state;
-    std::vector<JournalRecord> ticks;
+    std::optional<TickFrame> base;
+    std::vector<TickFrame> ticks;
   };
   struct RecoveryPlan {
     /// Sorted by room.

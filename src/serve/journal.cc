@@ -17,95 +17,6 @@ namespace after {
 namespace serve {
 namespace {
 
-// Little-endian primitives, byte-for-byte the serve/wire.cc encoding
-// (kept local: wire's helpers live in its anonymous namespace).
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i)
-    PutU8(static_cast<uint8_t>((v >> (8 * i)) & 0xff), out);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i)
-    PutU8(static_cast<uint8_t>((v >> (8 * i)) & 0xff), out);
-}
-
-void PutI32(int32_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
-
-void PutF64(double v, std::string* out) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return position_ == bytes_.size(); }
-  size_t remaining() const { return bytes_.size() - position_; }
-
-  uint8_t TakeU8() {
-    if (!Require(1)) return 0;
-    return static_cast<uint8_t>(bytes_[position_++]);
-  }
-
-  uint32_t TakeU32() {
-    if (!Require(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[position_++]))
-           << (8 * i);
-    return v;
-  }
-
-  uint64_t TakeU64() {
-    if (!Require(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[position_++]))
-           << (8 * i);
-    return v;
-  }
-
-  int32_t TakeI32() { return static_cast<int32_t>(TakeU32()); }
-
-  std::string_view TakeBytes(size_t count) {
-    if (!Require(count)) return {};
-    const std::string_view taken = bytes_.substr(position_, count);
-    position_ += count;
-    return taken;
-  }
-
-  double TakeF64() {
-    const uint64_t bits = TakeU64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
- private:
-  bool Require(size_t count) {
-    if (!ok_ || remaining() < count) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view bytes_;
-  size_t position_ = 0;
-  bool ok_ = true;
-};
-
 Status Malformed(const char* what) {
   return InvalidDataError(std::string("journal: ") + what);
 }
@@ -183,29 +94,13 @@ std::string EncodeJournalRecord(const JournalRecord& record) {
     case JournalRecord::Type::kRelease:
       PutU64(record.epoch, &payload);
       break;
-    case JournalRecord::Type::kTick: {
-      PutI32(record.tick, &payload);
-      PutU32(static_cast<uint32_t>(record.positions.size()), &payload);
-      for (const Vec2& p : record.positions) {
-        PutF64(p.x, &payload);
-        PutF64(p.y, &payload);
-      }
-      // Replay-mode rooms have no goals; pad with zeros so the record
-      // shape depends only on n.
-      for (size_t u = 0; u < record.positions.size(); ++u) {
-        const Vec2 g =
-            u < record.goals.size() ? record.goals[u] : Vec2{0.0, 0.0};
-        PutF64(g.x, &payload);
-        PutF64(g.y, &payload);
-      }
+    case JournalRecord::Type::kTick:
+      AppendTickFrame(record.frame, &payload);
       break;
-    }
     case JournalRecord::Type::kState:
       PutU64(record.epoch, &payload);
       PutU8(record.primary ? 1 : 0, &payload);
-      PutI32(record.tick, &payload);
-      PutU32(static_cast<uint32_t>(record.state.size()), &payload);
-      payload.append(record.state);
+      AppendTickFrame(record.frame, &payload);
       break;
   }
   return payload;
@@ -235,32 +130,13 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
       out.epoch = reader.TakeU64();
       if (!reader.ok()) return Malformed("truncated release record");
       break;
-    case static_cast<uint8_t>(JournalRecord::Type::kTick): {
+    case static_cast<uint8_t>(JournalRecord::Type::kTick):
       out.type = JournalRecord::Type::kTick;
-      out.tick = reader.TakeI32();
-      const uint32_t n = reader.TakeU32();
-      if (!reader.ok()) return Malformed("truncated tick record");
-      if (n > reader.remaining() / 32)
-        return Malformed("tick record user count exceeds payload");
-      out.positions.resize(n);
-      for (uint32_t u = 0; u < n; ++u) {
-        out.positions[u].x = reader.TakeF64();
-        out.positions[u].y = reader.TakeF64();
-      }
-      out.goals.resize(n);
-      for (uint32_t u = 0; u < n; ++u) {
-        out.goals[u].x = reader.TakeF64();
-        out.goals[u].y = reader.TakeF64();
-      }
-      if (!reader.ok()) return Malformed("truncated tick record frames");
       break;
-    }
     case static_cast<uint8_t>(JournalRecord::Type::kState): {
       out.type = JournalRecord::Type::kState;
       out.epoch = reader.TakeU64();
       const uint8_t primary = reader.TakeU8();
-      out.tick = reader.TakeI32();
-      out.state = std::string(reader.TakeBytes(reader.TakeU32()));
       if (!reader.ok()) return Malformed("truncated state record");
       if (primary > 1) return Malformed("non-boolean state primary flag");
       out.primary = primary == 1;
@@ -268,6 +144,16 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
     }
     default:
       return Malformed("unknown record type");
+  }
+  if (out.type == JournalRecord::Type::kTick ||
+      out.type == JournalRecord::Type::kState) {
+    // The frame runs to the end of the payload.
+    Result<TickFrame> frame =
+        DecodeTickFrame(reader.TakeBytes(reader.remaining()));
+    if (!frame.ok())
+      return frame.status().Annotate("journal record of room " +
+                                     std::to_string(out.room));
+    out.frame = std::move(frame).value();
   }
   if (!reader.AtEnd()) return Malformed("trailing bytes after record");
   return out;

@@ -8,9 +8,9 @@
 #include <string_view>
 #include <vector>
 
-#include "common/geometry.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "serve/codec.h"
 
 namespace after {
 namespace serve {
@@ -35,14 +35,13 @@ namespace serve {
 /// unrecoverable (kDataLoss): without the magic the file cannot be
 /// trusted to be a journal at all.
 ///
-/// Record payloads (little-endian, serve/wire.cc primitives):
+/// Record payloads (little-endian, serve/codec.h primitives):
 ///   kAssign  u8 type | i32 room | u64 epoch | u8 primary | u8 reset
 ///   kRelease u8 type | i32 room | u64 epoch
-///   kTick    u8 type | i32 room | i32 tick | u32 n
-///            | n x (f64 x, f64 y) positions | n x (f64 x, f64 y) goals
-///   kState   u8 type | i32 room | u64 epoch | u8 primary | i32 tick
-///            | u32 len | len bytes of Room::ExportState()
-/// (a replay-mode room journals zero goals; goal count always equals n).
+///   kTick    u8 type | i32 room | frame
+///   kState   u8 type | i32 room | u64 epoch | u8 primary | frame
+/// where `frame` is the room's TickFrame in its one encoding
+/// (AppendTickFrame), running to the end of the payload.
 struct JournalRecord {
   enum class Type : uint8_t {
     kAssign = 1,
@@ -62,20 +61,16 @@ struct JournalRecord {
   /// use an older state record under it. False for a promotion that
   /// merely re-fences an already-hosted room.
   bool reset = false;
-  /// kTick / kState: the room's tick.
-  int32_t tick = 0;
-  /// kTick only.
-  std::vector<Vec2> positions;
-  std::vector<Vec2> goals;
-  /// kState only: the room's Room::ExportState() blob. A state record is
-  /// a grant that carries its base state: recovery applies the newest
-  /// one and replays only the ticks after it.
-  std::string state;
+  /// kTick / kState: the room's state at one published tick. A state
+  /// record is a grant that carries its base frame: recovery applies the
+  /// newest one and replays only the tick frames after it.
+  TickFrame frame;
 };
 
 inline constexpr uint32_t kJournalMagic = 0x414A4C31u;
-/// A journal of another version (version 1 had no kState) is kDataLoss.
-inline constexpr uint8_t kJournalVersion = 2;
+/// A journal of another version is kDataLoss: version 1 had no kState,
+/// and version 2's state record held a text blob instead of a frame.
+inline constexpr uint8_t kJournalVersion = 3;
 inline constexpr size_t kJournalHeaderBytes = 8;
 /// Upper bound on one record's payload; larger declared lengths are
 /// treated as corruption rather than honored with an allocation.

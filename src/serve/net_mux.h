@@ -65,7 +65,7 @@ class MuxLink {
 
   /// Room-ownership control plane, same contracts as NetClient:
   /// AssignRoom returns the shard's ack status; ReleaseRoom returns the
-  /// shard's final state blob for the room; RecoverRooms returns the
+  /// room's final tick frame, encoded; RecoverRooms returns the
   /// durable-state report. Control calls multiplex over the same link
   /// as data traffic — ordering across calls is enforced by the caller
   /// (ShardRouter's migration steps each block for their ack).

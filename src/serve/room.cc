@@ -7,8 +7,6 @@
 
 #include "common/check.h"
 #include "graph/occlusion_converter.h"
-#include "nn/serialize.h"
-#include "tensor/matrix.h"
 
 namespace after {
 namespace serve {
@@ -307,9 +305,6 @@ void Room::Publish(std::vector<Vec2> positions, int tick) {
     temporal_->Rebuild(positions, tick);
     view = temporal_->PublishView();
   }
-  window_.push_back(positions);
-  while (static_cast<int>(window_.size()) > kTrajectoryWindowFrames)
-    window_.pop_front();
   auto snapshot = std::make_shared<const RoomSnapshot>(
       tick, std::move(positions), &world_->interfaces(),
       &dataset_->preference, &dataset_->social_presence, options_.beta,
@@ -322,12 +317,13 @@ void Room::Publish(std::vector<Vec2> positions, int tick) {
 }
 
 void Room::PublishTick(std::vector<Vec2> positions, int tick) {
-  // Moved set: bitwise position diff against the previous published
-  // frame, plus users churned since the last publish (teleports and
-  // active flips count as moved even when the position bits agree).
+  // Moved set: bitwise position diff against the published snapshot,
+  // plus users churned since the last publish (teleports and active
+  // flips count as moved even when the position bits agree).
+  const std::shared_ptr<const RoomSnapshot> previous = snapshot();
   std::vector<int> moved;
   std::vector<bool> seen(num_users_, false);
-  const std::vector<Vec2>& prev = window_.back();
+  const std::vector<Vec2>& prev = previous->positions();
   for (int u = 0; u < num_users_; ++u) {
     if (positions[u].x != prev[u].x || positions[u].y != prev[u].y) {
       moved.push_back(u);
@@ -355,18 +351,8 @@ void Room::PublishTick(std::vector<Vec2> positions, int tick) {
       options_.delta_snapshots &&
       static_cast<double>(moved.size()) <=
           options_.delta_rebuild_fraction * num_users_;
-  std::shared_ptr<const RoomSnapshot> previous;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    previous = snapshot_;
-  }
-
-  window_.push_back(positions);
-  while (static_cast<int>(window_.size()) > kTrajectoryWindowFrames)
-    window_.pop_front();
-
   std::shared_ptr<const RoomSnapshot> snapshot;
-  if (use_delta && previous != nullptr) {
+  if (use_delta) {
     snapshot = std::make_shared<const RoomSnapshot>(
         tick, std::move(positions), *previous, std::move(moved),
         std::move(view));
@@ -390,127 +376,12 @@ std::shared_ptr<const RoomSnapshot> Room::snapshot() const {
   return snapshot_;
 }
 
-namespace {
-
-/// Packs a list of position frames into one (frames*n) x 2 matrix,
-/// oldest frame first — the migration blob's trajectory-window block.
-Matrix PackFrames(const std::deque<std::vector<Vec2>>& frames, int n) {
-  Matrix out(static_cast<int>(frames.size()) * n, 2);
-  int row = 0;
-  for (const auto& frame : frames) {
-    for (int u = 0; u < n; ++u, ++row) {
-      out.At(row, 0) = frame[u].x;
-      out.At(row, 1) = frame[u].y;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string Room::ExportState() const {
+TickFrame Room::CurrentTickFrame() const {
   std::lock_guard<std::mutex> lock(tick_mutex_);
-  const int n = num_users_;
-  // Block 0: meta row [tick, num_users, window_frames, mode].
-  Matrix meta(1, 4);
-  meta.At(0, 0) = tick_.load(std::memory_order_relaxed);
-  meta.At(0, 1) = n;
-  meta.At(0, 2) = static_cast<int>(window_.size());
-  meta.At(0, 3) = options_.mode == Mode::kLive ? 1 : 0;
-  // Block 1: current positions (the last published frame).
-  Matrix positions(n, 2);
-  const std::vector<Vec2>& current = window_.back();
-  for (int u = 0; u < n; ++u) {
-    positions.At(u, 0) = current[u].x;
-    positions.At(u, 1) = current[u].y;
-  }
-  // Block 2: live-mode waypoint goals (zeros in replay mode, where the
-  // recorded session is the only trajectory source).
-  Matrix goals(n, 2);
-  if (options_.mode == Mode::kLive) {
-    for (int u = 0; u < n; ++u) {
-      goals.At(u, 0) = sim_->Goal(u).x;
-      goals.At(u, 1) = sim_->Goal(u).y;
-    }
-  }
-  // Block 3: the trajectory window, oldest frame first.
-  std::ostringstream out;
-  WriteParameterBlock(out, {meta, positions, goals, PackFrames(window_, n)});
-  return out.str();
-}
-
-Status Room::ApplyState(const std::string& blob) {
-  std::istringstream in(blob);
-  std::vector<Matrix> blocks;
-  AFTER_RETURN_IF_ERROR(
-      ReadParameterBlock(in, &blocks)
-          .Annotate("room " + std::to_string(options_.id) +
-                    ": migration state"));
-  // Validate everything before touching any room state (all-or-nothing).
-  const auto fail = [this](const std::string& what) {
-    return InvalidDataError("room " + std::to_string(options_.id) +
-                            ": migration state " + what);
-  };
-  if (blocks.size() != 4) return fail("does not have 4 blocks");
-  const Matrix& meta = blocks[0];
-  if (meta.rows() != 1 || meta.cols() != 4) return fail("meta is not 1x4");
-  const int tick = static_cast<int>(meta.At(0, 0));
-  const int n = static_cast<int>(meta.At(0, 1));
-  const int frames = static_cast<int>(meta.At(0, 2));
-  const int mode = static_cast<int>(meta.At(0, 3));
-  if (tick < 0) return fail("has a negative tick");
-  if (n != num_users_) return fail("user count mismatch");
-  if (frames < 1 || frames > kTrajectoryWindowFrames)
-    return fail("has an out-of-range window length");
-  if (mode != (options_.mode == Mode::kLive ? 1 : 0))
-    return fail("mode mismatch");
-  if (options_.mode == Mode::kReplay && tick >= world_->num_steps())
-    return fail("tick beyond the replay session");
-  const Matrix& positions = blocks[1];
-  const Matrix& goals = blocks[2];
-  const Matrix& window = blocks[3];
-  if (positions.rows() != n || positions.cols() != 2)
-    return fail("positions block is not n x 2");
-  if (goals.rows() != n || goals.cols() != 2)
-    return fail("goals block is not n x 2");
-  if (window.rows() != frames * n || window.cols() != 2)
-    return fail("window block does not match its declared length");
-
-  std::lock_guard<std::mutex> lock(tick_mutex_);
-  std::vector<Vec2> current(n);
-  for (int u = 0; u < n; ++u)
-    current[u] = Vec2{positions.At(u, 0), positions.At(u, 1)};
-  if (options_.mode == Mode::kLive) {
-    for (int u = 0; u < n; ++u) {
-      sim_->TeleportAgent(u, current[u]);
-      sim_->SetGoal(u, Vec2{goals.At(u, 0), goals.At(u, 1)});
-    }
-    RederiveWalkers();
-  }
-  window_.clear();
-  for (int f = 0; f < frames; ++f) {
-    std::vector<Vec2> frame(n);
-    for (int u = 0; u < n; ++u)
-      frame[u] = Vec2{window.At(f * n + u, 0), window.At(f * n + u, 1)};
-    window_.push_back(std::move(frame));
-  }
-  // Publish() re-appends the current frame, so drop the last window
-  // entry (it is the same frame by construction).
-  window_.pop_back();
-  Publish(std::move(current), tick);
-  return OkStatus();
-}
-
-std::vector<std::vector<Vec2>> Room::trajectory_window() const {
-  std::lock_guard<std::mutex> lock(tick_mutex_);
-  return std::vector<std::vector<Vec2>>(window_.begin(), window_.end());
-}
-
-Room::TickFrame Room::CurrentTickFrame() const {
-  std::lock_guard<std::mutex> lock(tick_mutex_);
+  const std::shared_ptr<const RoomSnapshot> current = snapshot();
   TickFrame frame;
-  frame.tick = tick_.load(std::memory_order_relaxed);
-  frame.positions = window_.back();
+  frame.tick = current->tick();
+  frame.positions = current->positions();
   if (options_.mode == Mode::kLive) {
     frame.goals.resize(num_users_);
     for (int u = 0; u < num_users_; ++u) frame.goals[u] = sim_->Goal(u);
@@ -518,21 +389,22 @@ Room::TickFrame Room::CurrentTickFrame() const {
   return frame;
 }
 
-Status Room::ApplyTickFrame(const TickFrame& frame) {
+Status Room::Restore(const TickFrame& frame) {
+  // Validate everything before touching any room state.
   const auto fail = [this](const std::string& what) {
     return InvalidDataError("room " + std::to_string(options_.id) +
                             ": tick frame " + what);
   };
+  const bool live = options_.mode == Mode::kLive;
   if (static_cast<int>(frame.positions.size()) != num_users_)
     return fail("user count mismatch");
-  const bool live = options_.mode == Mode::kLive;
-  if (live && static_cast<int>(frame.goals.size()) != num_users_)
-    return fail("goal count mismatch");
+  if (frame.goals.size() != (live ? frame.positions.size() : 0))
+    return fail(live ? "goal count mismatch: a live room needs one per user"
+                     : "goal count mismatch: a replay room takes none");
+  if (frame.tick < 0) return fail("has a negative tick");
   if (!live && frame.tick >= world_->num_steps())
     return fail("tick beyond the replay session");
   std::lock_guard<std::mutex> lock(tick_mutex_);
-  if (frame.tick <= tick_.load(std::memory_order_relaxed))
-    return fail("does not advance the tick");
   if (live) {
     for (int u = 0; u < num_users_; ++u) {
       sim_->TeleportAgent(u, frame.positions[u]);

@@ -2,10 +2,8 @@
 #define AFTER_SERVE_ROOM_H_
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/geometry.h"
@@ -17,6 +15,7 @@
 #include "graph/occlusion_converter.h"
 #include "graph/occlusion_graph.h"
 #include "graph/temporal_index.h"
+#include "serve/codec.h"
 #include "sim/crowd_simulator.h"
 #include "sim/xr_world.h"
 
@@ -160,12 +159,6 @@ class RoomSnapshot {
   int delta_shared_ = 0;
 };
 
-/// Published frames retained for migration handoff: the room keeps the
-/// last kTrajectoryWindowFrames position frames (including the current
-/// one) so a migrated room resumes with the same short-term trajectory
-/// history the temporal models were fed on the old owner.
-inline constexpr int kTrajectoryWindowFrames = 8;
-
 /// One sharded conference room: the live scene state plus the currently
 /// published snapshot. Two modes:
 ///  - kReplay walks a recorded session tick-by-tick (deterministic;
@@ -245,7 +238,7 @@ class Room {
 
   /// Snapshot-kind counters: ticks published via the delta constructor
   /// vs from-scratch (includes fallback rebuilds, excludes the
-  /// non-Tick publishes from Create/ApplyState/ApplyTickFrame).
+  /// non-Tick publishes from Create/Restore).
   uint64_t delta_ticks() const {
     return delta_ticks_.load(std::memory_order_relaxed);
   }
@@ -253,57 +246,33 @@ class Room {
     return scratch_ticks_.load(std::memory_order_relaxed);
   }
 
-  /// Serializes the room's migratable state — tick, current positions,
-  /// live-mode goals, and the trajectory window — as an nn/serialize
-  /// parameter-block text blob (precision 17, so doubles round-trip
-  /// bit-exactly). The receiving shard passes the blob to ApplyState().
-  /// Waypoint RNG internals are deliberately not migrated: the new owner
-  /// continues with its own stream, which only perturbs *future* random
-  /// waypoints, never already-committed positions/goals.
-  std::string ExportState() const;
-
-  /// Applies a blob produced by ExportState() on a room created from the
-  /// same dataset/session (same user count and mode). All-or-nothing:
-  /// the blob is fully validated before any mutation, and a non-OK
-  /// return leaves the room exactly as it was. On success the migrated
-  /// tick is published and serving resumes from the donor's state.
-  Status ApplyState(const std::string& blob);
-
-  /// Copy of the retained frames, oldest first; the last entry is always
-  /// the currently published positions. Test hook for bit-exactness.
-  std::vector<std::vector<Vec2>> trajectory_window() const;
-
-  /// One published tick as the durability journal records it: the tick
-  /// number, the published positions, and the live-mode waypoint goals
-  /// (empty in replay mode, where the recorded session is the only
-  /// trajectory source). Captured under the tick mutex, so the three
-  /// fields are from the same publish.
-  struct TickFrame {
-    int tick = 0;
-    std::vector<Vec2> positions;
-    std::vector<Vec2> goals;
-  };
+  /// The room's state (serve/codec.h): the published tick and positions
+  /// and the live-mode waypoint goals, captured under the tick mutex so
+  /// the three are from the same publish. Migration hands it over, and
+  /// the journal records it per tick.
   TickFrame CurrentTickFrame() const;
 
-  /// Replays one journaled tick: teleports live-mode agents to the
-  /// recorded positions, restores their goals, and publishes the frame —
-  /// the exact state evolution Tick() + Publish() produced originally,
-  /// without re-running the simulator (whose waypoint RNG stream is
-  /// deliberately not persisted). The frame must advance the tick and
-  /// match the room's user count; kInvalidData otherwise, with the room
-  /// untouched (all-or-nothing, like ApplyState).
-  Status ApplyTickFrame(const TickFrame& frame);
+  /// Makes `frame` the room's state: teleports live-mode agents to its
+  /// positions, restores their goals and publishes it from scratch — the
+  /// exact state the frame was captured from, without re-running the
+  /// simulator. One call applies a migrated frame, a recovery base and
+  /// every replayed journal tick. All-or-nothing: a frame whose user
+  /// count differs, whose goals do not match the mode (n for a live
+  /// room, none for a replay room), whose tick is negative, or whose
+  /// replay tick lies past the session is kInvalidData, with the room
+  /// untouched. Any other tick is accepted, earlier ones included: an
+  /// overwritten standby can be ahead of its donor.
+  Status Restore(const TickFrame& frame);
 
  private:
   Room(const Options& options, const Dataset* dataset, const XrWorld* world);
 
-  /// From-scratch publish (Create / ApplyState / ApplyTickFrame): drops
-  /// dirty state, rebuilds the temporal index (recovered and migrated
-  /// rooms must never trust inherited caches), publishes a scratch
-  /// snapshot.
+  /// From-scratch publish (Create / Restore): drops dirty state,
+  /// rebuilds the temporal index (recovered and migrated rooms must never
+  /// trust inherited caches), publishes a scratch snapshot.
   void Publish(std::vector<Vec2> positions, int tick);
-  /// Tick-path publish: computes the moved set against the previous
-  /// frame (bitwise position diff + churn-dirtied users), incrementally
+  /// Tick-path publish: computes the moved set against the published
+  /// snapshot (bitwise position diff + churn-dirtied users), incrementally
   /// updates the temporal index, and publishes a delta snapshot unless
   /// the moved fraction crosses delta_rebuild_fraction (or deltas are
   /// off). Caller holds tick_mutex_.
@@ -334,9 +303,6 @@ class Room {
   std::unique_ptr<TemporalIndex> temporal_;
 
   mutable std::mutex tick_mutex_;
-  /// Last <= kTrajectoryWindowFrames published frames, oldest first;
-  /// appended by Publish(), guarded by tick_mutex_.
-  std::deque<std::vector<Vec2>> window_;
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const RoomSnapshot> snapshot_;
   std::atomic<int> tick_{0};

@@ -115,7 +115,7 @@ class ShardRouter {
   /// Adds a backend to the live fleet: extends the hash ring and, once
   /// the partition exists, rebalances — rooms whose primary moves are
   /// migrated with a release -> state -> assign handoff so the new owner
-  /// resumes from the old owner's exact snapshot + trajectory window.
+  /// resumes from the old owner's exact tick frame.
   /// Returns the new backend's index.
   Result<int> AddBackendLive(const BackendAddress& address);
 

@@ -99,10 +99,10 @@ class RecommendationServer {
   /// Room registry (thread-safe; rooms churn under partitioned serving).
   /// AddRoom fails with kInvalidArgument if the id is already hosted.
   /// RemoveRoom unhosts the room and returns it (so a migration can
-  /// still ExportState after removal) or nullptr when absent; in-flight
-  /// requests that already resolved the room finish against their
-  /// shared_ptr and drain normally. FindRoom returns nullptr when the
-  /// room is not hosted here.
+  /// still read its tick frame after removal) or nullptr when absent;
+  /// in-flight requests that already resolved the room finish against
+  /// their shared_ptr and drain normally. FindRoom returns nullptr when
+  /// the room is not hosted here.
   Status AddRoom(std::unique_ptr<Room> room);
   std::shared_ptr<Room> RemoveRoom(int id);
   std::shared_ptr<Room> FindRoom(int id) const;

@@ -1,5 +1,6 @@
 #include "serve/shard_control.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -46,6 +47,7 @@ void ShardControl::NoteDurabilityFailure(const Status& status) {
 
 Status ShardControl::Assign(int room, uint64_t epoch,
                             const std::string& state, bool primary) {
+  const std::string context = "assign room " + std::to_string(room);
   bool already_hosting = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -61,12 +63,21 @@ Status ShardControl::Assign(int room, uint64_t epoch,
       already_hosting = true;
     }
   }
+  // A grant with state carries the donor's tick frame. Decoded before
+  // anything is built or touched, so bytes that are not a frame leave
+  // the shard as it was.
+  std::optional<TickFrame> frame;
+  if (!state.empty()) {
+    Result<TickFrame> decoded = DecodeTickFrame(state);
+    if (!decoded.ok()) return decoded.status().Annotate(context);
+    frame = std::move(decoded).value();
+  }
   if (already_hosting) {
     server_->metrics().rooms_assigned.fetch_add(1, std::memory_order_relaxed);
     // Standby promotion: the grant only advances the epoch, the room
     // keeps serving untouched. Journaled without the reset flag — the
     // room's durable incarnation continues.
-    if (state.empty()) {
+    if (!frame.has_value()) {
       if (durability_ != nullptr) {
         const Status durable =
             durability_->RecordAssign(room, epoch, primary, /*reset=*/false);
@@ -76,48 +87,44 @@ Status ShardControl::Assign(int room, uint64_t epoch,
     }
     // Migration onto a shard that already hosts the room (an existing
     // standby becoming primary): overwrite the local replica with the
-    // old primary's exact state. ApplyState is all-or-nothing, so a bad
-    // blob leaves the replica serving as before.
+    // old primary's exact state. Restore is all-or-nothing, so a frame
+    // that does not fit leaves the replica serving as before.
     const std::shared_ptr<Room> hosted = server_->FindRoom(room);
     if (hosted == nullptr)
       return InternalError("owned room " + std::to_string(room) +
                            " was not hosted");
-    AFTER_RETURN_IF_ERROR(hosted->ApplyState(state).Annotate(
-        "assign room " + std::to_string(room)));
+    AFTER_RETURN_IF_ERROR(hosted->Restore(*frame).Annotate(context));
     server_->metrics().migrations_in.fetch_add(1, std::memory_order_relaxed);
     if (durability_ != nullptr) {
-      // The blob overwrote local state and exists nowhere else durable:
+      // The frame overwrote local state and exists nowhere else durable:
       // the grant is journaled with it.
       const Status durable = durability_->RecordState(*hosted, epoch, primary);
       if (!durable.ok()) NoteDurabilityFailure(durable);
     }
     return OkStatus();
   }
-  // Build outside the lock: factory + ApplyState can be slow (dataset
-  // validation, state parsing) and must not block Owns() checks on the
-  // request path. All-or-nothing: nothing is hosted until every step
-  // below succeeded.
+  // Build outside the lock: the factory can be slow (dataset
+  // validation) and must not block Owns() checks on the request path.
+  // All-or-nothing: nothing is hosted until every step below succeeded.
   Result<std::unique_ptr<Room>> built = factory_(room);
-  if (!built.ok())
-    return built.status().Annotate("assign room " + std::to_string(room));
+  if (!built.ok()) return built.status().Annotate(context);
   std::unique_ptr<Room> hosted = std::move(built).value();
-  if (!state.empty())
-    AFTER_RETURN_IF_ERROR(hosted->ApplyState(state).Annotate(
-        "assign room " + std::to_string(room)));
+  if (frame.has_value())
+    AFTER_RETURN_IF_ERROR(hosted->Restore(*frame).Annotate(context));
   AFTER_RETURN_IF_ERROR(server_->AddRoom(std::move(hosted)));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     owned_[room] = epoch;
   }
   server_->metrics().rooms_assigned.fetch_add(1, std::memory_order_relaxed);
-  if (!state.empty())
+  if (frame.has_value())
     server_->metrics().migrations_in.fetch_add(1, std::memory_order_relaxed);
   if (durability_ != nullptr) {
     // A fresh build is a new durable incarnation (reset); a grant that
-    // carried migration state is journaled with it, since the blob
+    // carried migration state is journaled with it, since the frame
     // exists nowhere else durable.
     Status durable = OkStatus();
-    if (state.empty()) {
+    if (!frame.has_value()) {
       durable = durability_->RecordAssign(room, epoch, primary, /*reset=*/true);
     } else if (const std::shared_ptr<Room> applied = server_->FindRoom(room);
                applied != nullptr) {
@@ -156,9 +163,11 @@ Result<std::string> ShardControl::Release(int room, uint64_t epoch) {
     const Status durable = durability_->RecordRelease(room, epoch);
     if (!durable.ok()) NoteDurabilityFailure(durable);
   }
-  // Removed from the registry, so no ticker advances it anymore: the
-  // exported state is the final word on this room from this shard.
-  return removed->ExportState();
+  // Removed from the registry, so no ticker advances it anymore: this
+  // frame is the final word on this room from this shard.
+  std::string state;
+  AppendTickFrame(removed->CurrentTickFrame(), &state);
+  return state;
 }
 
 Result<std::vector<wire::RecoveredRoom>> ShardControl::RecoverFromDurable() {
@@ -178,23 +187,21 @@ Result<std::vector<wire::RecoveredRoom>> ShardControl::RecoverFromDurable() {
       continue;
     }
     std::unique_ptr<Room> room = std::move(built).value();
-    if (!entry.base_state.empty() &&
-        !room->ApplyState(entry.base_state).ok()) {
-      // ApplyState is all-or-nothing and the state record already passed
-      // its checksum, so a failure here means the blob does not fit this
-      // dataset/session anymore: data loss, not a crash.
+    if (entry.base.has_value() && !room->Restore(*entry.base).ok()) {
+      // Restore is all-or-nothing and the state record already passed
+      // its checksum, so a failure here means the frame does not fit
+      // this dataset/session anymore: data loss, not a crash.
       ++data_loss;
       continue;
     }
-    for (const JournalRecord& record : entry.ticks) {
-      if (record.tick <= room->tick()) continue;
-      Room::TickFrame frame;
-      frame.tick = record.tick;
-      frame.positions = record.positions;
-      frame.goals = record.goals;
+    for (const TickFrame& frame : entry.ticks) {
+      // Restore accepts any tick, so this skip is what keeps a tick
+      // journaled at or before the base (a control-thread state record
+      // can land between a Tick() and its tick record) from applying.
+      if (frame.tick <= room->tick()) continue;
       // A frame that no longer applies ends the replay; the room keeps
       // everything replayed so far (strictly better than discarding).
-      if (!room->ApplyTickFrame(frame).ok()) break;
+      if (!room->Restore(frame).ok()) break;
       ++replayed;
     }
     const int tick = room->tick();

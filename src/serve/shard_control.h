@@ -31,14 +31,15 @@ using RoomFactory = std::function<Result<std::unique_ptr<Room>>(int room)>;
 /// by the RecommendationServer:
 ///
 ///  - Assign: build the room (fresh via the factory, or restored from a
-///    migration blob via Room::ApplyState — all-or-nothing, so a corrupt
-///    blob leaves the shard unchanged) and only then host it. Epochs are
+///    migrated tick frame via Room::Restore — all-or-nothing, so bytes
+///    that are not a fitting frame leave the shard unchanged) and only
+///    then host it. Epochs are
 ///    the staleness fence: a grant older than what we last saw for the
 ///    room is rejected, so reordered control frames cannot resurrect
 ///    ownership the router already moved elsewhere.
 ///  - Release: un-own FIRST (new requests answer kNotOwner immediately),
-///    then unhost and export the room's final state for the router to
-///    forward to the new owner. Requests already processing against the
+///    then unhost and encode the room's final tick frame for the router
+///    to forward to the new owner. Requests already processing against the
 ///    room hold its shared_ptr and drain normally.
 ///
 /// Thread-safe: control frames arrive on connection reader threads while
@@ -61,8 +62,9 @@ class ShardControl {
   void set_durability(DurabilityManager* durability);
 
   /// Handles a kRoomAssign grant. `state` empty -> fresh room from the
-  /// factory; non-empty -> migration handoff (factory room + ApplyState
-  /// before hosting). Re-granting an owned room at a newer epoch just
+  /// factory; non-empty -> migration handoff: an encoded tick frame
+  /// (serve/codec.h), decoded and restored onto the factory room before
+  /// hosting. Re-granting an owned room at a newer epoch just
   /// advances the epoch (standby promotion needs no rebuild); a grant at
   /// an older-or-equal epoch than one already processed for the room is
   /// rejected with kInvalidArgument. `primary` is the role the router
@@ -71,13 +73,13 @@ class ShardControl {
                 bool primary = false);
 
   /// Handles a kRoomRelease revocation: stops owning the room and
-  /// returns its final ExportState() blob. kNotOwner when the room is
+  /// returns its final tick frame, encoded. kNotOwner when the room is
   /// not owned here; kInvalidArgument when the epoch is stale.
   Result<std::string> Release(int room, uint64_t epoch);
 
   /// Cold-restart recovery (docs/durability.md): folds the shard's
-  /// journal into rooms, applies each room's base state record and
-  /// replays the tick frames after it, hosts the results, re-owns them at
+  /// journal into rooms, restores each room's base frame and replays
+  /// the tick frames after it, hosts the results, re-owns them at
   /// their journaled epochs, and journals a state record for each.
   /// Idempotent — the first call does the work, every later call (e.g. a
   /// router's kRoomRecover query) returns the same report. Unrecoverable

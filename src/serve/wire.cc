@@ -1,118 +1,13 @@
 #include "serve/wire.h"
 
-#include <cstring>
 #include <sstream>
+
+#include "serve/codec.h"
 
 namespace after {
 namespace serve {
 namespace wire {
 namespace {
-
-// ---- little-endian primitives ------------------------------------------
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(uint16_t v, std::string* out) {
-  PutU8(static_cast<uint8_t>(v & 0xff), out);
-  PutU8(static_cast<uint8_t>(v >> 8), out);
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i)
-    PutU8(static_cast<uint8_t>((v >> (8 * i)) & 0xff), out);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i)
-    PutU8(static_cast<uint8_t>((v >> (8 * i)) & 0xff), out);
-}
-
-void PutI32(int32_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
-
-void PutF64(double v, std::string* out) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
-
-/// Sequential all-or-nothing payload reader: every Take* either yields
-/// the next field or trips the failure latch, and decoders check
-/// ok() && AtEnd() once at the close — mirroring how nn/artifact reads
-/// its header lines.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return position_ == bytes_.size(); }
-  size_t remaining() const { return bytes_.size() - position_; }
-
-  uint8_t TakeU8() {
-    if (!Require(1)) return 0;
-    return static_cast<uint8_t>(bytes_[position_++]);
-  }
-
-  uint16_t TakeU16() {
-    if (!Require(2)) return 0;
-    uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v |= static_cast<uint16_t>(static_cast<uint8_t>(bytes_[position_++]))
-           << (8 * i);
-    return v;
-  }
-
-  uint32_t TakeU32() {
-    if (!Require(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[position_++]))
-           << (8 * i);
-    return v;
-  }
-
-  uint64_t TakeU64() {
-    if (!Require(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[position_++]))
-           << (8 * i);
-    return v;
-  }
-
-  int32_t TakeI32() { return static_cast<int32_t>(TakeU32()); }
-
-  double TakeF64() {
-    const uint64_t bits = TakeU64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string_view TakeBytes(size_t count) {
-    if (!Require(count)) return {};
-    std::string_view view = bytes_.substr(position_, count);
-    position_ += count;
-    return view;
-  }
-
- private:
-  bool Require(size_t count) {
-    if (!ok_ || remaining() < count) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view bytes_;
-  size_t position_ = 0;
-  bool ok_ = true;
-};
 
 void AppendHeader(MessageType type, uint32_t payload_len, std::string* out) {
   PutU32(kMagic, out);
@@ -222,10 +117,9 @@ void AppendNotOwnerFrame(uint64_t id, int32_t room, uint64_t epoch,
 }
 
 bool PeekCorrelationId(std::string_view payload, uint64_t* id) {
-  if (payload.size() < 8) return false;
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(payload[i])) << (8 * i);
+  ByteReader reader(payload);
+  const uint64_t v = reader.TakeU64();
+  if (!reader.ok()) return false;
   *id = v;
   return true;
 }

@@ -28,7 +28,8 @@ namespace wire {
 ///   12      N     payload    (per-type encoding below)
 ///
 /// All multi-byte integers are little-endian with explicit byte
-/// (de)serialization, so frames are byte-identical across platforms.
+/// (de)serialization (serve/codec.h), so frames are byte-identical
+/// across platforms.
 /// Parsing is all-or-nothing in the style of nn/artifact: a decoder
 /// either returns a fully validated message or kInvalidArgument with a
 /// diagnostic, and never reads past the declared payload. Truncated
@@ -80,8 +81,9 @@ struct ResponseFrame {
 
 /// Room-ownership grant. `state` is empty for a fresh assignment (the
 /// shard builds the room from its own dataset/seed) and non-empty for a
-/// migration handoff: an opaque Room::ExportState() blob (nn/serialize
-/// parameter-block text) the receiving shard applies all-or-nothing.
+/// migration handoff: the room's tick frame in its one encoding
+/// (serve/codec.h), bytes the router forwards without decoding and the
+/// receiving shard applies all-or-nothing (Room::Restore).
 /// `primary` records the granted role (primary vs warm standby) so the
 /// shard's journal (serve/checkpoint.h) can tell an authoritative copy
 /// from a replica during cold-restart reconciliation. The same

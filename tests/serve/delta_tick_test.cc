@@ -2,12 +2,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 #include "graph/mwis.h"
+#include "serve/codec.h"
 #include "serve/server.h"
 
 namespace after {
@@ -158,8 +160,11 @@ TEST(DeltaTickTest, MigrationRebuildsThenResumesDeltaTicking) {
   for (int t = 0; t < 6; ++t) ASSERT_TRUE(donor->Tick().ok());
   ASSERT_TRUE(donor->snapshot()->built_by_delta());
 
+  // The bytes a migration carries.
+  std::string bytes;
+  AppendTickFrame(donor->CurrentTickFrame(), &bytes);
   auto receiver = Room::Create(LiveOptions(true), &dataset).value();
-  ASSERT_TRUE(receiver->ApplyState(donor->ExportState()).ok());
+  ASSERT_TRUE(receiver->Restore(DecodeTickFrame(bytes).value()).ok());
   // A migrated room must never trust caches it did not build: the
   // published snapshot is from scratch, bit-exact vs a rebuild.
   const auto migrated = receiver->snapshot();
@@ -177,10 +182,10 @@ TEST(DeltaTickTest, JournalFrameReplayPublishesScratchThenDelta) {
   const Dataset dataset = SmallDataset();
   auto donor = Room::Create(LiveOptions(true), &dataset).value();
   for (int t = 0; t < 4; ++t) ASSERT_TRUE(donor->Tick().ok());
-  const Room::TickFrame frame = donor->CurrentTickFrame();
+  const TickFrame frame = donor->CurrentTickFrame();
 
   auto recovered = Room::Create(LiveOptions(true), &dataset).value();
-  ASSERT_TRUE(recovered->ApplyTickFrame(frame).ok());
+  ASSERT_TRUE(recovered->Restore(frame).ok());
   EXPECT_EQ(recovered->tick(), frame.tick);
   EXPECT_FALSE(recovered->snapshot()->built_by_delta());
   ExpectPositionsBitExact(*recovered->snapshot(), *donor->snapshot());

@@ -3,8 +3,10 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -55,22 +57,20 @@ JournalRecord SampleTick(int room, int tick) {
   JournalRecord record;
   record.type = JournalRecord::Type::kTick;
   record.room = room;
-  record.tick = tick;
-  record.positions = {{1.5, -2.25}, {0.0, 3.125}};
-  record.goals = {{-4.0, 0.5}, {2.0, 2.0}};
+  record.frame.tick = tick;
+  record.frame.positions = {{1.5, -2.25}, {0.0, 3.125}};
+  record.frame.goals = {{-4.0, 0.5}, {2.0, 2.0}};
   return record;
 }
 
 JournalRecord SampleState(int room, uint64_t epoch, int tick) {
-  JournalRecord record;
+  JournalRecord record = SampleTick(room, tick);
   record.type = JournalRecord::Type::kState;
-  record.room = room;
   record.epoch = epoch;
   record.primary = true;
-  record.tick = tick;
-  record.state = "room state blob at tick " + std::to_string(tick) + "\n";
   return record;
 }
+
 
 // ---------------------------------------------------------------------------
 // Journal records: codec.
@@ -110,12 +110,13 @@ TEST(JournalRecordTest, ReleaseAndTickRoundTrip) {
   auto tick_decoded = DecodeJournalRecord(EncodeJournalRecord(tick));
   ASSERT_TRUE(tick_decoded.ok()) << tick_decoded.status().ToString();
   EXPECT_EQ(tick_decoded.value().room, 5);
-  EXPECT_EQ(tick_decoded.value().tick, 812);
-  ASSERT_EQ(tick_decoded.value().positions.size(), 2u);
-  EXPECT_EQ(tick_decoded.value().positions[0].x, 1.5);
-  EXPECT_EQ(tick_decoded.value().positions[1].y, 3.125);
-  ASSERT_EQ(tick_decoded.value().goals.size(), 2u);
-  EXPECT_EQ(tick_decoded.value().goals[0].x, -4.0);
+  const TickFrame& frame = tick_decoded.value().frame;
+  EXPECT_EQ(frame.tick, 812);
+  ASSERT_EQ(frame.positions.size(), 2u);
+  EXPECT_EQ(frame.positions[0].x, 1.5);
+  EXPECT_EQ(frame.positions[1].y, 3.125);
+  ASSERT_EQ(frame.goals.size(), 2u);
+  EXPECT_EQ(frame.goals[0].x, -4.0);
 }
 
 TEST(JournalRecordTest, StateRoundTripRestoresTheRoomBitExact) {
@@ -129,20 +130,29 @@ TEST(JournalRecordTest, StateRoundTripRestoresTheRoomBitExact) {
   record.room = 3;
   record.epoch = 12;
   record.primary = true;
-  record.tick = donor->tick();
-  record.state = donor->ExportState();
-  auto decoded = DecodeJournalRecord(EncodeJournalRecord(record));
+  record.frame = donor->CurrentTickFrame();
+  const std::string payload = EncodeJournalRecord(record);
+  auto decoded = DecodeJournalRecord(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().type, JournalRecord::Type::kState);
   EXPECT_EQ(decoded.value().room, 3);
   EXPECT_EQ(decoded.value().epoch, 12u);
   EXPECT_TRUE(decoded.value().primary);
-  EXPECT_EQ(decoded.value().tick, 5);
+  EXPECT_EQ(decoded.value().frame.tick, 5);
+
+  // A state record is its grant (u8 type | i32 room | u64 epoch |
+  // u8 primary) followed by the frame body a tick record carries after
+  // its u8 type | i32 room.
+  JournalRecord tick = record;
+  tick.type = JournalRecord::Type::kTick;
+  EXPECT_EQ(payload.substr(1 + 4 + 8 + 1),
+            EncodeJournalRecord(tick).substr(1 + 4));
+  EXPECT_EQ(payload.substr(1 + 4 + 8 + 1), FrameBytes(*donor));
 
   auto receiver = factory(3).value();
-  ASSERT_TRUE(receiver->ApplyState(decoded.value().state).ok());
+  ASSERT_TRUE(receiver->Restore(decoded.value().frame).ok());
   EXPECT_EQ(receiver->tick(), donor->tick());
-  EXPECT_EQ(receiver->ExportState(), donor->ExportState());
+  EXPECT_EQ(FrameBytes(*receiver), FrameBytes(*donor));
   ExpectSamePositions(donor->snapshot()->positions(),
                       receiver->snapshot()->positions());
 }
@@ -155,6 +165,8 @@ TEST(JournalRecordTest, TruncatedPayloadsFailDecodeAllOrNothing) {
           DecodeJournalRecord(std::string_view(payload).substr(0, cut)).ok())
           << "type=" << static_cast<int>(record.type) << " cut=" << cut;
     }
+    EXPECT_FALSE(DecodeJournalRecord(payload + '\0').ok())
+        << "type=" << static_cast<int>(record.type) << " one byte long";
   }
 }
 
@@ -197,7 +209,7 @@ TEST(JournalTest, AppendedRecordsReadBackInOrder) {
   EXPECT_EQ(replay.value().truncated_bytes, 0);
   ASSERT_EQ(replay.value().records.size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(replay.value().records[i].tick, i);
+    EXPECT_EQ(replay.value().records[i].frame.tick, i);
     EXPECT_EQ(replay.value().records[i].room, 2);
   }
   // Reopening appends after the existing records, not over them.
@@ -315,7 +327,7 @@ TEST(JournalTest, ByteFlipFuzzReplaysAPrefixOrReportsDataLoss) {
   }();
   Rng rng(77);
   int data_loss = 0, truncated = 0;
-  for (int trial = 0; trial < 300; ++trial) {
+  for (int trial = 0; trial < 1000; ++trial) {
     std::ofstream(path, std::ios::binary)
         .write(pristine.data(), static_cast<int64_t>(pristine.size()));
     ASSERT_TRUE(testing::FlipRandomByte(path, rng).ok());
@@ -385,7 +397,7 @@ TEST(DurabilityManagerTest, FreshRoomRecoversBitExactFromJournalReplay) {
     DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/1000);
     ASSERT_TRUE(shard.control.Assign(3, 7, "", /*primary=*/true).ok());
     for (int i = 0; i < 6; ++i) shard.server.TickAll();
-    expected_state = shard.server.FindRoom(3)->ExportState();
+    expected_state = FrameBytes(*shard.server.FindRoom(3));
   }  // crash
 
   DurableShard restarted(dataset, dir, /*checkpoint_every_ticks=*/1000);
@@ -401,8 +413,7 @@ TEST(DurabilityManagerTest, FreshRoomRecoversBitExactFromJournalReplay) {
   EXPECT_EQ(restarted.control.EpochFor(3), 7u);
   auto room = restarted.server.FindRoom(3);
   ASSERT_NE(room, nullptr);
-  EXPECT_EQ(room->ExportState(), expected_state);  // tick + positions +
-                                                   // goals + window
+  EXPECT_EQ(FrameBytes(*room), expected_state);  // tick, positions, goals
   EXPECT_GE(restarted.server.metrics().rooms_recovered.load(), 1);
   EXPECT_GE(restarted.server.metrics().records_replayed.load(), 6);
 
@@ -424,9 +435,10 @@ TEST(DurabilityManagerTest, CheckpointPlusTailReplayRecoversBitExact) {
     ASSERT_TRUE(shard.control.Assign(0, 2, "", /*primary=*/true).ok());
     for (int i = 0; i < 10; ++i) shard.server.TickAll();
     EXPECT_EQ(shard.server.metrics().checkpoints_written.load(), 2);
-    // The assign, 10 ticks and 2 state records, each counted once.
-    EXPECT_EQ(shard.server.metrics().journal_records.load(), 13);
-    expected_state = shard.server.FindRoom(0)->ExportState();
+    // The assign, 8 tick records and 2 state records, each counted once:
+    // ticks 4 and 8 are journaled as their state records.
+    EXPECT_EQ(shard.server.metrics().journal_records.load(), 11);
+    expected_state = FrameBytes(*shard.server.FindRoom(0));
   }
   EXPECT_EQ(DirEntries(dir), kJournalOnly);
 
@@ -436,7 +448,7 @@ TEST(DurabilityManagerTest, CheckpointPlusTailReplayRecoversBitExact) {
   ASSERT_EQ(report.value().size(), 1u);
   EXPECT_EQ(report.value()[0].tick, 10);
   EXPECT_EQ(restarted.server.metrics().records_replayed.load(), 2);
-  EXPECT_EQ(restarted.server.FindRoom(0)->ExportState(), expected_state);
+  EXPECT_EQ(FrameBytes(*restarted.server.FindRoom(0)), expected_state);
 }
 
 TEST(DurabilityManagerTest, MigratedInStateIsCheckpointedOnArrival) {
@@ -444,13 +456,14 @@ TEST(DurabilityManagerTest, MigratedInStateIsCheckpointedOnArrival) {
   const Dataset dataset = SmallDataset();
   // A donor (not durable) hands a ticked room over; the receiving shard
   // must be able to recover it even though it never ticked it itself —
-  // the migration blob exists nowhere else durable.
+  // the migrated frame exists nowhere else durable.
   auto donor = FactoryFor(&dataset)(5).value();
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(donor->Tick().ok());
-  const std::string blob = donor->ExportState();
+  const std::string migrated = FrameBytes(*donor);
   {
     DurableShard shard(dataset, dir);
-    ASSERT_TRUE(shard.control.Assign(5, 9, blob, /*primary=*/true).ok());
+    ASSERT_TRUE(
+        shard.control.Assign(5, 9, migrated, /*primary=*/true).ok());
     // One state record is the whole grant.
     EXPECT_EQ(shard.server.metrics().journal_records.load(), 1);
     EXPECT_EQ(shard.server.metrics().checkpoints_written.load(), 1);
@@ -462,7 +475,7 @@ TEST(DurabilityManagerTest, MigratedInStateIsCheckpointedOnArrival) {
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report.value().size(), 1u);
   EXPECT_EQ(report.value()[0].tick, 4);
-  EXPECT_EQ(restarted.server.FindRoom(5)->ExportState(), blob);
+  EXPECT_EQ(FrameBytes(*restarted.server.FindRoom(5)), migrated);
 }
 
 TEST(DurabilityManagerTest, PromotedStandbyKeepsItsBaseAndTicksAtTheNewEpoch) {
@@ -479,7 +492,7 @@ TEST(DurabilityManagerTest, PromotedStandbyKeepsItsBaseAndTicksAtTheNewEpoch) {
     ASSERT_TRUE(shard.control.Assign(3, 2, "", /*primary=*/true).ok());
     for (int i = 0; i < 3; ++i) shard.server.TickAll();
     EXPECT_EQ(shard.server.metrics().errors.load(), 0);
-    expected_state = shard.server.FindRoom(3)->ExportState();
+    expected_state = FrameBytes(*shard.server.FindRoom(3));
   }  // crash
 
   DurableShard restarted(dataset, dir, /*checkpoint_every_ticks=*/4);
@@ -492,7 +505,7 @@ TEST(DurabilityManagerTest, PromotedStandbyKeepsItsBaseAndTicksAtTheNewEpoch) {
   EXPECT_EQ(restarted.control.EpochFor(3), 2u);
   // Ticks 5..9 replay on the tick-4 base.
   EXPECT_EQ(restarted.server.metrics().records_replayed.load(), 5);
-  EXPECT_EQ(restarted.server.FindRoom(3)->ExportState(), expected_state);
+  EXPECT_EQ(FrameBytes(*restarted.server.FindRoom(3)), expected_state);
 }
 
 TEST(DurabilityManagerTest, OverwrittenStandbyRecoversTheDonorStateNotItsOwn) {
@@ -509,12 +522,12 @@ TEST(DurabilityManagerTest, OverwrittenStandbyRecoversTheDonorStateNotItsOwn) {
     ASSERT_TRUE(shard.control.Assign(5, 1, "", /*primary=*/false).ok());
     for (int i = 0; i < 6; ++i) shard.server.TickAll();
     ASSERT_TRUE(
-        shard.control.Assign(5, 2, donor->ExportState(), /*primary=*/true)
+        shard.control.Assign(5, 2, FrameBytes(*donor), /*primary=*/true)
             .ok());
     EXPECT_EQ(shard.server.metrics().migrations_in.load(), 1);
     for (int i = 0; i < 2; ++i) shard.server.TickAll();
     EXPECT_EQ(shard.server.metrics().errors.load(), 0);
-    expected_state = shard.server.FindRoom(5)->ExportState();
+    expected_state = FrameBytes(*shard.server.FindRoom(5));
   }  // crash
 
   DurableShard restarted(dataset, dir, /*checkpoint_every_ticks=*/4);
@@ -524,7 +537,91 @@ TEST(DurabilityManagerTest, OverwrittenStandbyRecoversTheDonorStateNotItsOwn) {
   EXPECT_EQ(report.value()[0].epoch, 2u);
   EXPECT_TRUE(report.value()[0].primary);
   EXPECT_EQ(report.value()[0].tick, 5);
-  EXPECT_EQ(restarted.server.FindRoom(5)->ExportState(), expected_state);
+  EXPECT_EQ(FrameBytes(*restarted.server.FindRoom(5)), expected_state);
+}
+
+TEST(DurabilityManagerTest, TickRecordAtTheBaseTickIsNotReplayed) {
+  const std::string dir = ScratchDir("recover_base_tick");
+  const Dataset dataset = SmallDataset();
+  std::string expected_state;
+  {
+    DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/1000);
+    ASSERT_TRUE(shard.control.Assign(6, 3, "", /*primary=*/true).ok());
+    for (int i = 0; i < 3; ++i) shard.server.TickAll();
+    const std::shared_ptr<Room> room = shard.server.FindRoom(6);
+    // The order the manager's mutex allows: the tick thread publishes
+    // tick 4, a control-thread state record lands before that tick's
+    // record, and the tick record follows at the state record's tick.
+    ASSERT_TRUE(room->Tick().ok());
+    ASSERT_TRUE(shard.durability->RecordState(*room, 3, /*primary=*/true)
+                    .ok());
+    ASSERT_TRUE(shard.durability->RecordTick(*room).ok());
+    expected_state = FrameBytes(*room);
+  }  // crash
+  auto journal = ReadJournal(JournalPath(dir));
+  ASSERT_TRUE(journal.ok());
+  const std::vector<JournalRecord>& records = journal.value().records;
+  ASSERT_GE(records.size(), 2u);
+  EXPECT_EQ(records[records.size() - 2].type, JournalRecord::Type::kState);
+  EXPECT_EQ(records.back().type, JournalRecord::Type::kTick);
+  EXPECT_EQ(records.back().frame.tick, 4);
+
+  // Recovery lands on the base and skips the tick record at its tick:
+  // Restore would take it, so the skip is the only guard.
+  DurableShard restarted(dataset, dir, /*checkpoint_every_ticks=*/1000);
+  auto report = restarted.control.RecoverFromDurable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().size(), 1u);
+  EXPECT_EQ(report.value()[0].tick, 4);
+  EXPECT_EQ(restarted.server.metrics().records_replayed.load(), 0);
+  EXPECT_EQ(FrameBytes(*restarted.server.FindRoom(6)), expected_state);
+}
+
+TEST(DurabilityManagerTest, ExtremeDoublesComeBackBitForBit) {
+  const Dataset dataset = SmallDataset();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kHuge = std::numeric_limits<double>::max();
+  // A donor room whose frame holds -0.0, the smallest subnormal and the
+  // largest finite double, in positions and goals.
+  DurableShard donor(dataset, ScratchDir("extreme_donor"));
+  ASSERT_TRUE(donor.control.Assign(5, 1, "", /*primary=*/true).ok());
+  const std::shared_ptr<Room> room = donor.server.FindRoom(5);
+  TickFrame frame = room->CurrentTickFrame();
+  frame.positions[0] = {-0.0, kTiny};
+  frame.positions[1] = {kHuge, -kHuge};
+  frame.goals[0] = {kTiny, -0.0};
+  frame.goals[1] = {-kTiny, kHuge};
+  ASSERT_TRUE(room->Restore(frame).ok());
+  const std::string want = Encoded(frame);
+
+  // Release -> Assign: the router forwards the released bytes as they
+  // are.
+  auto released = donor.control.Release(5, 2);
+  ASSERT_TRUE(released.ok()) << released.status().ToString();
+  EXPECT_EQ(released.value(), want);
+  const std::string dir = ScratchDir("recover_extreme");
+  {
+    DurableShard receiver(dataset, dir);
+    ASSERT_TRUE(
+        receiver.control.Assign(5, 3, released.value(), /*primary=*/true)
+            .ok());
+    EXPECT_EQ(FrameBytes(*receiver.server.FindRoom(5)), want);
+  }  // crash
+
+  // And through the journal's state record.
+  DurableShard restarted(dataset, dir);
+  auto report = restarted.control.RecoverFromDurable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().size(), 1u);
+  const TickFrame back = restarted.server.FindRoom(5)->CurrentTickFrame();
+  EXPECT_EQ(Encoded(back), want);
+  EXPECT_TRUE(std::signbit(back.positions[0].x));
+  EXPECT_EQ(back.positions[0].x, 0.0);
+  EXPECT_EQ(back.positions[0].y, kTiny);
+  EXPECT_EQ(back.positions[1].x, kHuge);
+  EXPECT_EQ(back.positions[1].y, -kHuge);
+  EXPECT_TRUE(std::signbit(back.goals[0].y));
+  EXPECT_EQ(back.goals[1].x, -kTiny);
 }
 
 TEST(DurabilityManagerTest, RecoveryWhoseFactoryFailsCountsDataLoss) {
@@ -585,7 +682,7 @@ TEST(DurabilityManagerTest, LedgerFailureCountsAnErrorAndKeepsTheGrant) {
   const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
   ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
   const Status assigned =
-      shard.control.Assign(5, 9, donor->ExportState(), /*primary=*/true);
+      shard.control.Assign(5, 9, FrameBytes(*donor), /*primary=*/true);
   ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
   std::signal(SIGXFSZ, saved_handler);
   ASSERT_TRUE(assigned.ok()) << assigned.ToString();
@@ -620,11 +717,9 @@ TEST(DurabilityManagerTest, JournalRotationKeepsTheLedgerAndTheLiveRoom) {
   const std::string dir = ScratchDir("recover_rotation");
   const Dataset dataset = SmallDataset();
   // A few KiB: a 16-user tick record is ~0.5 KiB, so the live room's
-  // ticks cross the threshold every handful of ticks. The room's state
-  // record (~6 KiB) alone is larger than the budget, so a budget that
-  // counted the rotation's head would rotate on every tick. The
-  // tick-path checkpoint cadence stays out of the way, so every state
-  // record below is a rotation's.
+  // ticks cross the threshold every handful of ticks. The tick-path
+  // checkpoint cadence stays out of the way, so every state record below
+  // is a rotation's.
   constexpr int64_t kRotateBytes = 4 << 10;
   std::string expected_state;
   {
@@ -650,20 +745,23 @@ TEST(DurabilityManagerTest, JournalRotationKeepsTheLedgerAndTheLiveRoom) {
         EXPECT_GT(ticks_since_rotation, 1);
         ticks_since_rotation = 0;
         // The rotated file holds the header and one state record for
-        // the one hosted room; the released room is gone.
+        // the one hosted room; the released room is gone. The head does
+        // not count against the budget.
         EXPECT_EQ(after, 0);
         EXPECT_EQ(static_cast<int64_t>(fs::file_size(JournalPath(dir))),
                   journal.bytes());
-        EXPECT_GT(journal.bytes(), kRotateBytes);
         auto replay = ReadJournal(JournalPath(dir));
         ASSERT_TRUE(replay.ok()) << replay.status().ToString();
         ASSERT_EQ(replay.value().records.size(), 1u);
         const JournalRecord& head = replay.value().records[0];
+        EXPECT_EQ(journal.bytes(),
+                  static_cast<int64_t>(kJournalHeaderBytes + 12 +
+                                       EncodeJournalRecord(head).size()));
         EXPECT_EQ(head.type, JournalRecord::Type::kState);
         EXPECT_EQ(head.room, 2);
         EXPECT_EQ(head.epoch, 5u);
         EXPECT_TRUE(head.primary);
-        EXPECT_EQ(head.state, shard.server.FindRoom(2)->ExportState());
+        EXPECT_EQ(Encoded(head.frame), FrameBytes(*shard.server.FindRoom(2)));
       }
       // Appends past the threshold never outlive the tick that crossed
       // it.
@@ -676,7 +774,7 @@ TEST(DurabilityManagerTest, JournalRotationKeepsTheLedgerAndTheLiveRoom) {
     // Leave a journal tail after the last rotation to replay.
     for (int i = 0; i < 3; ++i) shard.server.TickAll();
     EXPECT_GT(journal.bytes(), static_cast<int64_t>(kJournalHeaderBytes));
-    expected_state = shard.server.FindRoom(2)->ExportState();
+    expected_state = FrameBytes(*shard.server.FindRoom(2));
   }  // crash
   EXPECT_EQ(DirEntries(dir), kJournalOnly);
 
@@ -690,7 +788,7 @@ TEST(DurabilityManagerTest, JournalRotationKeepsTheLedgerAndTheLiveRoom) {
   EXPECT_TRUE(restarted.control.Owns(2));
   EXPECT_FALSE(restarted.control.Owns(4)) << "released room resurrected";
   ASSERT_NE(restarted.server.FindRoom(2), nullptr);
-  EXPECT_EQ(restarted.server.FindRoom(2)->ExportState(), expected_state);
+  EXPECT_EQ(FrameBytes(*restarted.server.FindRoom(2)), expected_state);
 }
 
 TEST(DurabilityManagerTest, TornJournalTailRecoversThePrefix) {
@@ -716,15 +814,16 @@ TEST(DurabilityManagerTest, TornJournalTailRecoversThePrefix) {
   // fleet's bit-exactness invariant, minus only the torn tick.
   auto expected = FactoryFor(&dataset)(2).value();
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(expected->Tick().ok());
-  EXPECT_EQ(restarted.server.FindRoom(2)->ExportState(),
-            expected->ExportState());
+  EXPECT_EQ(FrameBytes(*restarted.server.FindRoom(2)),
+            FrameBytes(*expected));
 }
 
 TEST(DurabilityManagerTest, CorruptJournalHeaderIsDataLossNotACrash) {
-  // A flipped magic byte, and a version-1 journal from before state
-  // records: either way the header cannot be trusted.
-  for (const auto& [offset, byte] :
-       std::vector<std::pair<int, char>>{{0, 'X'}, {4, '\x01'}}) {
+  // A flipped magic byte, a version-1 journal from before state records,
+  // and a version-2 one whose state records held text blobs: either way
+  // the header cannot be trusted, and no older decoder is kept.
+  for (const auto& [offset, byte] : std::vector<std::pair<int, char>>{
+           {0, 'X'}, {4, '\x01'}, {4, '\x02'}}) {
     SCOPED_TRACE(::testing::Message() << "byte " << offset);
     const std::string dir = ScratchDir("recover_bad_header");
     const Dataset dataset = SmallDataset();
@@ -757,7 +856,8 @@ TEST(DurabilityManagerTest, CorruptStateRecordRecoversAnExactTickPrefix) {
   const std::string dir = ScratchDir("recover_bad_state");
   const Dataset dataset = SmallDataset();
   {
-    // Cadence 3 over 7 ticks: assign, t1-t3, state@3, t4-t6, state@6, t7.
+    // Cadence 3 over 7 ticks: assign, t1, t2, state@3, t4, t5, state@6,
+    // t7.
     DurableShard shard(dataset, dir, /*checkpoint_every_ticks=*/3);
     ASSERT_TRUE(shard.control.Assign(8, 2, "", /*primary=*/true).ok());
     for (int i = 0; i < 7; ++i) shard.server.TickAll();
@@ -765,30 +865,31 @@ TEST(DurabilityManagerTest, CorruptStateRecordRecoversAnExactTickPrefix) {
   auto pristine = ReadJournal(JournalPath(dir));
   ASSERT_TRUE(pristine.ok());
   const std::vector<JournalRecord>& records = pristine.value().records;
-  ASSERT_EQ(records.size(), 10u);
+  ASSERT_EQ(records.size(), 8u);
   std::vector<std::string> states_by_tick;
   {
     auto oracle = FactoryFor(&dataset)(8).value();
-    states_by_tick.push_back(oracle->ExportState());
+    states_by_tick.push_back(FrameBytes(*oracle));
     for (int i = 0; i < 7; ++i) {
       ASSERT_TRUE(oracle->Tick().ok());
-      states_by_tick.push_back(oracle->ExportState());
+      states_by_tick.push_back(FrameBytes(*oracle));
     }
   }
   const std::string scratch = ScratchDir("recover_bad_state_scratch");
-  // A flipped byte inside a state record drops it and everything after
-  // it: the room comes back at the tick just before that record, bit
-  // for bit, from the base before it (or the factory) and the ticks
-  // between.
+  // A flipped byte inside a state record drops it, the tick it was
+  // journaled for, and everything after it: the room comes back at the
+  // tick just before that record, bit for bit, from the base before it
+  // (or the factory) and the ticks between.
   for (const auto& [index, expected_tick] :
-       std::vector<std::pair<size_t, int>>{{4, 3}, {8, 6}}) {
+       std::vector<std::pair<size_t, int>>{{3, 2}, {6, 5}}) {
     SCOPED_TRACE(::testing::Message() << "record " << index);
     ASSERT_EQ(records[index].type, JournalRecord::Type::kState);
     int64_t offset = static_cast<int64_t>(kJournalHeaderBytes);
     for (size_t i = 0; i < index; ++i)
       offset +=
           12 + static_cast<int64_t>(EncodeJournalRecord(records[i]).size());
-    offset += 12 + static_cast<int64_t>(records[index].state.size()) / 2;
+    offset +=
+        12 + static_cast<int64_t>(EncodeJournalRecord(records[index]).size()) / 2;
     fs::remove_all(scratch);
     fs::copy(dir, scratch, fs::copy_options::recursive);
     std::fstream flip(JournalPath(scratch),
@@ -804,7 +905,7 @@ TEST(DurabilityManagerTest, CorruptStateRecordRecoversAnExactTickPrefix) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ASSERT_EQ(report.value().size(), 1u);
     EXPECT_EQ(report.value()[0].tick, expected_tick);
-    EXPECT_EQ(restarted.server.FindRoom(8)->ExportState(),
+    EXPECT_EQ(FrameBytes(*restarted.server.FindRoom(8)),
               states_by_tick[static_cast<size_t>(expected_tick)]);
     EXPECT_EQ(restarted.server.metrics().data_loss_rooms.load(), 0);
   }
@@ -828,14 +929,14 @@ TEST(DurabilityManagerTest, RecoveryAfterRecoveryStillFoldsCorrectly) {
     ASSERT_TRUE(report.ok());
     ASSERT_EQ(report.value().size(), 1u);
     for (int i = 0; i < 4; ++i) middle.server.TickAll();
-    expected_state = middle.server.FindRoom(0)->ExportState();
+    expected_state = FrameBytes(*middle.server.FindRoom(0));
   }
   DurableShard last(dataset, dir, /*checkpoint_every_ticks=*/1000);
   auto report = last.control.RecoverFromDurable();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report.value().size(), 1u);
   EXPECT_EQ(report.value()[0].tick, 7);
-  EXPECT_EQ(last.server.FindRoom(0)->ExportState(), expected_state);
+  EXPECT_EQ(FrameBytes(*last.server.FindRoom(0)), expected_state);
 }
 
 TEST(DurabilityManagerTest, FuzzedDurableDirNeverCrashesRecovery) {
@@ -845,13 +946,13 @@ TEST(DurabilityManagerTest, FuzzedDurableDirNeverCrashesRecovery) {
   // bit-exact with some tick prefix of the original run or absent.
   const std::string dir = ScratchDir("recover_fuzz");
   const Dataset dataset = SmallDataset();
-  std::vector<std::string> states_by_tick;  // ExportState per tick count
+  std::vector<std::string> states_by_tick;  // FrameBytes per tick count
   {
     auto oracle = FactoryFor(&dataset)(1).value();
-    states_by_tick.push_back(oracle->ExportState());
+    states_by_tick.push_back(FrameBytes(*oracle));
     for (int i = 0; i < 6; ++i) {
       ASSERT_TRUE(oracle->Tick().ok());
-      states_by_tick.push_back(oracle->ExportState());
+      states_by_tick.push_back(FrameBytes(*oracle));
     }
   }
   {
@@ -890,7 +991,7 @@ TEST(DurabilityManagerTest, FuzzedDurableDirNeverCrashesRecovery) {
     const int tick = report.value()[0].tick;
     ASSERT_GE(tick, 0);
     ASSERT_LT(tick, static_cast<int>(states_by_tick.size()));
-    EXPECT_EQ(shard.server.FindRoom(1)->ExportState(), states_by_tick[tick])
+    EXPECT_EQ(FrameBytes(*shard.server.FindRoom(1)), states_by_tick[tick])
         << "trial=" << trial << " tick=" << tick;
   }
   EXPECT_GT(recovered, 0);
@@ -939,9 +1040,8 @@ TEST(RecoverPartitionTest, ColdRestartReconcilesAndServesBitExact) {
     for (int i = 0; i < 5; ++i)
       for (auto& shard : shards) shard->shard.server.TickAll();
     for (const auto& [room, assignment] : router.AssignmentSnapshot())
-      expected[room] = shards[assignment.copies[0]]
-                           ->shard.server.FindRoom(room)
-                           ->ExportState();
+      expected[room] = FrameBytes(
+          *shards[assignment.copies[0]]->shard.server.FindRoom(room));
     router.Shutdown();
   }  // the whole fleet dies
 
@@ -962,14 +1062,14 @@ TEST(RecoverPartitionTest, ColdRestartReconcilesAndServesBitExact) {
   ASSERT_TRUE(recovered.ok()) << recovered.ToString();
 
   // Zero lost rooms, and every survivor is bit-exact with what the
-  // pre-crash primary last had (tick, positions, goals, window — the
-  // whole ExportState blob).
+  // pre-crash primary last had (tick, positions and goals: the whole
+  // encoded frame).
   const auto assignment = router.AssignmentSnapshot();
   ASSERT_EQ(assignment.size(), static_cast<size_t>(kRooms));
   for (const auto& [room, entry] : assignment) {
     auto hosted = shards[entry.copies[0]]->shard.server.FindRoom(room);
     ASSERT_NE(hosted, nullptr) << "room " << room;
-    EXPECT_EQ(hosted->ExportState(), expected.at(room)) << "room " << room;
+    EXPECT_EQ(FrameBytes(*hosted), expected.at(room)) << "room " << room;
     const FriendResponse response =
         router.Route({.room = room, .user = 1, .deadline_ms = -1.0});
     EXPECT_TRUE(response.status.ok())

@@ -7,12 +7,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "baselines/nearest_recommender.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
+#include "serve/codec.h"
 #include "serve/net_server.h"
 #include "serve/room.h"
 #include "serve/router.h"
@@ -50,6 +52,19 @@ inline ServerOptions TestServerOptions() {
   options.num_threads = 2;
   options.default_deadline_ms = -1.0;
   return options;
+}
+
+/// A frame as a migration and the journal encode it: equal bytes mean a
+/// bit-exact tick, positions and goals.
+inline std::string Encoded(const TickFrame& frame) {
+  std::string bytes;
+  AppendTickFrame(frame, &bytes);
+  return bytes;
+}
+
+/// The room's state, encoded.
+inline std::string FrameBytes(const Room& room) {
+  return Encoded(room.CurrentTickFrame());
 }
 
 inline void ExpectSamePositions(const std::vector<Vec2>& want,

@@ -5,15 +5,15 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "nn/serialize.h"
 #include "partition_fleet.h"
+#include "serve/codec.h"
 #include "serve/net_client.h"
 #include "serve/net_server.h"
 #include "serve/room.h"
@@ -25,27 +25,33 @@ namespace serve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Room migration blob.
+// Room state: the tick frame a migration carries.
+
+/// What a shard does with migrated bytes (ShardControl::Assign): decode
+/// the frame, then restore it.
+Status RestoreBytes(Room* room, std::string_view bytes) {
+  Result<TickFrame> frame = DecodeTickFrame(bytes);
+  if (!frame.ok()) return frame.status();
+  return room->Restore(frame.value());
+}
 
 TEST(RoomStateTest, ExportApplyRoundTripIsBitExact) {
   const Dataset dataset = SmallDataset();
   const auto factory = FactoryFor(&dataset);
   auto donor = factory(3).value();
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(donor->Tick().ok());
-  const std::string blob = donor->ExportState();
+  const std::string bytes = FrameBytes(*donor);
+  // 12 header bytes, then 16 per position and 16 per goal.
+  EXPECT_EQ(bytes.size(), 12u + 32u * donor->num_users());
 
   auto receiver = factory(3).value();
-  const Status applied = receiver->ApplyState(blob);
+  const Status applied = RestoreBytes(receiver.get(), bytes);
   ASSERT_TRUE(applied.ok()) << applied.ToString();
 
   EXPECT_EQ(receiver->tick(), donor->tick());
   ExpectSamePositions(donor->snapshot()->positions(),
                       receiver->snapshot()->positions());
-  const auto donor_window = donor->trajectory_window();
-  const auto receiver_window = receiver->trajectory_window();
-  ASSERT_EQ(donor_window.size(), receiver_window.size());
-  for (size_t f = 0; f < donor_window.size(); ++f)
-    ExpectSamePositions(donor_window[f], receiver_window[f]);
+  EXPECT_EQ(FrameBytes(*receiver), bytes);  // goals included
 }
 
 TEST(RoomStateTest, MigratedRoomKeepsTickingAfterApply) {
@@ -55,122 +61,133 @@ TEST(RoomStateTest, MigratedRoomKeepsTickingAfterApply) {
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(donor->Tick().ok());
 
   auto receiver = factory(0).value();
-  ASSERT_TRUE(receiver->ApplyState(donor->ExportState()).ok());
+  ASSERT_TRUE(receiver->Restore(donor->CurrentTickFrame()).ok());
   // The handoff is a resume point, not a freeze: the new owner keeps
   // simulating from the donor's state.
   ASSERT_TRUE(receiver->Tick().ok());
   EXPECT_EQ(receiver->tick(), 4);
-  EXPECT_EQ(static_cast<int>(receiver->trajectory_window().size()), 5);
+  EXPECT_EQ(receiver->CurrentTickFrame().tick, 4);
 }
 
-TEST(RoomStateTest, ApplyStateIsAllOrNothing) {
+TEST(RoomStateTest, RestoreIsAllOrNothing) {
   const Dataset dataset = SmallDataset();
   const auto factory = FactoryFor(&dataset);
   auto donor = factory(1).value();
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(donor->Tick().ok());
-  const std::string blob = donor->ExportState();
+  const std::string bytes = FrameBytes(*donor);
 
   auto receiver = factory(1).value();
   const std::vector<Vec2> fresh = receiver->snapshot()->positions();
 
-  EXPECT_FALSE(receiver->ApplyState("").ok());
-  EXPECT_FALSE(receiver->ApplyState("not a parameter block").ok());
-  // Every truncation that drops at least one token must be rejected
-  // before any mutation happens. (The blob is text: a cut inside the
-  // final token or its trailing whitespace still reads as a complete
-  // block, which the wire layer's length-prefixed framing rules out in
-  // transit — tests/serve/wire_test.cc covers that side.)
-  const size_t last_char = blob.find_last_not_of(" \t\n");
-  ASSERT_NE(last_char, std::string::npos);
-  const size_t last_token = blob.find_last_of(" \t\n", last_char);
-  ASSERT_NE(last_token, std::string::npos);
-  for (size_t cut = 0; cut <= last_token; cut += 97)
-    EXPECT_FALSE(receiver->ApplyState(blob.substr(0, cut)).ok())
+  EXPECT_FALSE(RestoreBytes(receiver.get(), "not a tick frame").ok());
+  // Every cut, down to the last byte, and one byte too many are refused
+  // before any mutation happens.
+  for (size_t cut = 0; cut < bytes.size(); ++cut)
+    EXPECT_FALSE(
+        RestoreBytes(receiver.get(), std::string_view(bytes).substr(0, cut))
+            .ok())
         << "cut=" << cut;
+  EXPECT_FALSE(RestoreBytes(receiver.get(), bytes + '\0').ok());
 
   EXPECT_EQ(receiver->tick(), 0);
   ExpectSamePositions(fresh, receiver->snapshot()->positions());
 
-  // And the untouched room still accepts the intact blob.
-  ASSERT_TRUE(receiver->ApplyState(blob).ok());
+  // And the untouched room still accepts the intact frame.
+  ASSERT_TRUE(RestoreBytes(receiver.get(), bytes).ok());
   EXPECT_EQ(receiver->tick(), donor->tick());
+  EXPECT_EQ(FrameBytes(*receiver), bytes);
 }
 
-/// `blob` with one field of its 1x4 meta block (tick, users, window
-/// frames, live mode) replaced: the result still parses as 4 blocks, so
-/// only ApplyState's shape checks can reject it.
-std::string WithMeta(const std::string& blob, int column, double value) {
-  std::istringstream in(blob);
-  std::vector<Matrix> blocks;
-  EXPECT_TRUE(ReadParameterBlock(in, &blocks).ok());
-  EXPECT_EQ(blocks.size(), 4u);
-  blocks[0].At(0, column) = value;
-  std::ostringstream out;
-  WriteParameterBlock(out, blocks);
-  return out.str();
+/// `frame` with one edit applied.
+template <typename Edit>
+TickFrame With(TickFrame frame, Edit edit) {
+  edit(&frame);
+  return frame;
 }
 
 TEST(RoomStateTest, ApplyStateRejectsWellFormedBlobsOfTheWrongShape) {
-  const Dataset dataset = SmallDataset();
-  const auto factory = FactoryFor(&dataset);
-  auto donor = factory(2).value();
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(donor->Tick().ok());
-  const std::string blob = donor->ExportState();
+  const Dataset dataset = SmallDataset();  // 16 users, 8 steps
+  auto live = FactoryFor(&dataset)(2).value();
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(live->Tick().ok());
+  Room::Options replay_options;
+  replay_options.id = 2;
+  replay_options.mode = Room::Mode::kReplay;
+  auto replay = Room::Create(replay_options, &dataset).value();
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(replay->Tick().ok());
 
-  auto receiver = factory(2).value();
-  const std::vector<Vec2> fresh = receiver->snapshot()->positions();
-  const double n = receiver->num_users();
+  // Well-shaped frames one tick ahead, and variants that break one rule.
+  // Each variant encodes and decodes cleanly, so only Room::Restore's
+  // shape checks stand between the migrated bytes and the room.
+  const TickFrame live_next =
+      With(live->CurrentTickFrame(), [](TickFrame* f) { f->tick = 3; });
+  const TickFrame replay_next =
+      With(replay->CurrentTickFrame(), [](TickFrame* f) { f->tick = 3; });
+  ASSERT_TRUE(replay_next.goals.empty());
   struct Case {
-    int column;
-    double value;
+    Room* room;
+    TickFrame frame;
     const char* error;
   };
-  for (const Case& bad : {Case{1, n + 1, "user count mismatch"},
-                          Case{1, n - 1, "user count mismatch"},
-                          Case{2, 0, "out-of-range window length"},
-                          Case{2, kTrajectoryWindowFrames + 1,
-                               "out-of-range window length"},
-                          Case{3, 0, "mode mismatch"}}) {
-    const Status status =
-        receiver->ApplyState(WithMeta(blob, bad.column, bad.value));
+  const std::vector<Case> cases = {
+      {live.get(),
+       With(live_next, [](TickFrame* f) { f->positions.push_back({}); }),
+       "user count mismatch"},
+      {live.get(),
+       With(live_next, [](TickFrame* f) { f->positions.pop_back(); }),
+       "user count mismatch"},
+      {live.get(), With(live_next, [](TickFrame* f) { f->goals.clear(); }),
+       "goal count mismatch"},
+      {live.get(), With(live_next, [](TickFrame* f) { f->tick = -1; }),
+       "negative tick"},
+      {replay.get(),
+       With(replay_next, [&](TickFrame* f) { f->goals = live_next.goals; }),
+       "goal count mismatch"},
+      {replay.get(), With(replay_next, [](TickFrame* f) { f->tick = -1; }),
+       "negative tick"},
+      {replay.get(),
+       With(replay_next,
+            [&](TickFrame* f) {
+              f->tick = dataset.sessions.back().num_steps();
+            }),
+       "tick beyond the replay session"},
+  };
+  for (const Case& bad : cases) {
+    const std::string before = FrameBytes(*bad.room);
+    const Status status = RestoreBytes(bad.room, Encoded(bad.frame));
     EXPECT_EQ(status.code(), StatusCode::kInvalidData) << status.ToString();
     EXPECT_NE(status.message().find(bad.error), std::string::npos)
         << status.ToString();
-    EXPECT_EQ(receiver->tick(), 0);
-    ExpectSamePositions(fresh, receiver->snapshot()->positions());
+    EXPECT_EQ(FrameBytes(*bad.room), before) << bad.error;
   }
 
-  // Only the meta field was wrong: the blob itself still applies.
-  ASSERT_TRUE(receiver->ApplyState(WithMeta(blob, 1, n)).ok());
-  EXPECT_EQ(receiver->tick(), donor->tick());
+  // Only the shape was wrong: the well-shaped frames still apply.
+  ASSERT_TRUE(RestoreBytes(live.get(), Encoded(live_next)).ok());
+  EXPECT_EQ(live->tick(), 3);
+  ASSERT_TRUE(RestoreBytes(replay.get(), Encoded(replay_next)).ok());
+  EXPECT_EQ(replay->tick(), 3);
 }
 
 TEST(RoomStateTest, ApplyTickFrameRejectsFramesOfTheWrongShape) {
   const Dataset dataset = SmallDataset();
   auto room = FactoryFor(&dataset)(1).value();
   for (int i = 0; i < 2; ++i) ASSERT_TRUE(room->Tick().ok());
-  const Room::TickFrame current = room->CurrentTickFrame();
+  const TickFrame current = room->CurrentTickFrame();
   ASSERT_EQ(current.tick, 2);
   const std::vector<Vec2> before = room->snapshot()->positions();
 
-  Room::TickFrame next = current;
-  next.tick = current.tick + 1;
-  Room::TickFrame short_positions = next;
-  short_positions.positions.pop_back();
-  Room::TickFrame long_goals = next;
-  long_goals.goals.push_back(Vec2{1.0, 1.0});
-  Room::TickFrame stale = current;
-  Room::TickFrame rewound = current;
-  rewound.tick = current.tick - 1;
+  const TickFrame next = With(current, [](TickFrame* f) { ++f->tick; });
   struct Case {
-    const Room::TickFrame* frame;
+    TickFrame frame;
     const char* error;
   };
-  for (const Case& bad : {Case{&short_positions, "user count mismatch"},
-                          Case{&long_goals, "goal count mismatch"},
-                          Case{&stale, "does not advance the tick"},
-                          Case{&rewound, "does not advance the tick"}}) {
-    const Status status = room->ApplyTickFrame(*bad.frame);
+  const std::vector<Case> cases = {
+      {With(next, [](TickFrame* f) { f->positions.pop_back(); }),
+       "user count mismatch"},
+      {With(next, [](TickFrame* f) { f->goals.push_back({1.0, 1.0}); }),
+       "goal count mismatch"},
+  };
+  for (const Case& bad : cases) {
+    const Status status = room->Restore(bad.frame);
     EXPECT_EQ(status.code(), StatusCode::kInvalidData) << status.ToString();
     EXPECT_NE(status.message().find(bad.error), std::string::npos)
         << status.ToString();
@@ -178,9 +195,14 @@ TEST(RoomStateTest, ApplyTickFrameRejectsFramesOfTheWrongShape) {
     ExpectSamePositions(before, room->snapshot()->positions());
   }
 
-  // The well-shaped frame one tick ahead applies.
-  ASSERT_TRUE(room->ApplyTickFrame(next).ok());
+  // The well-shaped frame one tick ahead applies, and so does one at an
+  // earlier tick: Restore takes any tick (an overwritten standby can be
+  // ahead of its donor).
+  ASSERT_TRUE(room->Restore(next).ok());
   EXPECT_EQ(room->tick(), 3);
+  ASSERT_TRUE(
+      room->Restore(With(current, [](TickFrame* f) { f->tick = 1; })).ok());
+  EXPECT_EQ(room->tick(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +236,7 @@ TEST(ShardControlTest, AssignOwnReleaseLifecycle) {
 
   auto released = shard.control.Release(7, 2);
   ASSERT_TRUE(released.ok()) << released.status().ToString();
-  EXPECT_FALSE(released.value().empty());  // the migration blob
+  EXPECT_FALSE(released.value().empty());  // the encoded tick frame
   EXPECT_FALSE(shard.control.Owns(7));
   EXPECT_EQ(shard.server.FindRoom(7), nullptr);  // unhosted, not just unowned
   EXPECT_EQ(shard.control.EpochFor(7), 2u);      // remembered past release
@@ -257,15 +279,16 @@ TEST(ShardControlTest, MigrationBlobRestoresDonorStateOnTheNewOwner) {
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(room->Tick().ok());
   const std::vector<Vec2> donor_positions = room->snapshot()->positions();
 
-  auto blob = donor.control.Release(2, 2);
-  ASSERT_TRUE(blob.ok());
-  const Status assigned = receiver.control.Assign(2, 3, blob.value());
+  auto frame = donor.control.Release(2, 2);
+  ASSERT_TRUE(frame.ok());
+  const Status assigned = receiver.control.Assign(2, 3, frame.value());
   ASSERT_TRUE(assigned.ok()) << assigned.ToString();
 
   auto hosted = receiver.server.FindRoom(2);
   ASSERT_NE(hosted, nullptr);
   EXPECT_EQ(hosted->tick(), 4);
   ExpectSamePositions(donor_positions, hosted->snapshot()->positions());
+  EXPECT_EQ(FrameBytes(*hosted), frame.value());
 }
 
 TEST(ShardControlTest, CorruptMigrationBlobLeavesShardUnchanged) {

@@ -31,7 +31,38 @@ TEST(RoomTest, CreateValidatesInput) {
   bad_session.session = 99;
   EXPECT_FALSE(Room::Create(bad_session, &dataset).ok());
 
+  // Utility matrices smaller than the session's user count.
+  Dataset uncovered = SmallDataset();
+  uncovered.preference = Matrix(4, 4);
+  const auto small_matrices = Room::Create(Room::Options{}, &uncovered);
+  EXPECT_EQ(small_matrices.status().code(), StatusCode::kInvalidData);
+
   EXPECT_TRUE(Room::Create(Room::Options{}, &dataset).ok());
+}
+
+TEST(RoomTest, ChurnHooksRefuseReplayRoomsAndUnknownUsers) {
+  const Dataset dataset = SmallDataset();  // 16 users
+  auto replay = Room::Create(Room::Options{}, &dataset).value();
+  ASSERT_EQ(replay->mode(), Room::Mode::kReplay);
+  // A replay room follows its recording; churn would fork it.
+  EXPECT_EQ(replay->TeleportUser(0, Vec2{1.0, 1.0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(replay->SetUserActive(0, false).code(),
+            StatusCode::kInvalidArgument);
+
+  Room::Options live_options;
+  live_options.mode = Room::Mode::kLive;
+  auto live = Room::Create(live_options, &dataset).value();
+  for (const int user : {-1, 16}) {
+    EXPECT_EQ(live->TeleportUser(user, Vec2{1.0, 1.0}).code(),
+              StatusCode::kInvalidArgument)
+        << "user " << user;
+    EXPECT_EQ(live->SetUserActive(user, false).code(),
+              StatusCode::kInvalidArgument)
+        << "user " << user;
+  }
+  EXPECT_TRUE(live->TeleportUser(15, Vec2{1.0, 1.0}).ok());
+  EXPECT_TRUE(live->SetUserActive(15, false).ok());
 }
 
 TEST(RoomTest, ReplayFollowsRecordedSessionAndExhausts) {

@@ -354,6 +354,26 @@ TEST(WireTest, TrailingBytesFailDecode) {
   frame.payload.push_back('\0');
   EXPECT_EQ(DecodeRequest(frame.payload).status().code(),
             StatusCode::kInvalidArgument);
+
+  // The control payloads too: a byte past a room-assign's state, a
+  // recovery query's id, or a recovery report's last entry.
+  const auto with_trailing_byte = [](const std::string& framed) {
+    Frame control;
+    size_t used = 0;
+    EXPECT_TRUE(ExtractFrame(framed, &control, &used).ok());
+    return control.payload + '\0';
+  };
+  std::string assign, query, report;
+  AppendRoomAssignFrame(4, 2, 9, /*primary=*/true, "state", &assign);
+  AppendRoomRecoverQueryFrame(5, &query);
+  AppendRoomRecoverReportFrame(6, {RecoveredRoom{}}, &report);
+  EXPECT_EQ(DecodeRoomAssign(with_trailing_byte(assign)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeRoomRecoverQuery(with_trailing_byte(query)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      DecodeRoomRecoverReport(with_trailing_byte(report)).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(WireTest, ResponseMessageLengthCannotExceedPayload) {
