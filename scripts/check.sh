@@ -80,18 +80,20 @@
 #            Debug build with `--coverage -O0` (the coverage preset,
 #            build-coverage/), the full ctest suite from zeroed
 #            counters, then scripts/coverage.py: per-file and total line
-#            coverage of src/**/*.cc, failing below the floor recorded
-#            in that script. Smoke benches stay out. Not in the default
+#            coverage of src/**/*.cc, failing when more lines are
+#            uncovered than the ceiling recorded in that script. Smoke
+#            benches stay out. Not in the default
 #            set: a -O0 build of everything takes minutes.
 #   world-sim
 #            macro-scenario smoke: a small Zipf-skewed partitioned
 #            fleet under a diurnal load curve with a flash-crowd
 #            hotspot and a kill-at-peak reconnect storm. The binary
 #            itself exits nonzero on any lost request or a primary-
-#            balance breach; the lane additionally runs the scenario
-#            twice and fails unless both runs emit the same
-#            scenario_fingerprint (the bit-identical-plan contract
-#            that makes failures reproducible from a seed).
+#            balance breach; the lane additionally fails unless the
+#            kill's repair lands under load and the run's
+#            scenario_fingerprint equals the literal pinned for the
+#            lane's flags (the bit-identical-plan contract that makes
+#            failures reproducible from a seed).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,7 +114,7 @@ declare -A LANE_PURPOSE=(
   [bench-regression]="baseline-config benches gated vs bench/baselines (blocking)"
   [perfbench]="repo benchmark: perfbench_test + every workload for 15 s (non-blocking in CI)"
   [world-sim]="macro-scenario smoke: Zipf fleet + flash crowd + reconnect storm"
-  [coverage]="line coverage of src/**/*.cc under ctest, gated on a recorded floor"
+  [coverage]="line coverage of src/**/*.cc under ctest, gated on an uncovered-line ceiling"
 )
 
 list_lanes() {
@@ -205,9 +207,9 @@ run_docs_lane() {
   done
   # The networking page must keep covering the event-driven front's
   # vocabulary: the reactor mechanics, the pipelining + correlation
-  # contract, the slow-peer knobs, and the router's multiplexed links.
+  # contract, the slow-peer knobs, and the one multiplexed client.
   for term in epoll reactor EPOLLET "request ID" pipelining backpressure \
-              idle_timeout_ms max_connections write_close_bytes MuxLink \
+              idle_timeout_ms max_connections write_close_bytes NetClient \
               kMuxLinks "--connections"; do
     if ! grep -q -- "${term}" docs/networking.md; then
       echo "docs: ${term} is not mentioned in docs/networking.md"
@@ -253,6 +255,11 @@ run_docs_lane() {
     echo "docs: ${stale} names the removed .ckpt files"
     fail=1
   done < <(grep -rlF '.ckpt' docs README.md)
+  # Nor the second wire client that NetClient replaced.
+  while IFS= read -r stale; do
+    echo "docs: ${stale} names the removed MuxLink client"
+    fail=1
+  done < <(grep -rlwE 'MuxLink|net_mux' docs README.md)
   # Nor the room-state calls that went when a room's state became its
   # tick frame (Room::CurrentTickFrame / Room::Restore).
   while IFS= read -r stale; do
@@ -510,46 +517,41 @@ run_world_sim_lane() {
   ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \
     --requests=4000 --slices=6 --kill_at=peak --storm_wave=8 --seed=1 \
     --json=build/BENCH_world_smoke.json
-  echo "---- world_sim (same seed again: bit-identical-plan check) ----"
-  ./build/bench/world_sim --shards=3 --rooms=12 --clients=4 \
-    --requests=4000 --slices=6 --kill_at=peak --storm_wave=8 --seed=1 \
-    --json=build/BENCH_world_smoke_rerun.json
-  # Same seed, same flags => the generated scenario (room sizes,
-  # diurnal slice totals, churned populations, request schedule) must
-  # be bit-identical; live latency numbers may differ, the plan not.
-  python3 - build/BENCH_world_smoke.json \
-    build/BENCH_world_smoke_rerun.json <<'PY'
+  # The plan (room sizes, diurnal slice totals, churned populations,
+  # request schedule, events) is a function of the flags alone, so its
+  # fingerprint for these flags is pinned, the way
+  # WorldPlanTest.EventsChangeTheFingerprintOnlyWhenPresent pins the
+  # seed-77 plan; a change to the generator must re-pin it here.
+  python3 - build/BENCH_world_smoke.json <<'PY'
 import json, sys
-runs = []
-for path in sys.argv[1:]:
-    with open(path) as handle:
-        runs.append(json.load(handle))
-for data, path in zip(runs, sys.argv[1:]):
-    for key in ("scenario_fingerprint", "requests", "lost", "errors",
-                "primary_balance", "peak_p99_ms", "degraded_share",
-                "storm_recovery_ms", "storm_errors", "events"):
-        if key not in data:
-            raise SystemExit(f"{path}: missing key {key!r}")
-    # The drill must land under load: a repair that finishes only once
-    # every request is answered never met client traffic.
-    kills = [e for e in data["events"] if e.get("kind") == "kill"]
-    if not kills:
-        raise SystemExit(f"{path}: no kill event fired")
-    for event in kills:
-        if event.get("finished_at", data["requests"]) >= data["requests"]:
-            raise SystemExit(
-                f"{path}: the kill's repair finished at answered "
-                f"{event.get('finished_at')}, not below the "
-                f"{data['requests']} requests: it landed after the load")
-a, b = runs
-if a["scenario_fingerprint"] != b["scenario_fingerprint"]:
+PINNED_FINGERPRINT = "ecf766a65d21e559"
+path = sys.argv[1]
+with open(path) as handle:
+    data = json.load(handle)
+for key in ("scenario_fingerprint", "requests", "lost", "errors",
+            "primary_balance", "peak_p99_ms", "degraded_share",
+            "storm_recovery_ms", "storm_errors", "events"):
+    if key not in data:
+        raise SystemExit(f"{path}: missing key {key!r}")
+# The drill must land under load: a repair that finishes only once
+# every request is answered never met client traffic.
+kills = [e for e in data["events"] if e.get("kind") == "kill"]
+if not kills:
+    raise SystemExit(f"{path}: no kill event fired")
+for event in kills:
+    if event.get("finished_at", data["requests"]) >= data["requests"]:
+        raise SystemExit(
+            f"{path}: the kill's repair finished at answered "
+            f"{event.get('finished_at')}, not below the "
+            f"{data['requests']} requests: it landed after the load")
+if data["scenario_fingerprint"] != PINNED_FINGERPRINT:
     raise SystemExit(
-        "world-sim: rerun with the same seed produced a different "
-        f"scenario_fingerprint: {a['scenario_fingerprint']} vs "
-        f"{b['scenario_fingerprint']}")
+        "world-sim: the lane's flags produced scenario_fingerprint "
+        f"{data['scenario_fingerprint']}, not the pinned "
+        f"{PINNED_FINGERPRINT}")
 print("world-sim lane OK: zero lost requests, balance within gate,",
-      "repair under load, fingerprint", a["scenario_fingerprint"],
-      "reproduced")
+      "repair under load, fingerprint", data["scenario_fingerprint"],
+      "as pinned")
 PY
 }
 

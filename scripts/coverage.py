@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Line coverage of src/**/*.cc under ctest, gated on a recorded floor.
+"""Line coverage of src/**/*.cc under ctest, gated on a recorded ceiling.
 
 Usage:
     cmake --preset coverage && cmake --build --preset coverage -j
@@ -12,7 +12,7 @@ standard library and gcov alone (gcovr and lcov are not needed): it
 runs `gcov --json-format --stdout` on every .gcda under the build
 directory, keeps the records of src/**/*.cc, merges them per file and
 line, prints each file's line coverage and the total, and exits 1 when
-the total falls below FLOOR_PCT.
+more than MAX_UNCOVERED lines are left uncovered.
 
 gcov is the one that belongs to the build's compiler (gcov-12 for
 g++-12): gcov reads only its own compiler's counter format, and the
@@ -22,9 +22,13 @@ Headers are left out. Their inline functions' counters land in
 whichever object file the linker kept, often a test's, so a header's
 figure depends on link order as much as on the tests.
 
-FLOOR_PCT is the lowest total of 5 ctest runs with g++ 12 on the tree
-that set it, rounded down to 0.1%; the CI coverage job builds with
-g++-12 for that reason.
+MAX_UNCOVERED is the most uncovered lines in 5 ctest runs with g++ 12
+on the tree that set it; the CI coverage job builds with g++-12 for
+that reason. The gate counts uncovered lines, not a ratio: deleting
+covered code lowers the ratio without leaving any line untested, and
+a ratio floor would fail that deletion, while every new line that no
+test runs still counts against the ceiling. The total is printed
+either way.
 """
 
 import argparse
@@ -33,7 +37,7 @@ import os
 import subprocess
 import sys
 
-FLOOR_PCT = 92.6
+MAX_UNCOVERED = 476
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -122,12 +126,14 @@ def main(argv):
         print(f"{path:<40} {len(counts):>6} {hit:>6} "
               f"{100.0 * hit / len(counts):>6.1f}%")
     total = 100.0 * total_hit / total_lines
+    uncovered = total_lines - total_hit
     print(f"{'total':<40} {total_lines:>6} {total_hit:>6} {total:>6.1f}%")
-    if total < FLOOR_PCT:
-        print(f"coverage: total {total:.2f}% is below the floor "
-              f"{FLOOR_PCT:.1f}%", file=sys.stderr)
+    if uncovered > MAX_UNCOVERED:
+        print(f"coverage: {uncovered} uncovered lines ({total:.2f}%) exceed "
+              f"the ceiling of {MAX_UNCOVERED}", file=sys.stderr)
         return 1
-    print(f"coverage OK: {total:.2f}% >= floor {FLOOR_PCT:.1f}%")
+    print(f"coverage OK: {uncovered} uncovered lines ({total:.2f}%) <= "
+          f"ceiling {MAX_UNCOVERED}")
     return 0
 
 

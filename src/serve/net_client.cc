@@ -8,11 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 
 #include "common/timer.h"
 
@@ -116,212 +116,266 @@ Status SendAllFd(int fd, std::string_view bytes) {
 
 }  // namespace net_detail
 
-NetClient::NetClient(int fd, std::string host, int port,
-                     const NetClientOptions& options)
-    : fd_(fd), host_(std::move(host)), port_(port), options_(options) {}
-
-NetClient::~NetClient() {
-  if (fd_ >= 0) ::close(fd_);
-}
+NetClient::NetClient(int fd, const NetClientOptions& options)
+    : fd_(fd), options_(options) {}
 
 Result<std::unique_ptr<NetClient>> NetClient::Connect(
     const std::string& host, int port, const NetClientOptions& options) {
   Result<int> fd =
       net_detail::DialBlocking(host, port, options.connect_timeout_ms);
   if (!fd.ok()) return fd.status();
-  return std::unique_ptr<NetClient>(
-      new NetClient(fd.value(), host, port, options));
+  std::unique_ptr<NetClient> client(new NetClient(fd.value(), options));
+  client->reader_ = std::thread(&NetClient::ReaderLoop, client.get());
+  return client;
 }
 
-Status NetClient::SendAll(const std::string& bytes) {
-  const Status status = net_detail::SendAllFd(fd_, bytes);
-  if (!status.ok()) broken_ = true;
-  return status;
+NetClient::~NetClient() {
+  broken_.store(true, std::memory_order_release);
+  ::shutdown(fd_, SHUT_RDWR);  // wakes the reader's blocking recv
+  if (reader_.joinable()) reader_.join();
+  ::close(fd_);
 }
 
-Status NetClient::ReadFrame(wire::Frame* frame) {
-  const Deadline deadline = Deadline::ExpiresIn(options_.io_timeout_ms);
-  char chunk[16384];
+int NetClient::inflight() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return static_cast<int>(waiters_.size());
+}
+
+void NetClient::FailAll(const Status& status) {
+  broken_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& [id, waiter] : waiters_) {
+      if (waiter.done) continue;
+      waiter.done = true;
+      waiter.status = status;
+    }
+    cv_.notify_all();
+  }
+  // Only now end the reader: its own FailAll finds every waiter failed
+  // already, so each caller sees the error that broke the connection.
+  ::shutdown(fd_, SHUT_RDWR);
+}
+
+void NetClient::ReaderLoop() {
+  std::string buffer;
+  char chunk[65536];
   while (true) {
-    size_t consumed = 0;
-    const Status framing = wire::ExtractFrame(buffer_, frame, &consumed);
-    if (!framing.ok()) {
-      broken_ = true;  // mid-stream garbage is unrecoverable
-      return framing;
-    }
-    if (consumed > 0) {
-      buffer_.erase(0, consumed);
-      return OkStatus();
-    }
-    const double remaining_ms = deadline.RemainingMs();
-    if (remaining_ms <= 0.0) {
-      broken_ = true;
-      return Transport("response timed out", 0);
-    }
-    // Short poll slices so a caller-side deadline never overshoots by
-    // more than ~50 ms.
-    const int wait_ms =
-        1 + static_cast<int>(std::min(remaining_ms, 50.0));
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait_ms);
-    if (ready < 0 && errno != EINTR) {
-      broken_ = true;
-      return Transport("poll", errno);
-    }
-    if (ready <= 0) continue;
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n == 0) {
-      broken_ = true;
-      return Transport("peer closed the connection", 0);
+      FailAll(Transport("peer closed the connection", 0));
+      return;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      broken_ = true;
-      return Transport("recv", errno);
+      FailAll(Transport("recv", errno));
+      return;
     }
-    buffer_.append(chunk, static_cast<size_t>(n));
+    buffer.append(chunk, static_cast<size_t>(n));
+    while (true) {
+      wire::Frame frame;
+      size_t consumed = 0;
+      const Status framing = wire::ExtractFrame(buffer, &frame, &consumed);
+      if (!framing.ok()) {
+        // Mid-stream garbage is unrecoverable; the peer broke protocol.
+        FailAll(framing);
+        return;
+      }
+      if (consumed == 0) break;  // incomplete; read more
+      buffer.erase(0, consumed);
+      uint64_t id = 0;
+      if (!wire::PeekCorrelationId(frame.payload, &id)) {
+        FailAll(
+            InvalidArgumentError("wire: response payload too short for id"));
+        return;
+      }
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto it = waiters_.find(id);
+      if (it == waiters_.end()) continue;  // a caller that timed out
+      it->second.done = true;
+      it->second.frame = std::move(frame);
+      cv_.notify_all();
+    }
   }
 }
 
+void NetClient::Roundtrip(std::string_view frames, uint64_t first_id,
+                          size_t count, Waiter* out) {
+  // Register before sending: a response can race back before this
+  // thread re-takes the lock. Test broken() under the same lock: FailAll
+  // marks the client broken before it takes the lock, so either it fails
+  // these waiters or this call sees the mark, and no waiter is left to
+  // wait out the timeout on a connection whose reader has exited.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (broken()) {
+      for (size_t i = 0; i < count; ++i)
+        out[i].status = Transport("connection already broken", 0);
+      return;
+    }
+    for (size_t i = 0; i < count; ++i)
+      waiters_.emplace(first_id + i, Waiter{});
+  }
+
+  Status sent;
+  {
+    std::lock_guard<std::mutex> lock(send_mutex_);
+    sent = net_detail::SendAllFd(fd_, frames);
+  }
+  // The connection is dead for everyone, not just this call.
+  if (!sent.ok()) FailAll(sent);
+
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto answered = [this, first_id, count] {
+    for (size_t i = 0; i < count; ++i)
+      if (!waiters_.find(first_id + i)->second.done) return false;
+    return true;
+  };
+  if (!cv_.wait_for(
+          lock,
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double, std::milli>(
+                  options_.io_timeout_ms)),
+          answered)) {
+    // A connection that stops answering is indistinguishable from a
+    // dead backend; poison it so in-flight peers fail over too.
+    lock.unlock();
+    FailAll(Transport("response timed out", 0));
+    lock.lock();
+  }
+  for (size_t i = 0; i < count; ++i) {
+    auto it = waiters_.find(first_id + i);
+    out[i] = std::move(it->second);
+    waiters_.erase(it);
+  }
+}
+
+template <typename T>
+Result<T> NetClient::Expect(const wire::Frame& frame, wire::MessageType type,
+                            Result<T> (*decode)(std::string_view)) {
+  if (frame.type != type) {
+    broken_.store(true, std::memory_order_release);
+    return InvalidArgumentError("wire: unexpected frame type from server");
+  }
+  Result<T> decoded = decode(frame.payload);
+  if (!decoded.ok()) broken_.store(true, std::memory_order_release);
+  return decoded;
+}
+
+Result<FriendResponse> NetClient::Answer(Waiter& waiter) {
+  if (!waiter.status.ok()) return waiter.status;
+  if (waiter.frame.type == wire::MessageType::kNotOwner) {
+    auto not_owner = Expect(waiter.frame, wire::MessageType::kNotOwner,
+                            wire::DecodeNotOwner);
+    if (!not_owner.ok()) return not_owner.status();
+    FriendResponse response;
+    std::ostringstream oss;
+    oss << "shard does not own room " << not_owner.value().room << " (epoch "
+        << not_owner.value().epoch << ")";
+    response.status = NotOwnerError(oss.str());
+    return response;
+  }
+  auto decoded = Expect(waiter.frame, wire::MessageType::kResponse,
+                        wire::DecodeResponse);
+  if (!decoded.ok()) return decoded.status();
+  return std::move(decoded).value().response;
+}
+
+Status NetClient::AckStatus(const wire::Frame& frame) {
+  auto ack = Expect(frame, wire::MessageType::kResponse, wire::DecodeResponse);
+  return ack.ok() ? ack.value().response.status : ack.status();
+}
+
 Result<FriendResponse> NetClient::Call(const FriendRequest& request) {
-  if (broken_) return Transport("connection already broken", 0);
-  const uint64_t id = next_id_++;
+  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   std::string out;
   wire::AppendRequestFrame(id, request, &out);
-  AFTER_RETURN_IF_ERROR(SendAll(out));
-
-  // One call in flight at a time, but tolerate stray pongs between
-  // frames (a pooled connection may have a health probe's answer queued).
-  while (true) {
-    wire::Frame frame;
-    AFTER_RETURN_IF_ERROR(ReadFrame(&frame));
-    if (frame.type == wire::MessageType::kPong) continue;
-    if (frame.type == wire::MessageType::kNotOwner) {
-      auto not_owner = wire::DecodeNotOwner(frame.payload);
-      if (!not_owner.ok()) {
-        broken_ = true;
-        return not_owner.status();
-      }
-      if (not_owner.value().id != id) continue;  // stale; skip it
-      FriendResponse response;
-      std::ostringstream oss;
-      oss << "shard does not own room " << not_owner.value().room
-          << " (epoch " << not_owner.value().epoch << ")";
-      response.status = NotOwnerError(oss.str());
-      return response;
-    }
-    if (frame.type != wire::MessageType::kResponse) {
-      broken_ = true;
-      return InvalidArgumentError("wire: unexpected frame type from server");
-    }
-    auto decoded = wire::DecodeResponse(frame.payload);
-    if (!decoded.ok()) {
-      broken_ = true;
-      return decoded.status();
-    }
-    if (decoded.value().id != id) {
-      // A response to a call we gave up on earlier; skip it.
-      continue;
-    }
-    return std::move(decoded).value().response;
-  }
+  Waiter waiter;
+  Roundtrip(out, id, 1, &waiter);
+  return Answer(waiter);
 }
 
 std::vector<Result<FriendResponse>> NetClient::CallPipelined(
     const std::vector<FriendRequest>& requests) {
   std::vector<Result<FriendResponse>> results;
-  results.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i)
-    results.emplace_back(Transport("pipelined call unanswered", 0));
   if (requests.empty()) return results;
-  if (broken_) return results;
-
-  // Phase 1: one contiguous burst of frames, one send. The server
-  // answers in completion order, not arrival order, so no round trip
-  // gates the next frame going out.
-  std::unordered_map<uint64_t, size_t> slot_for_id;
-  slot_for_id.reserve(requests.size());
+  // One contiguous burst of frames, one send. The server answers in
+  // completion order, not arrival order, so no round trip gates the
+  // next frame going out.
+  const uint64_t first_id =
+      next_id_.fetch_add(requests.size(), std::memory_order_relaxed);
   std::string burst;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const uint64_t id = next_id_++;
-    slot_for_id.emplace(id, i);
-    wire::AppendRequestFrame(id, requests[i], &burst);
-  }
-  const Status sent = SendAll(burst);
-  if (!sent.ok()) {
-    for (auto& result : results) result = sent;
-    return results;
-  }
-
-  // Phase 2: collect until every slot is answered. ReadFrame enforces
-  // the io timeout per read; a transport failure leaves the remaining
-  // slots holding the error.
-  size_t outstanding = requests.size();
-  while (outstanding > 0) {
-    wire::Frame frame;
-    const Status read = ReadFrame(&frame);
-    if (!read.ok()) {
-      for (const auto& [id, slot] : slot_for_id) results[slot] = read;
-      return results;
-    }
-    if (frame.type == wire::MessageType::kPong) continue;  // stale probe
-    if (frame.type == wire::MessageType::kNotOwner) {
-      auto not_owner = wire::DecodeNotOwner(frame.payload);
-      if (!not_owner.ok()) {
-        broken_ = true;
-        continue;
-      }
-      auto slot = slot_for_id.find(not_owner.value().id);
-      if (slot == slot_for_id.end()) continue;  // stale; skip it
-      FriendResponse response;
-      std::ostringstream oss;
-      oss << "shard does not own room " << not_owner.value().room
-          << " (epoch " << not_owner.value().epoch << ")";
-      response.status = NotOwnerError(oss.str());
-      results[slot->second] = response;
-      slot_for_id.erase(slot);
-      --outstanding;
-      continue;
-    }
-    if (frame.type != wire::MessageType::kResponse) {
-      broken_ = true;
-      const Status confused =
-          InvalidArgumentError("wire: unexpected frame type from server");
-      for (auto& [id, slot] : slot_for_id) results[slot] = confused;
-      return results;
-    }
-    auto decoded = wire::DecodeResponse(frame.payload);
-    if (!decoded.ok()) {
-      broken_ = true;
-      for (auto& [id, slot] : slot_for_id) results[slot] = decoded.status();
-      return results;
-    }
-    auto slot = slot_for_id.find(decoded.value().id);
-    if (slot == slot_for_id.end()) continue;  // an abandoned earlier call
-    results[slot->second] = std::move(decoded).value().response;
-    slot_for_id.erase(slot);
-    --outstanding;
-  }
+  for (size_t i = 0; i < requests.size(); ++i)
+    wire::AppendRequestFrame(first_id + i, requests[i], &burst);
+  std::vector<Waiter> waiters(requests.size());
+  Roundtrip(burst, first_id, waiters.size(), waiters.data());
+  results.reserve(waiters.size());
+  for (Waiter& waiter : waiters) results.push_back(Answer(waiter));
   return results;
 }
 
 Status NetClient::Ping() {
-  if (broken_) return Transport("connection already broken", 0);
-  const uint64_t id = next_id_++;
+  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   std::string out;
   wire::AppendPingFrame(id, &out);
-  AFTER_RETURN_IF_ERROR(SendAll(out));
-  while (true) {
-    wire::Frame frame;
-    AFTER_RETURN_IF_ERROR(ReadFrame(&frame));
-    if (frame.type != wire::MessageType::kPong) continue;  // stale response
-    auto decoded = wire::DecodePingPong(frame.payload);
-    if (!decoded.ok()) {
-      broken_ = true;
-      return decoded.status();
-    }
-    if (decoded.value() == id) return OkStatus();
+  Waiter waiter;
+  Roundtrip(out, id, 1, &waiter);
+  if (!waiter.status.ok()) return waiter.status;
+  return Expect(waiter.frame, wire::MessageType::kPong, wire::DecodePingPong)
+      .status();
+}
+
+Status NetClient::AssignRoom(int room, uint64_t epoch,
+                             const std::string& state, bool primary) {
+  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  std::string out;
+  wire::AppendRoomAssignFrame(id, room, epoch, primary, state, &out);
+  Waiter waiter;
+  Roundtrip(out, id, 1, &waiter);
+  if (!waiter.status.ok()) return waiter.status;
+  return AckStatus(waiter.frame);
+}
+
+Result<std::string> NetClient::ReleaseRoom(int room, uint64_t epoch) {
+  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  std::string out;
+  wire::AppendRoomReleaseFrame(id, room, epoch, &out);
+  Waiter waiter;
+  Roundtrip(out, id, 1, &waiter);
+  if (!waiter.status.ok()) return waiter.status;
+  // Success acks arrive as a kRoomAssign frame carrying the final
+  // state; failures come back as a plain response frame.
+  if (waiter.frame.type == wire::MessageType::kRoomAssign) {
+    auto granted = Expect(waiter.frame, wire::MessageType::kRoomAssign,
+                          wire::DecodeRoomAssign);
+    if (!granted.ok()) return granted.status();
+    return std::move(granted).value().state;
   }
+  const Status refused = AckStatus(waiter.frame);
+  if (refused.ok())
+    return InvalidArgumentError("wire: release ack without state");
+  return refused;
+}
+
+Result<std::vector<wire::RecoveredRoom>> NetClient::RecoverRooms() {
+  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  std::string out;
+  wire::AppendRoomRecoverQueryFrame(id, &out);
+  Waiter waiter;
+  Roundtrip(out, id, 1, &waiter);
+  if (!waiter.status.ok()) return waiter.status;
+  // Success acks echo a kRoomRecover frame carrying the report;
+  // failures come back as a plain response frame.
+  if (waiter.frame.type == wire::MessageType::kRoomRecover) {
+    auto report = Expect(waiter.frame, wire::MessageType::kRoomRecover,
+                         wire::DecodeRoomRecoverReport);
+    if (!report.ok()) return report.status();
+    return std::move(report).value().rooms;
+  }
+  const Status refused = AckStatus(waiter.frame);
+  if (refused.ok())
+    return InvalidArgumentError("wire: recover ack without report");
+  return refused;
 }
 
 }  // namespace serve

@@ -171,21 +171,21 @@ bool ShardRouter::backend_healthy(int index) const {
   return !Ejected(*backend);
 }
 
-std::shared_ptr<MuxLink> ShardRouter::AcquireLink(Backend& backend,
-                                                  bool* reused) {
+std::shared_ptr<NetClient> ShardRouter::AcquireLink(Backend& backend,
+                                                    bool* reused) {
   *reused = false;
   {
     std::lock_guard<std::mutex> lock(backend.mutex);
     auto& links = backend.links;
     links.erase(
         std::remove_if(links.begin(), links.end(),
-                       [](const std::shared_ptr<MuxLink>& link) {
+                       [](const std::shared_ptr<NetClient>& link) {
                          return link->broken();
                        }),
         links.end());
     if (!links.empty()) {
       if (backend.next_link >= links.size()) backend.next_link = 0;
-      std::shared_ptr<MuxLink> link = links[backend.next_link++];
+      std::shared_ptr<NetClient> link = links[backend.next_link++];
       // Multiplex onto the chosen link unless it already has calls in
       // flight and the per-backend cap leaves room for one more — the
       // only case worth paying a fresh dial for.
@@ -196,11 +196,11 @@ std::shared_ptr<MuxLink> ShardRouter::AcquireLink(Backend& backend,
       }
     }
   }
-  auto connected = MuxLink::Connect(backend.address.host,
-                                    backend.address.port, options_.client);
+  auto connected = NetClient::Connect(backend.address.host,
+                                      backend.address.port, options_.client);
   if (!connected.ok()) return nullptr;
   metrics_.connects.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<MuxLink> link = std::move(connected).value();
+  std::shared_ptr<NetClient> link = std::move(connected).value();
   std::lock_guard<std::mutex> lock(backend.mutex);
   // Re-check the cap under the lock (a racing dial may have filled it);
   // an over-cap link still serves this one call, then dies with its
@@ -250,7 +250,7 @@ FriendResponse ShardRouter::Route(const FriendRequest& request) {
       if (tried > 0) metrics_.retried.fetch_add(1, std::memory_order_relaxed);
       ++tried;
       bool reused = false;
-      std::shared_ptr<MuxLink> link = AcquireLink(backend, &reused);
+      std::shared_ptr<NetClient> link = AcquireLink(backend, &reused);
       if (link == nullptr) {
         last_error = UnavailableError("connect to " +
                                       backend.address.ToString() + " failed");
@@ -314,7 +314,7 @@ void ShardRouter::ProbeAll() {
   for (Backend* backend_ptr : snapshot) {
     Backend& backend = *backend_ptr;
     bool reused = false;
-    std::shared_ptr<MuxLink> link = AcquireLink(backend, &reused);
+    std::shared_ptr<NetClient> link = AcquireLink(backend, &reused);
     if (link == nullptr) {
       Eject(backend);
       continue;
@@ -411,7 +411,7 @@ Status ShardRouter::SendAssign(int backend, int room, uint64_t epoch,
     target = backends_[backend].get();
   }
   bool reused = false;
-  std::shared_ptr<MuxLink> link = AcquireLink(*target, &reused);
+  std::shared_ptr<NetClient> link = AcquireLink(*target, &reused);
   if (link == nullptr)
     return UnavailableError("connect to " + target->address.ToString() +
                             " failed");
@@ -428,7 +428,7 @@ Result<std::vector<wire::RecoveredRoom>> ShardRouter::SendRecover(
     target = backends_[backend].get();
   }
   bool reused = false;
-  std::shared_ptr<MuxLink> link = AcquireLink(*target, &reused);
+  std::shared_ptr<NetClient> link = AcquireLink(*target, &reused);
   if (link == nullptr)
     return UnavailableError("connect to " + target->address.ToString() +
                             " failed");
@@ -447,7 +447,7 @@ Result<std::string> ShardRouter::SendRelease(int backend, int room,
     target = backends_[backend].get();
   }
   bool reused = false;
-  std::shared_ptr<MuxLink> link = AcquireLink(*target, &reused);
+  std::shared_ptr<NetClient> link = AcquireLink(*target, &reused);
   if (link == nullptr)
     return UnavailableError("connect to " + target->address.ToString() +
                             " failed");

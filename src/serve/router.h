@@ -15,7 +15,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "serve/net_client.h"
-#include "serve/net_mux.h"
 #include "serve/server_types.h"
 
 namespace after {
@@ -65,8 +64,8 @@ struct RouterOptions {
 /// retries a degradation decision.
 ///
 /// Thread-safe: Route() may be called from many connection threads;
-/// calls to one backend multiplex over a few persistent MuxLinks
-/// (request-id correlation, serve/net_mux.h) behind a per-backend
+/// calls to one backend multiplex over a few persistent NetClients
+/// (request-id correlation, serve/net_client.h) behind a per-backend
 /// mutex that guards only link selection and health state — never the
 /// wire I/O itself.
 class ShardRouter {
@@ -74,9 +73,9 @@ class ShardRouter {
   /// Ring points per backend. More points = smoother key spread and
   /// smaller movement when the backend set changes.
   static constexpr int kVirtualNodes = 64;
-  /// Persistent multiplexed links kept per backend (serve/net_mux.h).
-  /// All in-flight calls to a shard share these links, correlated by
-  /// request id — C10k client fan-in collapses onto
+  /// Persistent multiplexed links (NetClients, serve/net_client.h) kept
+  /// per backend. All in-flight calls to a shard share these links,
+  /// correlated by request id — C10k client fan-in collapses onto
   /// backends x kMuxLinks shard-side sockets. The first link is dialed
   /// on demand; extras are added only when the chosen link already has
   /// calls in flight.
@@ -189,7 +188,7 @@ class ShardRouter {
     /// Persistent multiplexed links, round-robined across calls; broken
     /// links are pruned on the next acquire. Grows on demand up to
     /// kMuxLinks.
-    std::vector<std::shared_ptr<MuxLink>> links;
+    std::vector<std::shared_ptr<NetClient>> links;
     size_t next_link = 0;
     Clock::time_point ejected_until = Clock::time_point::min();
   };
@@ -205,7 +204,7 @@ class ShardRouter {
   /// the per-backend cap has headroom. `*reused` reports whether an
   /// existing link served the call (feeds metrics.link_reuse). Null on
   /// connect failure.
-  std::shared_ptr<MuxLink> AcquireLink(Backend& backend, bool* reused);
+  std::shared_ptr<NetClient> AcquireLink(Backend& backend, bool* reused);
   void Eject(Backend& backend);
   bool Ejected(Backend& backend) const;
 

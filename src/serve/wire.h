@@ -154,9 +154,10 @@ void AppendRoomRecoverReportFrame(uint64_t id,
 
 /// Every payload begins with the u64 correlation id, by construction of
 /// the encoders above. PeekCorrelationId reads it without decoding the
-/// rest of the payload — the multiplexing fast path (serve/net_mux.h):
-/// a reader thread matches a response to its waiter by id alone, and
-/// only the waiting caller pays for the full type-checked decode.
+/// rest of the payload — the multiplexing fast path (serve/net_client.h):
+/// the client's reader thread matches a response to its waiter by id
+/// alone, and only the waiting caller pays for the full type-checked
+/// decode.
 /// Returns false when the payload is too short to carry an id.
 bool PeekCorrelationId(std::string_view payload, uint64_t* id);
 

@@ -391,6 +391,8 @@ TEST(NetClientTest, PipelinedBurstComesBackIndexAligned) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const std::vector<Result<FriendResponse>> results =
       client.value()->CallPipelined(burst);
+  // Read before the shutdown below, which ends the connection.
+  EXPECT_FALSE(client.value()->broken());
   net.Shutdown();
   if (answerer.joinable()) answerer.join();
 
@@ -410,7 +412,68 @@ TEST(NetClientTest, PipelinedBurstComesBackIndexAligned) {
     EXPECT_EQ(got.recommended, server.Handle(burst[i]).recommended)
         << "slot " << i;
   }
+}
+
+TEST(NetClientTest, TwoThreadsBurstOverOneClientAndEachGetsItsOwnAnswers) {
+  // Two threads share one client, each with a pipelined burst. The
+  // handler parks both bursts, then answers every request last first,
+  // so the two bursts' responses interleave on the one connection. The
+  // threads ask about different users, so an answer filed under the
+  // other thread's burst, or under the wrong index, would not match.
+  constexpr int kBurst = 6, kThreads = 2;
+  const Dataset dataset = SmallDataset();
+  RecommendationServer server(
+      MakeRooms(dataset, 2),
+      [] { return std::make_unique<NearestRecommender>(5); },
+      NoDeadlineOptions());
+  Parked parked;
+  std::thread answerer;
+  NetServer net(
+      [&](const FriendRequest& request,
+          std::function<void(const FriendResponse&)> done) {
+        std::lock_guard<std::mutex> lock(parked.mutex);
+        parked.requests.push_back(request);
+        parked.done.push_back(std::move(done));
+        if (static_cast<int>(parked.requests.size()) < kThreads * kBurst)
+          return;
+        answerer = std::thread([&] {
+          for (int i = kThreads * kBurst - 1; i >= 0; --i)
+            parked.done[i](server.Handle(parked.requests[i]));
+        });
+      },
+      NetServerOptions{});
+  ASSERT_TRUE(net.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  std::vector<std::vector<FriendRequest>> bursts(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kBurst; ++i)
+      bursts[t].push_back(
+          {.room = t, .user = t * kBurst + i, .deadline_ms = -1.0});
+  std::vector<std::vector<Result<FriendResponse>>> results(kThreads);
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t)
+    senders.emplace_back(
+        [&, t] { results[t] = client.value()->CallPipelined(bursts[t]); });
+  for (std::thread& sender : senders) sender.join();
   EXPECT_FALSE(client.value()->broken());
+  net.Shutdown();
+  if (answerer.joinable()) answerer.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), bursts[t].size()) << "thread " << t;
+    for (int i = 0; i < kBurst; ++i) {
+      ASSERT_TRUE(results[t][i].ok())
+          << "thread " << t << " slot " << i << ": "
+          << results[t][i].status().ToString();
+      const FriendResponse& got = results[t][i].value();
+      ASSERT_TRUE(got.status.ok()) << "thread " << t << " slot " << i
+                                   << ": " << got.status.ToString();
+      EXPECT_EQ(got.recommended, server.Handle(bursts[t][i]).recommended)
+          << "thread " << t << " slot " << i;
+    }
+  }
 }
 
 TEST(NetClientTest, PeerClosingMidCollectFailsTheUnansweredSlots) {

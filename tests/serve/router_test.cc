@@ -16,7 +16,7 @@
 
 #include "gtest/gtest.h"
 #include "partition_fleet.h"
-#include "serve/net_mux.h"
+#include "serve/net_client.h"
 #include "serve/net_server.h"
 #include "serve/server.h"
 
@@ -233,7 +233,7 @@ TEST(RouterTest, ProbeEjectsABackendThatResetsTheLink) {
 
 TEST(MuxLinkTest, AResetLinkFailsEveryLaterCallWithoutSending) {
   MutePeer peer(MutePeer::Mode::kReset);
-  auto link = MuxLink::Connect("127.0.0.1", peer.port());
+  auto link = NetClient::Connect("127.0.0.1", peer.port());
   ASSERT_TRUE(link.ok()) << link.status().ToString();
   const Status reset = link.value()->Ping();
   EXPECT_EQ(reset.code(), StatusCode::kUnavailable);
@@ -256,9 +256,9 @@ TEST(MuxLinkTest, APeerThatNeverAnswersTimesOutEveryCall) {
   using Clock = std::chrono::steady_clock;
   NetClientOptions options;
   options.io_timeout_ms = 100.0;
-  auto link = MuxLink::Connect("127.0.0.1", peer.port(), options);
+  auto link = NetClient::Connect("127.0.0.1", peer.port(), options);
   ASSERT_TRUE(link.ok()) << link.status().ToString();
-  MuxLink& mux = *link.value();
+  NetClient& mux = *link.value();
 
   // The first call times out on its own. The second, sent 50 ms later,
   // is failed with the link (FailAll) before its own 100 ms run out.
@@ -290,6 +290,29 @@ TEST(MuxLinkTest, APeerThatNeverAnswersTimesOutEveryCall) {
   EXPECT_EQ(third.code(), StatusCode::kUnavailable);
   EXPECT_NE(third.message().find("already broken"), std::string::npos)
       << third.ToString();
+
+  // A pipelined burst to a second silent peer waits out one budget for
+  // all of its slots, not one per slot (ten would take a second).
+  MutePeer burst_peer(MutePeer::Mode::kSilent);
+  auto burst_link = NetClient::Connect("127.0.0.1", burst_peer.port(),
+                                       options);
+  ASSERT_TRUE(burst_link.ok()) << burst_link.status().ToString();
+  std::vector<FriendRequest> burst;
+  for (int user = 0; user < 10; ++user)
+    burst.push_back({.room = 0, .user = user});
+  const auto sent = Clock::now();
+  const std::vector<Result<FriendResponse>> results =
+      burst_link.value()->CallPipelined(burst);
+  EXPECT_LT(Clock::now() - sent, std::chrono::milliseconds(500));
+  ASSERT_EQ(results.size(), burst.size());
+  for (size_t slot = 0; slot < results.size(); ++slot) {
+    EXPECT_EQ(results[slot].status().code(), StatusCode::kUnavailable)
+        << "slot " << slot;
+    EXPECT_NE(results[slot].status().message().find("response timed out"),
+              std::string::npos)
+        << "slot " << slot << ": " << results[slot].status().ToString();
+  }
+  EXPECT_TRUE(burst_link.value()->broken());
 }
 
 TEST(RouterTest, ProberPromotesTheStandbyWithoutAManualSweep) {

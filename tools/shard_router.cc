@@ -13,17 +13,17 @@
 //        --threads=N --queue=N (router-side worker pool + admission
 //        bound; overload sheds with kResourceExhausted at the router)
 //        --ejection_ms=F --health_ms=F
-//        exactly one of:
-//        --partition_rooms=N (grant rooms [0,N) fresh to the backends)
-//        --recover_rooms=N (cold-restart recovery: ask every backend to
-//        replay its durable state first, reconcile the survivors, then
-//        serve rooms [0,N); docs/durability.md)
 //        --replication=N (warm standby copies per room)
 //        --max_connections=N (reactor connection cap; accepts beyond it
 //        are shed at the socket — raise RLIMIT_NOFILE with it for C10k)
 //        --idle_timeout_ms=F (reap connections silent this long; 0 =
 //        never, the default — idle XR clients are legitimate)
 //        --max_seconds=F (0 = run until SIGINT/SIGTERM)
+//        and exactly one of:
+//        --partition_rooms=N (grant rooms [0,N) fresh to the backends)
+//        --recover_rooms=N (cold-restart recovery: ask every backend to
+//        replay its durable state first, reconcile the survivors, then
+//        serve rooms [0,N); docs/durability.md)
 
 #include <chrono>
 #include <csignal>
