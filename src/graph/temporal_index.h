@@ -14,7 +14,7 @@ namespace after {
 /// caps the candidate set handed to the POSHGNN ranker in large rooms.
 ///
 /// The score is a sentinel-encoded "last co-presence" value:
-///   - kCoPresent  — the pair is within `co_presence_radius` right now;
+///   - kCoPresent  — the pair is within `kCoPresenceRadius` right now;
 ///   - a tick      — the last tick at which the pair was co-present;
 ///   - kNever      — the pair has never been co-present (since the last
 ///                   full Rebuild, which forgets history by design).
@@ -63,12 +63,10 @@ class TemporalView {
 /// view holds, so a tick pays for the rows whose scores it changes.
 class TemporalIndex {
  public:
-  struct Options {
-    /// Pairs within this distance count as co-present.
-    double co_presence_radius = 2.0;
-  };
+  /// Pairs within this distance (m) count as co-present.
+  static constexpr double kCoPresenceRadius = 2.0;
 
-  explicit TemporalIndex(const Options& options) : options_(options) {}
+  TemporalIndex() = default;
 
   int num_users() const { return static_cast<int>(rows_.size()); }
 
@@ -95,15 +93,13 @@ class TemporalIndex {
  private:
   using Row = std::vector<std::int32_t>;
 
-  bool CoPresent(const Vec2& a, const Vec2& b) const {
-    const double r = options_.co_presence_radius;
-    return (a - b).NormSq() <= r * r;
+  static bool CoPresent(const Vec2& a, const Vec2& b) {
+    return (a - b).NormSq() <= kCoPresenceRadius * kCoPresenceRadius;
   }
   /// Sets score (u, c), first copying row u if the last published view
   /// holds it.
   void Write(int u, int c, std::int32_t score);
 
-  Options options_;
   std::int64_t last_tick_ = -1;
   /// One row per user. A row the last published view holds is copied
   /// before it is written; a row created since is written in place. A

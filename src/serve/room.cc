@@ -15,6 +15,10 @@ namespace {
 /// Live-mode arrival tolerance: a walker within this distance of its
 /// waypoint counts as arrived (re-aims, or parks under walker-swap).
 constexpr double kGoalTolerance = 0.2;
+/// Live-mode walking speed (m/s) and the side (m) of the square room
+/// whose waypoints agents wander between.
+constexpr double kLiveMaxSpeed = 1.2;
+constexpr double kLiveRoomSide = 10.0;
 
 }  // namespace
 
@@ -165,7 +169,7 @@ Result<std::unique_ptr<Room>> Room::Create(const Options& options,
     room->sim_ = std::make_unique<CrowdSimulator>(/*time_step=*/0.5);
     CrowdSimulator::AgentParams params;
     params.radius = world.body_radius();
-    params.max_speed = options.max_speed;
+    params.max_speed = kLiveMaxSpeed;
     for (int u = 0; u < n; ++u)
       room->sim_->AddAgent(world.PositionsAt(0)[u], params);
     if (options.move_fraction >= 1.0) {
@@ -185,18 +189,15 @@ Result<std::unique_ptr<Room>> Room::Create(const Options& options,
       }
     }
   }
-  if (options.temporal_index) {
-    TemporalIndex::Options topt;
-    topt.co_presence_radius = options.co_presence_radius;
-    room->temporal_ = std::make_unique<TemporalIndex>(topt);
-  }
+  if (options.temporal_index)
+    room->temporal_ = std::make_unique<TemporalIndex>();
   room->Publish(world.PositionsAt(0), /*tick=*/0);
   return room;
 }
 
 Vec2 Room::RandomWaypoint() {
-  return Vec2{rng_.Uniform(0.0, options_.room_side),
-              rng_.Uniform(0.0, options_.room_side)};
+  return Vec2{rng_.Uniform(0.0, kLiveRoomSide),
+              rng_.Uniform(0.0, kLiveRoomSide)};
 }
 
 Status Room::Tick() {

@@ -179,11 +179,8 @@ class Room {
     int session = -1;
     /// Preference / social-presence trade-off passed to recommenders.
     double beta = 0.5;
-    /// Live mode: waypoint RNG seed, walking speed, and the square side
-    /// length agents wander within.
+    /// Live mode: waypoint RNG seed.
     uint64_t seed = 99;
-    double max_speed = 1.2;
-    double room_side = 10.0;
     /// Delta ticks (docs/ticking.md): Tick() diffs the new frame
     /// against the previous one and publishes a snapshot that carries
     /// the predecessor's occlusion state forward for unchanged targets.
@@ -203,8 +200,6 @@ class Room {
     /// attach a view to every published snapshot so the server can cap
     /// POSHGNN's candidate set (ServerOptions::max_candidates).
     bool temporal_index = false;
-    /// Co-presence distance for the temporal index.
-    double co_presence_radius = 2.0;
   };
 
   /// Validates the dataset/session (mirroring the evaluator's checks)

@@ -1,5 +1,6 @@
 #include "serve/shard_control.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -14,18 +15,7 @@ ShardControl::ShardControl(RecommendationServer* server, RoomFactory factory)
   AFTER_CHECK(factory_ != nullptr);
 }
 
-bool ShardControl::Owns(int room) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return owned_.count(room) > 0;
-}
-
-std::vector<int> ShardControl::OwnedRooms() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<int> rooms;
-  rooms.reserve(owned_.size());
-  for (const auto& [room, epoch] : owned_) rooms.push_back(room);
-  return rooms;
-}
+bool ShardControl::Owns(int room) const { return server_->HasRoom(room); }
 
 uint64_t ShardControl::EpochFor(int room) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -48,7 +38,7 @@ void ShardControl::NoteDurabilityFailure(const Status& status) {
 Status ShardControl::Assign(int room, uint64_t epoch,
                             const std::string& state, bool primary) {
   const std::string context = "assign room " + std::to_string(room);
-  bool already_hosting = false;
+  std::shared_ptr<Room> existing;  // the replica this shard already hosts
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto last = last_epoch_.find(room);
@@ -57,11 +47,7 @@ Status ShardControl::Assign(int room, uint64_t epoch,
           "stale assign for room " + std::to_string(room) + " (epoch " +
           std::to_string(epoch) + " <= " + std::to_string(last->second) + ")");
     last_epoch_[room] = epoch;
-    auto held = owned_.find(room);
-    if (held != owned_.end()) {
-      held->second = epoch;
-      already_hosting = true;
-    }
+    existing = server_->FindRoom(room);
   }
   // A grant with state carries the donor's tick frame. Decoded before
   // anything is built or touched, so bytes that are not a frame leave
@@ -72,7 +58,7 @@ Status ShardControl::Assign(int room, uint64_t epoch,
     if (!decoded.ok()) return decoded.status().Annotate(context);
     frame = std::move(decoded).value();
   }
-  if (already_hosting) {
+  if (existing != nullptr) {
     server_->metrics().rooms_assigned.fetch_add(1, std::memory_order_relaxed);
     // Standby promotion: the grant only advances the epoch, the room
     // keeps serving untouched. Journaled without the reset flag — the
@@ -89,33 +75,27 @@ Status ShardControl::Assign(int room, uint64_t epoch,
     // standby becoming primary): overwrite the local replica with the
     // old primary's exact state. Restore is all-or-nothing, so a frame
     // that does not fit leaves the replica serving as before.
-    const std::shared_ptr<Room> hosted = server_->FindRoom(room);
-    if (hosted == nullptr)
-      return InternalError("owned room " + std::to_string(room) +
-                           " was not hosted");
-    AFTER_RETURN_IF_ERROR(hosted->Restore(*frame).Annotate(context));
+    AFTER_RETURN_IF_ERROR(existing->Restore(*frame).Annotate(context));
     server_->metrics().migrations_in.fetch_add(1, std::memory_order_relaxed);
     if (durability_ != nullptr) {
       // The frame overwrote local state and exists nowhere else durable:
       // the grant is journaled with it.
-      const Status durable = durability_->RecordState(*hosted, epoch, primary);
+      const Status durable =
+          durability_->RecordState(*existing, epoch, primary);
       if (!durable.ok()) NoteDurabilityFailure(durable);
     }
     return OkStatus();
   }
   // Build outside the lock: the factory can be slow (dataset
-  // validation) and must not block Owns() checks on the request path.
-  // All-or-nothing: nothing is hosted until every step below succeeded.
+  // validation) and must not block EpochFor() or other control frames.
+  // All-or-nothing: nothing is hosted, so nothing owned, until every
+  // step below succeeded.
   Result<std::unique_ptr<Room>> built = factory_(room);
   if (!built.ok()) return built.status().Annotate(context);
   std::unique_ptr<Room> hosted = std::move(built).value();
   if (frame.has_value())
     AFTER_RETURN_IF_ERROR(hosted->Restore(*frame).Annotate(context));
   AFTER_RETURN_IF_ERROR(server_->AddRoom(std::move(hosted)));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    owned_[room] = epoch;
-  }
   server_->metrics().rooms_assigned.fetch_add(1, std::memory_order_relaxed);
   if (frame.has_value())
     server_->metrics().migrations_in.fetch_add(1, std::memory_order_relaxed);
@@ -136,28 +116,25 @@ Status ShardControl::Assign(int room, uint64_t epoch,
 }
 
 Result<std::string> ShardControl::Release(int room, uint64_t epoch) {
+  std::shared_ptr<Room> removed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto held = owned_.find(room);
-    if (held == owned_.end())
+    removed = server_->FindRoom(room);
+    if (removed == nullptr)
       return NotOwnerError("room " + std::to_string(room) +
                            " is not owned by this shard");
-    if (epoch < held->second)
+    // A hosted room's last epoch is its active grant's.
+    uint64_t& held = last_epoch_[room];
+    if (epoch < held)
       return InvalidArgumentError(
           "stale release for room " + std::to_string(room) + " (epoch " +
-          std::to_string(epoch) + " < " + std::to_string(held->second) + ")");
-    // Un-own first: from this instant new requests answer kNotOwner and
-    // the router re-routes them, while requests already dispatched into
-    // the server drain against the room's shared_ptr.
-    owned_.erase(held);
-    auto last = last_epoch_.find(room);
-    if (last == last_epoch_.end() || epoch > last->second)
-      last_epoch_[room] = epoch;
+          std::to_string(epoch) + " < " + std::to_string(held) + ")");
+    held = epoch;
+    // Un-own by unhosting: from this instant new requests answer
+    // kNotOwner and the router re-routes them, while requests already
+    // dispatched into the server drain against the room's shared_ptr.
+    server_->RemoveRoom(room);
   }
-  const std::shared_ptr<Room> removed = server_->RemoveRoom(room);
-  if (removed == nullptr)
-    return InternalError("owned room " + std::to_string(room) +
-                         " was not hosted");
   server_->metrics().rooms_released.fetch_add(1, std::memory_order_relaxed);
   if (durability_ != nullptr) {
     const Status durable = durability_->RecordRelease(room, epoch);
@@ -205,16 +182,16 @@ Result<std::vector<wire::RecoveredRoom>> ShardControl::RecoverFromDurable() {
       ++replayed;
     }
     const int tick = room->tick();
+    {
+      // Hosted at its journaled epoch: fenced before it is owned, as a
+      // grant is.
+      std::lock_guard<std::mutex> lock(mutex_);
+      uint64_t& last = last_epoch_[entry.room];
+      last = std::max(last, entry.epoch);
+    }
     if (!server_->AddRoom(std::move(room)).ok()) {
       ++data_loss;
       continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      owned_[entry.room] = entry.epoch;
-      auto last = last_epoch_.find(entry.room);
-      if (last == last_epoch_.end() || entry.epoch > last->second)
-        last_epoch_[entry.room] = entry.epoch;
     }
     // Re-fence the ownership in the (possibly truncated) journal with a
     // state record at the recovered tick, so the next recovery starts

@@ -26,9 +26,10 @@ using RoomFactory = std::function<Result<std::unique_ptr<Room>>(int room)>;
 
 /// The shard-side half of partitioned room ownership (docs/serving.md).
 /// A shard starts owning nothing; the router grants and revokes rooms
-/// with kRoomAssign / kRoomRelease control frames, and ShardControl
-/// keeps the authoritative owned-set in lockstep with the rooms hosted
-/// by the RecommendationServer:
+/// with kRoomAssign / kRoomRelease control frames. The owned set is the
+/// set of rooms the RecommendationServer hosts: hosting a room
+/// (RecommendationServer::AddRoom) owns it, and unhosting it
+/// (RemoveRoom) un-owns it.
 ///
 ///  - Assign: build the room (fresh via the factory, or restored from a
 ///    migrated tick frame via Room::Restore — all-or-nothing, so bytes
@@ -37,9 +38,9 @@ using RoomFactory = std::function<Result<std::unique_ptr<Room>>(int room)>;
 ///    the staleness fence: a grant older than what we last saw for the
 ///    room is rejected, so reordered control frames cannot resurrect
 ///    ownership the router already moved elsewhere.
-///  - Release: un-own FIRST (new requests answer kNotOwner immediately),
-///    then unhost and encode the room's final tick frame for the router
-///    to forward to the new owner. Requests already processing against the
+///  - Release: unhost the room (new requests answer kNotOwner
+///    immediately), then encode its final tick frame for the router to
+///    forward to the new owner. Requests already processing against the
 ///    room hold its shared_ptr and drain normally.
 ///
 /// Thread-safe: control frames arrive on connection reader threads while
@@ -49,7 +50,6 @@ class ShardControl {
   ShardControl(RecommendationServer* server, RoomFactory factory);
 
   bool Owns(int room) const;
-  std::vector<int> OwnedRooms() const;
   /// Latest epoch observed for the room in any grant or release; 0 when
   /// the shard has never heard of it (the kNotOwner frame's epoch field).
   uint64_t EpochFor(int room) const;
@@ -79,8 +79,8 @@ class ShardControl {
 
   /// Cold-restart recovery (docs/durability.md): folds the shard's
   /// journal into rooms, restores each room's base frame and replays
-  /// the tick frames after it, hosts the results, re-owns them at
-  /// their journaled epochs, and journals a state record for each.
+  /// the tick frames after it, hosts the results at their journaled
+  /// epochs, and journals a state record for each.
   /// Idempotent — the first call does the work, every later call (e.g. a
   /// router's kRoomRecover query) returns the same report. Unrecoverable
   /// rooms (corrupt journal header, factory or apply failure) are
@@ -98,13 +98,12 @@ class ShardControl {
   RoomFactory factory_;
   DurabilityManager* durability_ = nullptr;
   mutable std::mutex mutex_;
-  /// room -> epoch of the active grant.
-  std::unordered_map<int, uint64_t> owned_;
   /// room -> newest epoch seen in any control frame (survives release,
-  /// fencing late reordered grants).
+  /// fencing late reordered grants). Written before a room is hosted,
+  /// so for a hosted room it is the active grant's epoch.
   std::unordered_map<int, uint64_t> last_epoch_;
   /// Recovery runs once; serialized separately from mutex_ so the slow
-  /// rebuild never blocks Owns() on the request path.
+  /// rebuild never blocks EpochFor() on the request path.
   std::mutex recover_mutex_;
   bool recovered_ = false;
   std::vector<wire::RecoveredRoom> report_;

@@ -10,13 +10,7 @@
 namespace after {
 namespace {
 
-constexpr double kRadius = 2.0;
-
-TemporalIndex::Options Opts() {
-  TemporalIndex::Options options;
-  options.co_presence_radius = kRadius;
-  return options;
-}
+constexpr double kRadius = TemporalIndex::kCoPresenceRadius;
 
 bool CoPresent(const Vec2& a, const Vec2& b) {
   return (a - b).NormSq() <= kRadius * kRadius;
@@ -25,7 +19,7 @@ bool CoPresent(const Vec2& a, const Vec2& b) {
 TEST(TemporalIndexTest, RebuildScoresCoPresenceOnly) {
   // 0 and 1 within radius; 2 far from both.
   const std::vector<Vec2> positions = {{0, 0}, {1, 0}, {10, 10}};
-  TemporalIndex index(Opts());
+  TemporalIndex index;
   index.Rebuild(positions, /*tick=*/0);
   const auto view = index.PublishView();
   EXPECT_EQ(view->score(0, 1), TemporalView::kCoPresent);
@@ -36,7 +30,7 @@ TEST(TemporalIndexTest, RebuildScoresCoPresenceOnly) {
 
 TEST(TemporalIndexTest, DepartingPairIsStampedWithItsLastCoPresentTick) {
   std::vector<Vec2> positions = {{0, 0}, {1, 0}};
-  TemporalIndex index(Opts());
+  TemporalIndex index;
   index.Rebuild(positions, 0);
   // Still together at ticks 1..3 (agent 1 jitters in range), apart at 4.
   for (std::int64_t tick = 1; tick <= 3; ++tick) {
@@ -62,7 +56,7 @@ TEST(TemporalIndexTest, DepartingPairIsStampedWithItsLastCoPresentTick) {
 
 TEST(TemporalIndexTest, RebuildForgetsHistory) {
   std::vector<Vec2> positions = {{0, 0}, {1, 0}};
-  TemporalIndex index(Opts());
+  TemporalIndex index;
   index.Rebuild(positions, 0);
   positions[1].x = 50.0;
   index.Update(positions, {1}, 1);
@@ -81,7 +75,7 @@ TEST(TemporalIndexTest, UpdateMatchesExhaustiveReference) {
   for (int i = 0; i < n; ++i)
     positions.emplace_back(rng.Uniform(0, 8), rng.Uniform(0, 8));
 
-  TemporalIndex index(Opts());
+  TemporalIndex index;
   index.Rebuild(positions, 0);
   // reference[t][c]: kCoPresent / last co-present tick / kNever.
   std::vector<std::vector<std::int32_t>> reference(
@@ -158,7 +152,7 @@ TEST(TemporalIndexTest, HeldViewKeepsItsScoresAcrossUpdates) {
   std::vector<Vec2> positions;
   for (int i = 0; i < n; ++i)
     positions.emplace_back(rng.Uniform(0, 6), rng.Uniform(0, 6));
-  TemporalIndex index(Opts());
+  TemporalIndex index;
   index.Rebuild(positions, 0);
   std::vector<int> moved = WalkStep(rng, 2.0, &positions);
   index.Update(positions, moved, 1);
@@ -178,7 +172,7 @@ TEST(TemporalIndexTest, HeldViewKeepsItsScoresAcrossUpdates) {
 /// itself; one after a change returns a new view.
 TEST(TemporalIndexTest, PublishWithoutAChangeReturnsTheSameView) {
   std::vector<Vec2> positions = {{0, 0}, {1, 0}, {10, 10}};
-  TemporalIndex index(Opts());
+  TemporalIndex index;
   index.Rebuild(positions, 0);
   const auto first = index.PublishView();
   EXPECT_EQ(index.PublishView(), first);  // no update at all
@@ -206,8 +200,8 @@ TEST(TemporalIndexTest, ViewsPublishedEveryTickEqualOnePublishedAtTheEnd) {
   for (int i = 0; i < n; ++i)
     positions.emplace_back(rng.Uniform(0, 6), rng.Uniform(0, 6));
 
-  TemporalIndex every_tick(Opts());
-  TemporalIndex at_end(Opts());
+  TemporalIndex every_tick;
+  TemporalIndex at_end;
   every_tick.Rebuild(positions, 0);
   at_end.Rebuild(positions, 0);
   std::vector<std::shared_ptr<const TemporalView>> held;
@@ -227,7 +221,7 @@ TEST(TemporalViewTest, FillPruneMaskKeepsExactlyTopK) {
   std::vector<Vec2> positions;
   for (int i = 0; i < n; ++i)
     positions.emplace_back(rng.Uniform(0, 10), rng.Uniform(0, 10));
-  TemporalIndex index(Opts());
+  TemporalIndex index;
   index.Rebuild(positions, 0);
   for (std::int64_t tick = 1; tick <= 6; ++tick) {
     std::vector<int> moved;
@@ -274,7 +268,7 @@ TEST(TemporalViewTest, RankingPrefersCoPresentThenRecentThenIndex) {
   // ties break by lower index.
   std::vector<Vec2> positions = {{0, 0}, {1, 0}, {0, 1},
                                  {1, 1}, {40, 40}, {0.5, 0.5}};
-  TemporalIndex index(Opts());
+  TemporalIndex index;
   index.Rebuild(positions, 0);
   positions[3] = {30, 30};
   index.Update(positions, {3}, 2);

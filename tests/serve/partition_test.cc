@@ -231,14 +231,14 @@ TEST(ShardControlTest, AssignOwnReleaseLifecycle) {
   EXPECT_TRUE(shard.control.Owns(7));
   EXPECT_EQ(shard.control.EpochFor(7), 1u);
   EXPECT_NE(shard.server.FindRoom(7), nullptr);
-  ASSERT_EQ(shard.control.OwnedRooms().size(), 1u);
-  EXPECT_EQ(shard.control.OwnedRooms()[0], 7);
+  ASSERT_EQ(shard.server.RoomIds().size(), 1u);
+  EXPECT_EQ(shard.server.RoomIds()[0], 7);
 
   auto released = shard.control.Release(7, 2);
   ASSERT_TRUE(released.ok()) << released.status().ToString();
   EXPECT_FALSE(released.value().empty());  // the encoded tick frame
   EXPECT_FALSE(shard.control.Owns(7));
-  EXPECT_EQ(shard.server.FindRoom(7), nullptr);  // unhosted, not just unowned
+  EXPECT_EQ(shard.server.FindRoom(7), nullptr);  // un-owned is unhosted
   EXPECT_EQ(shard.control.EpochFor(7), 2u);      // remembered past release
 
   // Releasing a room we no longer own is the shard saying kNotOwner.
@@ -315,7 +315,7 @@ TEST(PartitionTest, EveryRoomIsServedAndOwnershipIsBalanced) {
   ASSERT_EQ(assignment.size(), 9u);
   int hosted_total = 0;
   for (const auto& shard : fleet.shards)
-    hosted_total += static_cast<int>(shard->control.OwnedRooms().size());
+    hosted_total += static_cast<int>(shard->server.RoomIds().size());
   // replication 0: every room lives on exactly one shard — the whole
   // point of partitioning (per-shard memory is rooms/N, not rooms).
   EXPECT_EQ(hosted_total, 9);
