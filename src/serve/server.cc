@@ -157,7 +157,8 @@ std::shared_ptr<Room> RecommendationServer::FindRoom(int id) const {
 }
 
 bool RecommendationServer::HasRoom(int id) const {
-  return FindRoom(id) != nullptr;
+  std::lock_guard<std::mutex> lock(rooms_mutex_);
+  return rooms_.contains(id);
 }
 
 std::vector<int> RecommendationServer::RoomIds() const {
